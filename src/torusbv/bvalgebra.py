@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentPoly, RankMismatchError, _as_fraction
+from .laurent import LaurentPoly, SparseStore, _as_fraction, _check_rank_arg, _exponent
 
 
 def normalize_wedge(indices):
@@ -39,23 +39,20 @@ def merge_wedges(left, right):
     return normalize_wedge(tuple(left) + tuple(right))
 
 
-class PolyVector:
+class PolyVector(SparseStore):
     """Sparse element of Laurent (x) Lambda*(theta), stored as
     {(exponent tuple, wedge tuple): Fraction} with no zero coefficients.
 
     Wedge tuples are strictly increasing subsets of {1, ..., rank}.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
 
     def __init__(self, rank: int, terms=None):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _check_rank_arg(rank)
         clean = {}
         for (exp, wedge), coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != rank:
-                raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
+            exp = _exponent(exp, rank)
             wedge, sign = normalize_wedge(wedge)
             if sign == 0:
                 continue
@@ -68,20 +65,11 @@ class PolyVector:
         self.rank = rank
         self.terms = {k: c for k, c in clean.items() if c}
 
+    @staticmethod
+    def _exp_wedge(key):
+        return key
+
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def _raw(cls, rank: int, terms: dict) -> "PolyVector":
-        """Internal fast path: keys already canonical, coefficients already
-        Fractions; only zero filtering is performed."""
-        pv = object.__new__(cls)
-        pv.rank = rank
-        pv.terms = {k: c for k, c in terms.items() if c}
-        return pv
-
-    @classmethod
-    def zero(cls, rank: int) -> "PolyVector":
-        return cls(rank, {})
 
     @classmethod
     def one(cls, rank: int) -> "PolyVector":
@@ -93,7 +81,7 @@ class PolyVector:
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "PolyVector":
-        return cls(p.rank, {(e, ()): c for e, c in p.terms.items()})
+        return cls._raw(p.rank, {(e, ()): c for e, c in p.terms.items()})
 
     @classmethod
     def theta(cls, rank: int, i: int) -> "PolyVector":
@@ -109,51 +97,12 @@ class PolyVector:
             raise ValueError(f"theta index {i} out of range for rank {rank}")
         return cls.monomial(rank, tuple(exp), (i,))
 
-    # -- structure --------------------------------------------------------
-
-    def _check_rank(self, other: "PolyVector") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "PolyVector") -> "PolyVector":
-        self._check_rank(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return PolyVector._raw(self.rank, terms)
-
-    def __sub__(self, other: "PolyVector") -> "PolyVector":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyVector":
-        return PolyVector._raw(self.rank, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "PolyVector":
-        c = _as_fraction(c)
-        return PolyVector._raw(self.rank, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return wedge(self, other)
 
-    __rmul__ = scale
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyVector)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+    __rmul__ = SparseStore.scale
 
     # -- grading ----------------------------------------------------------
 
@@ -175,13 +124,6 @@ class PolyVector:
             self.rank, {key: c for key, c in self.terms.items() if len(key[1]) == k}
         )
 
-    def homogeneous_class(self):
-        """The common H1-grading (exponent vector) of all terms, or None."""
-        classes = {e for (e, _) in self.terms}
-        if len(classes) == 1:
-            return next(iter(classes))
-        return None
-
     def h1_part(self, exp) -> "PolyVector":
         exp = tuple(exp)
         return PolyVector._raw(
@@ -193,18 +135,7 @@ class PolyVector:
         concentrated in cohomological degree 0."""
         if any(w for (_, w) in self.terms):
             raise ValueError("element has nonzero cohomological degree")
-        return LaurentPoly(self.rank, {e: c for (e, _), c in self.terms.items()})
-
-    def support(self):
-        return sorted(self.terms)
-
-    def __str__(self) -> str:
-        from .parsing import format_polyvector
-
-        return format_polyvector(self)
-
-    def __repr__(self) -> str:
-        return f"PolyVector(rank={self.rank}, {self.__str__()!r})"
+        return LaurentPoly._raw(self.rank, {e: c for (e, _), c in self.terms.items()})
 
     def to_json(self):
         return [

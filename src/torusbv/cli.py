@@ -8,6 +8,7 @@ carry `schema`, the echoed command, the rank, and an exact-arithmetic flag.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -21,6 +22,10 @@ from .parsing import format_polyvector, parse_polyvector
 from .suites import DEFAULT_SEED, SUITES
 
 SCHEMA_VERSION = 1
+
+# `verify` flags, each passed to the suite parameter of the same name when
+# set; --rank fills a `ranks` tuple for suites that sweep several ranks
+VERIFY_FLAGS = ("rank", "seed", "cases", "window", "grid", "max_n")
 
 
 def _envelope(command: str, rank, result) -> dict:
@@ -156,22 +161,20 @@ def cmd_verify(args):
     suite = SUITES.get(args.suite)
     if suite is None:
         raise SystemExit(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    params = inspect.signature(suite).parameters
     kwargs = {}
-    if args.suite in ("bv-axioms", "cocycles", "rep-action", "shift-isomorphism"):
-        kwargs["seed"] = args.seed
-    if args.suite == "bv-axioms":
-        kwargs["cases"] = args.cases
-        if args.rank is not None:
-            kwargs["ranks"] = (args.rank,)
-        kwargs["window"] = args.window
-    if args.suite == "cocycles":
-        kwargs["window"] = args.window
-        if args.rank is not None:
-            kwargs["rank"] = args.rank
-    if args.suite == "rep-classification":
-        kwargs["grid"] = args.grid
-    if args.suite == "floer":
-        kwargs["max_n"] = args.max_n
+    for flag in VERIFY_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag in params:
+            kwargs[flag] = value
+        elif flag == "rank" and "ranks" in params:
+            kwargs["ranks"] = (value,)
+        else:
+            option = "--" + flag.replace("_", "-")
+            sys.stderr.write(f"torusbv verify: suite {args.suite!r} takes no {option}\n")
+            raise SystemExit(2)
     report = suite(**kwargs)
     if args.json:
         _emit(args, "verify", args.rank, report, "")
@@ -239,13 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--max-n", dest="max_n", type=int, default=6)
+    # unset flags stay None so each suite keeps its own defaults
+    for flag in VERIFY_FLAGS:
+        p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int)
     p.set_defaults(func=cmd_verify)
 
     return parser

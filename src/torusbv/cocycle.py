@@ -8,6 +8,7 @@ arbitrary coboundary part.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -82,6 +83,10 @@ def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     return True
 
 
+# a comma not inside [...]: no ']' follows it before the next '['
+_FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])")
+
+
 def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`."""
     from .parsing import parse_laurent
@@ -89,23 +94,7 @@ def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     alpha = Fraction(0)
     betas = [Fraction(0)] * rank
     exact = None
-    # split on commas outside brackets
-    fields = []
-    depth = 0
-    current = ""
-    for ch in spec:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            fields.append(current)
-            current = ""
-        else:
-            current += ch
-    if current:
-        fields.append(current)
-    for field in fields:
+    for field in _FIELD_SEPARATOR.split(spec):
         if "=" not in field:
             raise ValueError(f"bad cocycle spec field {field!r}")
         key, _, value = field.partition("=")

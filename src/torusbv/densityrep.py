@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from . import matrix
 from .laurent import LaurentPoly, _as_fraction
 
 
@@ -70,19 +71,22 @@ class FiniteSl2Module:
     given by matrices for e, h, f in a monomial basis z^{j} (labels stored)."""
 
     def __init__(self, basis_exponents, e, h, f):
+        self._set_entries(basis_exponents, e, h, f)
+        self._check_invariants()
+
+    def _set_entries(self, basis_exponents, e, h, f):
         self.dim = len(basis_exponents)
         self.basis_exponents = list(basis_exponents)
         self.e = [[_as_fraction(v) for v in row] for row in e]
         self.h = [[_as_fraction(v) for v in row] for row in h]
         self.f = [[_as_fraction(v) for v in row] for row in f]
-        self._check_invariants()
 
     def _check_invariants(self):
-        if _mat_sub(_mat_commutator(self.h, self.e), _mat_scale(self.e, 2)) != _mat_zero(self.dim):
+        if matrix.commutator(self.h, self.e) != matrix.scale(self.e, 2):
             raise ValueError("[h, e] != 2e")
-        if _mat_sub(_mat_commutator(self.h, self.f), _mat_scale(self.f, -2)) != _mat_zero(self.dim):
+        if matrix.commutator(self.h, self.f) != matrix.scale(self.f, -2):
             raise ValueError("[h, f] != -2f")
-        if _mat_sub(_mat_commutator(self.e, self.f), self.h) != _mat_zero(self.dim):
+        if matrix.commutator(self.e, self.f) != self.h:
             raise ValueError("[e, f] != h")
         spectrum = self.h_spectrum()
         if any(v.denominator != 1 for v in spectrum):
@@ -96,11 +100,7 @@ class FiniteSl2Module:
         """Construct without invariant checks (test fixtures for reducible
         or malformed modules)."""
         module = object.__new__(cls)
-        module.dim = len(basis_exponents)
-        module.basis_exponents = list(basis_exponents)
-        module.e = [[_as_fraction(v) for v in row] for row in e]
-        module.h = [[_as_fraction(v) for v in row] for row in h]
-        module.f = [[_as_fraction(v) for v in row] for row in f]
+        module._set_entries(basis_exponents, e, h, f)
         return module
 
     def h_spectrum(self):
@@ -110,36 +110,10 @@ class FiniteSl2Module:
 
     def casimir(self):
         """ef + fe + h^2/2 as a matrix."""
-        ef = _mat_mul(self.e, self.f)
-        fe = _mat_mul(self.f, self.e)
-        hh = _mat_scale(_mat_mul(self.h, self.h), Fraction(1, 2))
-        return _mat_add(_mat_add(ef, fe), hh)
-
-
-def _mat_zero(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    c = _as_fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
-def _mat_commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+        ef = matrix.product(self.e, self.f)
+        fe = matrix.product(self.f, self.e)
+        hh = matrix.scale(matrix.product(self.h, self.h), Fraction(1, 2))
+        return matrix.add(matrix.add(ef, fe), hh)
 
 
 def has_finite_submodule(spec: DensityRepSpec) -> bool:
@@ -170,9 +144,9 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
     j0 = int(j0)
     exponents = [j0 + t for t in range(n + 1)]
     dim = n + 1
-    e = _mat_zero(dim)
-    h = _mat_zero(dim)
-    f = _mat_zero(dim)
+    e = matrix.zeros(dim)
+    h = matrix.zeros(dim)
+    f = matrix.zeros(dim)
     for t, j in enumerate(exponents):
         h[t][t] = 2 * weight_of(spec, j)
         ecoeff = j + spec.alpha + spec.beta
@@ -254,20 +228,24 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     return True
 
 
-def classification_sweep(grid: int = 8):
-    """Sweep 2*alpha in {-grid, ..., 2} and 2*beta in {-grid, ..., grid};
-    report existence and dimension of the finite submodule at each point."""
-    rows = []
+def classification_grid(grid: int = 8):
+    """Yield (spec, finite submodule or None) for 2*alpha in {-grid, ..., 2}
+    and 2*beta in {-grid, ..., grid}."""
     for two_alpha in range(-grid, 3):
         for two_beta in range(-grid, grid + 1):
             spec = DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_beta, 2))
-            module = extract_finite_sl2_submodule(spec)
-            rows.append(
-                {
-                    "alpha": str(spec.alpha),
-                    "beta": str(spec.beta),
-                    "exists": module is not None,
-                    "dim": module.dim if module is not None else 0,
-                }
-            )
-    return rows
+            yield spec, extract_finite_sl2_submodule(spec)
+
+
+def classification_sweep(grid: int = 8):
+    """Existence and dimension of the finite submodule at each point of
+    `classification_grid`."""
+    return [
+        {
+            "alpha": str(spec.alpha),
+            "beta": str(spec.beta),
+            "exists": module is not None,
+            "dim": module.dim if module is not None else 0,
+        }
+        for spec, module in classification_grid(grid)
+    ]

@@ -15,13 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .densityrep import (
-    DensityRepSpec,
-    FiniteSl2Module,
-    _mat_scale,
-    _mat_zero,
-    extract_finite_sl2_submodule,
-)
+from . import matrix
+from .densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,9 @@ class ConstrainedSl2Action:
 
     def matrices(self):
         dim = self.n + 1
-        e = _mat_zero(dim)
-        h = _mat_zero(dim)
-        f = _mat_zero(dim)
+        e = matrix.zeros(dim)
+        h = matrix.zeros(dim)
+        f = matrix.zeros(dim)
         for k in range(dim):
             h[k][k] = Fraction(2 * k - self.n)
         for k in range(self.n):

@@ -1,4 +1,5 @@
-"""Exact multivariate Laurent polynomials over the rationals.
+"""Exact multivariate Laurent polynomials over the rationals, and the sparse
+term store they share with polyvector fields.
 
 A polynomial of rank r is a finitely supported map from exponent vectors
 in Z^r to nonzero Fractions.  All arithmetic is exact; no zero coefficient
@@ -19,37 +20,145 @@ class NotInvertibleError(ValueError):
 
 
 def _as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+    """Exact coefficient coercion; floats, complex numbers and bools are
+    rejected because they carry no exact rational value."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, (bool, float, complex)):
+        raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string like '1/10'")
+    return Fraction(c)
 
 
-class LaurentPoly:
+def _check_rank_arg(rank: int) -> None:
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+
+
+def _exponent(exp, rank: int) -> tuple:
+    exp = tuple(int(e) for e in exp)
+    if len(exp) != rank:
+        raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
+    return exp
+
+
+class SparseStore:
+    """A finitely supported map {canonical key: nonzero Fraction} of a fixed
+    rank: the storage, linear structure, equality and printing shared by
+    LaurentPoly and PolyVector.
+
+    Each subclass validates its own key layout in `__init__` and says how a
+    key splits into (exponent, wedge) in `_exp_wedge`.  Results of the
+    linear operations keep the class of the left operand, and elements of
+    different classes are never equal.
+    """
+
+    __slots__ = ("rank", "terms")
+
+    @classmethod
+    def _raw(cls, rank: int, terms: dict):
+        """Internal fast path: keys already canonical, coefficients already
+        Fractions; only zero filtering is performed."""
+        obj = object.__new__(cls)
+        obj.rank = rank
+        obj.terms = {k: c for k, c in terms.items() if c}
+        return obj
+
+    @classmethod
+    def zero(cls, rank: int):
+        return cls(rank, {})
+
+    def _check_rank(self, other) -> None:
+        if self.rank != other.rank:
+            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
+
+    # -- linear structure -------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_rank(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+        return self._raw(self.rank, terms)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.rank, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = _as_fraction(c)
+        return self._raw(self.rank, {k: c * v for k, v in self.terms.items()})
+
+    # -- queries ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def support(self):
+        return sorted(self.terms)
+
+    def homogeneous_class(self):
+        """The common H1-grading (exponent vector) of all terms, or None if
+        mixed or zero."""
+        classes = {self._exp_wedge(key)[0] for key in self.terms}
+        if len(classes) == 1:
+            return next(iter(classes))
+        return None
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.rank, frozenset(self.terms.items())))
+
+    # -- rendering --------------------------------------------------------
+
+    def __str__(self) -> str:
+        from .parsing import format_polyvector
+
+        return format_polyvector(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(rank={self.rank}, {self.__str__()!r})"
+
+
+class LaurentPoly(SparseStore):
     """Sparse Laurent polynomial K[z1^±1, ..., zr^±1] with K = Q.
 
     Terms are stored as {exponent tuple: Fraction}, keys sorted
     lexicographically for deterministic iteration and printing.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
 
     def __init__(self, rank: int, terms=None):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _check_rank_arg(rank)
         clean = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != rank:
-                raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
+            exp = _exponent(exp, rank)
             coeff = _as_fraction(coeff)
             if coeff:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.rank = rank
         self.terms = {e: c for e, c in clean.items() if c}
 
-    # -- constructors ----------------------------------------------------
+    @staticmethod
+    def _exp_wedge(exp):
+        return exp, ()
 
-    @classmethod
-    def zero(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {})
+    # -- constructors ----------------------------------------------------
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
@@ -70,39 +179,20 @@ class LaurentPoly:
 
     # -- ring structure --------------------------------------------------
 
-    def _check_rank(self, other: "LaurentPoly") -> None:
-        if self.rank != other.rank:
-            raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_rank(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return LaurentPoly(self.rank, terms)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if type(other) is not LaurentPoly:
+            return NotImplemented
         self._check_rank(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.rank, terms)
+        return LaurentPoly._raw(self.rank, terms)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "LaurentPoly":
-        c = _as_fraction(c)
-        return LaurentPoly(self.rank, {e: c * v for e, v in self.terms.items()})
 
     def invert_monomial(self) -> "LaurentPoly":
         """Inverse of a single-term polynomial c*z^n, namely (1/c)*z^-n."""
@@ -113,44 +203,10 @@ class LaurentPoly:
         (exp, coeff), = self.terms.items()
         return LaurentPoly.monomial(self.rank, tuple(-e for e in exp), Fraction(1) / coeff)
 
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def support(self):
-        return sorted(self.terms)
-
-    def homogeneous_class(self):
-        """The common H1-grading of all terms, or None if mixed or zero."""
-        classes = set(self.terms)
-        if len(classes) == 1:
-            return next(iter(classes))
-        return None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    # -- rendering --------------------------------------------------------
-
-    def __str__(self) -> str:
-        return format_laurent(self)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly(rank={self.rank}, {format_laurent(self)!r})"
+    # -- serialization ----------------------------------------------------
 
     def to_json(self):
         return [
@@ -161,28 +217,3 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, rank: int, data) -> "LaurentPoly":
         return cls(rank, {tuple(d["exp"]): Fraction(d["coeff"]) for d in data})
-
-
-def _format_coeff(c: Fraction, factors: list) -> str:
-    if not factors:
-        return str(c)
-    if c == 1:
-        return "*".join(factors)
-    if c == -1:
-        return "-" + "*".join(factors)
-    return "*".join([str(c)] + factors)
-
-
-def format_laurent(p: LaurentPoly) -> str:
-    """Canonical text form: lexicographically ordered `+`-joined terms
-    like `3/2*z1^-2*z2^3`; the zero polynomial prints as `0`."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for exp in sorted(p.terms):
-        factors = [f"z{i + 1}^{e}" for i, e in enumerate(exp) if e != 0]
-        parts.append(_format_coeff(p.terms[exp], factors))
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out

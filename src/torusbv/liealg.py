@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import _as_fraction
 
@@ -69,18 +70,14 @@ class GlMatrixElement:
     @classmethod
     def elementary(cls, size: int, i: int, j: int) -> "GlMatrixElement":
         """E_ij = Z_i D_j with 0-based indices i, j in {0, ..., size-1}."""
-        entries = [[Fraction(0)] * size for _ in range(size)]
+        entries = matrix.zeros(size)
         entries[i][j] = Fraction(1)
         return cls(entries)
 
     def commutator(self, other: "GlMatrixElement") -> "GlMatrixElement":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        a, b = self.entries, other.entries
-        ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        return GlMatrixElement([[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)])
+        return GlMatrixElement(matrix.commutator(self.entries, other.entries))
 
     def trace(self) -> Fraction:
         return sum(self.entries[i][i] for i in range(self.size))
@@ -184,26 +181,6 @@ def ar_root_system(rank: int):
     return roots
 
 
-def _matrix_rank(rows) -> int:
-    """Rank of a list of Fraction row vectors by Gaussian elimination."""
-    rows = [list(row) for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _polyvector_coordinates(vectors):
     """Coordinate rows of PolyVectors in their joint term basis."""
     keys = sorted({k for v in vectors for k in v.terms})
@@ -239,7 +216,7 @@ def verify_lie_embedding(rank: int) -> dict:
             ok = lhs == rhs
             all_ok = all_ok and ok
             pairs.append({"pair": [[i1, j1], [i2, j2]], "ok": ok})
-    image_rank = _matrix_rank(_polyvector_coordinates(list(images.values())))
+    image_rank = matrix.rank(_polyvector_coordinates(list(images.values())))
     identity = GlMatrixElement([[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)])
     scalar_killed = restrict_from_projective(identity).is_zero()
     expected_dim = size * size - 1

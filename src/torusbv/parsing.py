@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, SparseStore
 
 
 class ParseError(ValueError):
@@ -135,22 +135,22 @@ def parse_laurent(text: str, rank: int) -> LaurentPoly:
     return pv.degree0_to_laurent()
 
 
-def format_polyvector(pv: PolyVector, human: bool = False) -> str:
+def format_polyvector(pv: SparseStore, human: bool = False) -> str:
     """Canonical machine form (round-trips through parse_polyvector), or a
-    human form with Greek theta and wedge glyphs."""
+    human form with Greek theta and wedge glyphs.  A LaurentPoly prints as
+    the degree-0 polyvector with the same terms."""
     if pv.is_zero():
         return "0"
     parts = []
-    for exp, wedge in sorted(pv.terms):
+    for key, c in sorted(pv.terms.items()):
+        exp, wedge = pv._exp_wedge(key)
         factors = [f"z{i + 1}^{e}" for i, e in enumerate(exp) if e != 0]
         if human:
-            factors.extend([])
             theta = "∧".join(f"θ{i}" for i in wedge)
             if theta:
                 factors.append(theta)
         else:
             factors.extend(f"t{i}" for i in wedge)
-        c = pv.terms[(exp, wedge)]
         if not factors:
             parts.append(str(c))
         elif c == 1:

@@ -22,8 +22,7 @@ from .cocycle import CE1Cochain, ce_differential_check, is_cocycle_on_window, wi
 from .densityrep import (
     DensityRepSpec,
     check_irreducible,
-    extract_finite_sl2_submodule,
-    has_finite_submodule,
+    classification_grid,
     shift_isomorphism_check,
     verify_lie_action,
 )
@@ -229,25 +228,21 @@ def rep_classification_suite(grid: int = 8) -> dict:
     checks = []
     ok_exist = ok_dim = ok_spectrum = ok_irred = ok_kernels = True
     table = []
-    for two_alpha in range(-grid, 3):
-        for two_beta in range(-grid, grid + 1):
-            alpha = Fraction(two_alpha, 2)
-            beta = Fraction(two_beta, 2)
-            spec = DensityRepSpec(alpha, beta)
-            expected = alpha <= 0 and (alpha + beta).denominator == 1
-            module = extract_finite_sl2_submodule(spec)
-            ok_exist &= (module is not None) == expected
-            if module is not None:
-                n = int(-2 * alpha)
-                ok_dim &= module.dim == n + 1
-                ok_spectrum &= module.h_spectrum() == [Fraction(-n + 2 * t) for t in range(n + 1)]
-                if module.dim <= 5:
-                    ok_irred &= check_irreducible(module)
-                # raising kernel at weight -alpha, lowering kernel at weight alpha
-                top = module.basis_exponents[-1]
-                bottom = module.basis_exponents[0]
-                ok_kernels &= top + beta == -alpha and bottom + beta == alpha
-                table.append({"alpha": str(alpha), "beta": str(beta), "dim": module.dim})
+    for spec, module in classification_grid(grid):
+        alpha, beta = spec.alpha, spec.beta
+        expected = alpha <= 0 and (alpha + beta).denominator == 1
+        ok_exist &= (module is not None) == expected
+        if module is not None:
+            n = int(-2 * alpha)
+            ok_dim &= module.dim == n + 1
+            ok_spectrum &= module.h_spectrum() == [Fraction(-n + 2 * t) for t in range(n + 1)]
+            if module.dim <= 5:
+                ok_irred &= check_irreducible(module)
+            # raising kernel at weight -alpha, lowering kernel at weight alpha
+            top = module.basis_exponents[-1]
+            bottom = module.basis_exponents[0]
+            ok_kernels &= top + beta == -alpha and bottom + beta == alpha
+            table.append({"alpha": str(alpha), "beta": str(beta), "dim": module.dim})
     checks.append({"name": "existence_criterion", "ok": ok_exist})
     checks.append({"name": "dimension_formula", "ok": ok_dim})
     checks.append({"name": "h_spectrum", "ok": ok_spectrum})

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from torusbv.cli import main
+from torusbv.cli import SUITES, main
 from torusbv.parsing import ParseError, format_polyvector, parse_laurent, parse_polyvector
 from torusbv.suites import random_polyvector
 
@@ -159,3 +160,36 @@ def test_main_returns_zero_in_process(capsys):
 def test_main_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "not-a-suite"])
+
+
+def test_verify_rejects_flag_the_suite_does_not_take(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "floer", "--rank", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--rank" in captured.err
+
+
+def test_verify_passes_only_the_flags_given(monkeypatch, capsys):
+    real = SUITES["bv-axioms"]
+    calls = []
+
+    @functools.wraps(real)
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return {"suite": "bv-axioms", "params": {}, "checks": [], "passed": True}
+
+    monkeypatch.setitem(SUITES, "bv-axioms", spy)
+    assert main(["verify", "bv-axioms"]) == 0
+    assert main(["verify", "bv-axioms", "--rank", "2", "--window", "5"]) == 0
+    assert calls == [{}, {"ranks": (2,), "window": 5}]
+
+
+def test_verify_json_envelope_rank(capsys):
+    assert main(["verify", "floer", "--max-n", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] is None
+    assert main(["verify", "embedding", "--rank", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 1
+    assert all(c["name"].startswith("rank1_") for c in payload["result"]["checks"])

@@ -115,3 +115,12 @@ def test_cochain_rank_validation():
         CE1Cochain(2, betas=[1])
     with pytest.raises(ValueError):
         CE1Cochain(1, alpha=1).evaluate(PolyVector.xi(2, (0, 0), 1))
+
+
+def test_parse_cochain_spec_rank2():
+    psi = parse_cochain_spec("alpha=-1/2,beta=[1/3,-2],g=z1^2*z2^-1", 2)
+    assert psi.alpha == Fraction(-1, 2)
+    assert psi.betas == [Fraction(1, 3), Fraction(-2)]
+    assert psi.exact_part == LaurentPoly(2, {(2, -1): 1})
+    with pytest.raises(ValueError):
+        parse_cochain_spec("beta=[1,2", 2)

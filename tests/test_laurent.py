@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from torusbv.bvalgebra import PolyVector
 from torusbv.laurent import LaurentPoly, NotInvertibleError, RankMismatchError
+from torusbv.parsing import format_polyvector
 
 
 def L(rank, terms):
@@ -119,3 +121,30 @@ def test_text_format():
     assert str(p) == "3/2*z1^-2*z2^3"
     assert str(LaurentPoly.zero(1)) == "0"
     assert str(LaurentPoly.one(1)) == "1"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_text_equals_degree0_polyvector_text(rank):
+    rng = random.Random(300 + rank)
+    for _ in range(50):
+        p = random_laurent(rng, rank)
+        assert str(p) == format_polyvector(PolyVector.from_laurent(p))
+
+
+def test_shared_store_keeps_class():
+    p = L(2, {(1, 0): 1, (0, -1): Fraction(2, 3)})
+    q = L(2, {(1, 0): -1})
+    for result in (p + q, p - q, -p, p.scale(2)):
+        assert type(result) is LaurentPoly
+    assert LaurentPoly.zero(1) != PolyVector.zero(1)
+    with pytest.raises(TypeError):
+        p + PolyVector.from_laurent(p)
+
+
+def test_inexact_coefficients_rejected():
+    with pytest.raises(TypeError):
+        LaurentPoly(1, {(0,): 0.1})
+    with pytest.raises(TypeError):
+        PolyVector.monomial(1, (0,), (), True)
+    with pytest.raises(TypeError):
+        L(1, {(1,): 1}).scale(1j)
