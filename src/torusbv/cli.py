@@ -68,8 +68,8 @@ def cmd_bv(args):
 
 
 def cmd_roots(args):
-    if not 1 <= args.rank <= 3:
-        raise SystemExit("roots: rank must be 1, 2, or 3")
+    if args.rank < 1:
+        raise SystemExit("roots: rank must be >= 1")
     report = root_system_report(args.rank)
     if args.json:
         _emit(args, "roots", args.rank, report, "")
@@ -135,7 +135,7 @@ def cmd_rep(args):
         "basis": module.basis_exponents,
         "e": [[str(v) for v in row] for row in module.e],
         "f": [[str(v) for v in row] for row in module.f],
-        "irreducible": check_irreducible(module) if module.dim <= 5 else None,
+        "irreducible": check_irreducible(module),
     }
     text = (
         f"finite sl2 submodule: dim {module.dim}, "

@@ -31,13 +31,9 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}."""
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
-    terms = {}
-    for (j,), coeff in p.terms.items():
-        factor = j + spec.alpha * i + spec.beta
-        if factor:
-            key = (i + j,)
-            terms[key] = terms.get(key, Fraction(0)) + factor * coeff
-    return LaurentPoly(1, terms)
+    # j -> i + j is injective, so each key is hit once; _raw drops the zeros
+    shift = spec.alpha * i + spec.beta
+    return LaurentPoly._raw(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
 
 
 def weight_of(spec: DensityRepSpec, j: int) -> Fraction:
@@ -50,17 +46,20 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     on monomials z^j, lo <= j <= hi, for |n|, |m| <= bracket_window.
 
     Images are evaluated exactly on each monomial, so there are no
-    truncation edge effects.
+    truncation edge effects.  For each z^j the images rho(xi_k) z^j,
+    |k| <= 2*bracket_window, are computed once and serve as the inner
+    factors of both orders of the commutator and as the left side.
     """
-    for n in range(-bracket_window, bracket_window + 1):
-        for m in range(-bracket_window, bracket_window + 1):
-            for j in range(lo, hi + 1):
-                zj = LaurentPoly.monomial(1, (j,))
+    window = range(-bracket_window, bracket_window + 1)
+    reach = range(-2 * bracket_window, 2 * bracket_window + 1)
+    for j in range(lo, hi + 1):
+        zj = LaurentPoly.monomial(1, (j,))
+        image = {k: rho_apply(spec, k, zj) for k in reach}
+        for n in window:
+            for m in window:
                 # [xi_n, xi_m] = (m - n) xi_{n+m}
-                lhs = rho_apply(spec, n + m, zj).scale(m - n)
-                rhs = rho_apply(spec, n, rho_apply(spec, m, zj)) - rho_apply(
-                    spec, m, rho_apply(spec, n, zj)
-                )
+                lhs = image[n + m].scale(m - n)
+                rhs = rho_apply(spec, n, image[m]) - rho_apply(spec, m, image[n])
                 if lhs != rhs:
                     return False
     return True
@@ -103,6 +102,15 @@ class FiniteSl2Module:
         module._set_entries(basis_exponents, e, h, f)
         return module
 
+    def __repr__(self):
+        def rows(m):
+            return [[str(v) for v in row] for row in m]
+
+        return (
+            f"FiniteSl2Module(basis_exponents={self.basis_exponents}, "
+            f"e={rows(self.e)}, h={rows(self.h)}, f={rows(self.f)})"
+        )
+
     def h_spectrum(self):
         if any(self.h[i][j] for i in range(self.dim) for j in range(self.dim) if i != j):
             raise ValueError("h must act diagonally")
@@ -140,7 +148,8 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
         return None
     n = int(-2 * spec.alpha)
     j0 = spec.alpha - spec.beta
-    assert j0.denominator == 1
+    if j0.denominator != 1:
+        raise RuntimeError(f"lowest exponent alpha - beta = {j0} of {spec!r} is not an integer")
     j0 = int(j0)
     exponents = [j0 + t for t in range(n + 1)]
     dim = n + 1
@@ -152,12 +161,12 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
         ecoeff = j + spec.alpha + spec.beta
         if ecoeff:
             if t + 1 >= dim:
-                raise AssertionError("raising operator escapes the submodule")
+                raise RuntimeError("raising operator escapes the submodule")
             e[t + 1][t] = ecoeff
         fcoeff = -(j - spec.alpha + spec.beta)
         if fcoeff:
             if t - 1 < 0:
-                raise AssertionError("lowering operator escapes the submodule")
+                raise RuntimeError("lowering operator escapes the submodule")
             f[t - 1][t] = fcoeff
     return FiniteSl2Module(exponents, e, h, f)
 
@@ -177,8 +186,10 @@ def check_irreducible(module: FiniteSl2Module) -> bool:
         # repeated weights: by complete reducibility the module splits
         return False
     chain_ok = all(module.e[t + 1][t] != 0 for t in range(dim - 1))
-    if dim <= 5:
-        assert chain_ok == _irreducible_brute_force(module)
+    if dim <= 5 and chain_ok != _irreducible_brute_force(module):
+        raise RuntimeError(
+            f"raising-chain criterion ({chain_ok}) and brute force disagree on {module!r}"
+        )
     return chain_ok
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import _as_fraction
+from .laurent import _as_fraction, _check_rank_arg
 
 
 def _require_vector_field(pv: PolyVector, what: str = "argument") -> None:
@@ -197,9 +197,8 @@ def _polyvector_coordinates(vectors):
 def verify_lie_embedding(rank: int) -> dict:
     """Check that restriction from P^r is a Lie homomorphism on all gl_{r+1}
     basis pairs, that scalars die, and that the image has dimension
-    (r+1)^2 - 1.  Returns a report dict; rank capped at 3."""
-    if rank not in (1, 2, 3):
-        raise ValueError("verify_lie_embedding supports rank 1, 2, 3 only")
+    (r+1)^2 - 1.  Returns a report dict."""
+    _check_rank_arg(rank)
     size = rank + 1
     basis = [
         (i, j, GlMatrixElement.elementary(size, i, j))
@@ -234,8 +233,7 @@ def verify_lie_embedding(rank: int) -> dict:
 def root_system_report(rank: int) -> dict:
     """Sweep the sl_{r+1} basis image through root_grading and compare with
     the abstract type-A root set."""
-    if rank not in (1, 2, 3):
-        raise ValueError("root report supports rank 1, 2, 3 only")
+    _check_rank_arg(rank)
     size = rank + 1
     found = {}
     cartan = []

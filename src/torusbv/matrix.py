@@ -1,31 +1,53 @@
-"""Exact dense matrices as lists of rows of Fractions."""
+"""Exact dense matrices as lists of rows of Fractions.
+
+The matrices of the representation layer are mostly zero (diagonal,
+sub- or super-diagonal, elementary), so the product and the entrywise
+operations skip every term known to vanish.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 
 def zeros(n: int):
     """The n x n zero matrix."""
-    return [[Fraction(0)] * n for _ in range(n)]
+    return [[_ZERO] * n for _ in range(n)]
 
 
 def product(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    """ab, accumulated row by row over the nonzero a[i][k] and b[k][j] only;
+    an entry with no nonzero term is Fraction(0).  Shapes follow the dense
+    definition: row i of a pairs with the first len(a[i]) rows of b, and
+    the product has as many columns as the shortest row of b."""
+    ncols = min(map(len, b), default=0)
+    sparse_b = [[(j, y) for j, y in enumerate(row[:ncols]) if y] for row in b]
+    out = []
+    for row in a:
+        out_row = [_ZERO] * ncols
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, y in b_row:
+                    v = out_row[j]
+                    out_row[j] = x * y if v is _ZERO else v + x * y
+        out.append(out_row)
+    return out
 
 
 def add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def scale(a, c):
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def commutator(a, b):
     """ab - ba."""
     return [
-        [x - y for x, y in zip(ra, rb)]
+        [x - y if y else x for x, y in zip(ra, rb)]
         for ra, rb in zip(product(a, b), product(b, a))
     ]
 

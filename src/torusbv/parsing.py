@@ -54,12 +54,30 @@ def _split_terms(text: str):
         raise ParseError("unbalanced '('", len(text))
     if current.strip():
         terms.append((current, start))
+    elif not terms:
+        raise ParseError("empty input", 0)
     return terms
 
 
-def _parse_term(term: str, offset: int, rank: int):
+def _factor_position(raw: str, offset: int, factor: str) -> int:
+    """Position of the first '*'-separated factor of the term `raw`, which
+    starts at `offset`, that reads `factor` once stripped (and, for the
+    first factor, once its signs are dropped).  Only called on errors, so
+    the parse itself never tracks positions."""
+    pos = offset
+    for n, piece in enumerate(raw.split("*")):
+        i = 0
+        while i < len(piece) and (piece[i].isspace() or (n == 0 and piece[i] in "+-")):
+            i += 1
+        if piece[i:].strip() == factor:
+            return pos + i
+        pos += len(piece) + 1
+    return offset
+
+
+def _parse_term(raw: str, offset: int, rank: int):
     """Parse one product of factors; returns (coeff, exp list, wedge list)."""
-    term = term.strip()
+    term = raw.strip()
     sign = Fraction(1)
     while term and term[0] in "+-":
         if term[0] == "-":
@@ -73,17 +91,23 @@ def _parse_term(term: str, offset: int, rank: int):
     for factor in term.split("*"):
         factor = factor.strip()
         if not factor:
-            raise ParseError("empty factor", offset)
+            raise ParseError("empty factor", _factor_position(raw, offset, factor))
         m = _NUMBER.fullmatch(factor)
         if m:
-            coeff *= Fraction(factor)
+            try:
+                coeff *= Fraction(factor)
+            except ZeroDivisionError:
+                raise ParseError(
+                    f"zero denominator in {factor!r}", _factor_position(raw, offset, factor)
+                ) from None
             continue
         m = _TUPLE_EXP.fullmatch(factor)
         if m:
             values = [int(v) for v in m.group(1).split(",")]
             if len(values) != rank:
                 raise ParseError(
-                    f"exponent tuple has {len(values)} entries, expected {rank}", offset
+                    f"exponent tuple has {len(values)} entries, expected {rank}",
+                    _factor_position(raw, offset, factor),
                 )
             exp = [a + b for a, b in zip(exp, values)]
             continue
@@ -95,14 +119,16 @@ def _parse_term(term: str, offset: int, rank: int):
         if m:
             i = int(m.group(1))
             if not 1 <= i <= rank:
-                raise ParseError(f"variable z{i} out of range for rank {rank}", offset)
+                at = _factor_position(raw, offset, factor)
+                raise ParseError(f"variable z{i} out of range for rank {rank}", at)
             exp[i - 1] += int(m.group(2))
             continue
         m = _VAR_PLAIN.fullmatch(factor)
         if m:
             i = int(m.group(1))
             if not 1 <= i <= rank:
-                raise ParseError(f"variable z{i} out of range for rank {rank}", offset)
+                at = _factor_position(raw, offset, factor)
+                raise ParseError(f"variable z{i} out of range for rank {rank}", at)
             exp[i - 1] += 1
             continue
         if _Z_PLAIN.fullmatch(factor) and rank == 1:
@@ -112,16 +138,17 @@ def _parse_term(term: str, offset: int, rank: int):
         if m:
             i = int(m.group(1))
             if not 1 <= i <= rank:
-                raise ParseError(f"generator t{i} out of range for rank {rank}", offset)
+                at = _factor_position(raw, offset, factor)
+                raise ParseError(f"generator t{i} out of range for rank {rank}", at)
             wedge.append(i)
             continue
-        raise ParseError(f"unrecognized factor {factor!r}", offset)
+        raise ParseError(f"unrecognized factor {factor!r}", _factor_position(raw, offset, factor))
     return coeff, tuple(exp), tuple(wedge)
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:
-    text = text.strip()
-    if text == "0":
+    """Parse `text`; a ParseError's position is an index into `text`."""
+    if text.strip() == "0":
         return PolyVector.zero(rank)
     result = PolyVector.zero(rank)
     for term, offset in _split_terms(text):

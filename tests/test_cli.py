@@ -37,6 +37,28 @@ def test_parse_errors():
         parse_laurent("t1", 1)
 
 
+def test_parse_zero_denominator_is_a_parse_error_at_the_factor():
+    with pytest.raises(ParseError) as err:
+        parse_polyvector("1/0*t1", 1)
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse_polyvector("t2 + 3*z1*0/0*t1", 2)
+    assert err.value.position == 10
+    # a factor that fails after a valid one is located too
+    with pytest.raises(ParseError) as err:
+        parse_polyvector(" -2*z1*q3", 2)
+    assert err.value.position == 7
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t\n "])
+def test_parse_empty_input_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_polyvector(text, 1)
+    with pytest.raises(ParseError):
+        parse_laurent(text, 1)
+    assert parse_polyvector(" 0 ", 1).is_zero()
+
+
 def test_round_trip_100_random_elements():
     rng = random.Random(321)
     count = 0
@@ -102,6 +124,26 @@ def test_cli_rep_extract():
     assert result["dim"] == 4
     assert result["h_spectrum"] == [-3, -1, 1, 3]
     assert result["irreducible"]
+
+
+def test_cli_rep_reports_irreducibility_above_dim_5():
+    code, out = run_cli(["rep", "--alpha=-4", "--beta=0", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dim"] == 9
+    assert result["irreducible"] is True
+
+
+def test_cli_embedding_and_roots_at_rank_4():
+    code, out = run_cli(["verify", "embedding", "--rank", "4"])
+    assert code == 0
+    assert "[PASS] rank4_homomorphism" in out.decode()
+    assert out.decode().endswith("all passed\n")
+    code, out = run_cli(["roots", "--rank", "4"])
+    assert code == 0
+    text = out.decode()
+    assert "roots (20)" in text and "matches type A: True" in text
+    assert "diagram" not in text
 
 
 def test_cli_rep_no_module():

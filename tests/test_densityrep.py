@@ -1,7 +1,11 @@
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from torusbv import densityrep
 from torusbv.densityrep import (
     DensityRepSpec,
     FiniteSl2Module,
@@ -138,3 +142,90 @@ def test_weight_spaces_one_dimensional():
         weight = weight_of(spec, j)
         assert weight not in seen
         seen.add(weight)
+
+
+def test_rho_apply_on_multi_term_inputs_term_by_term():
+    rng = random.Random(5)
+    for _ in range(200):
+        spec = DensityRepSpec(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2))
+        terms = {
+            (rng.randint(-6, 6),): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 6))
+        }
+        p = LaurentPoly(1, terms)
+        i = rng.randint(-4, 4)
+        got = rho_apply(spec, i, p)
+        expected = {}
+        for (j,), c in p.terms.items():
+            value = (j + spec.alpha * i + spec.beta) * c
+            if value:
+                expected[(i + j,)] = value
+        assert got.terms == expected
+        assert got == LaurentPoly(1, expected)
+
+
+def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
+    def off_by_one(spec, i, p):
+        # rho(xi_1) z^j = (j + alpha + beta + 1) z^{j+1}: not an action
+        shift = spec.alpha * i + spec.beta + (1 if i == 1 else 0)
+        return LaurentPoly(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
+
+    specs = [DensityRepSpec(a, b) for a, b in [(0, 0), (Fraction(1, 2), 0), (-1, -1), (2, 3)]]
+    assert all(verify_lie_action(spec, -8, 8) for spec in specs)
+    monkeypatch.setattr(densityrep, "rho_apply", off_by_one)
+    assert not any(verify_lie_action(spec, -8, 8) for spec in specs)
+
+
+def test_irreducibility_cross_check_mismatch_names_the_module(monkeypatch):
+    module = extract_finite_sl2_submodule(DensityRepSpec(-1, -1))
+    monkeypatch.setattr(densityrep, "_irreducible_brute_force", lambda m: False)
+    with pytest.raises(RuntimeError, match=r"basis_exponents=\[0, 1, 2\]"):
+        check_irreducible(module)
+
+
+def test_non_integral_lowest_exponent_raises(monkeypatch):
+    monkeypatch.setattr(densityrep, "has_finite_submodule", lambda spec: True)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        extract_finite_sl2_submodule(DensityRepSpec(Fraction(-1, 2), 0))
+
+
+def test_raising_chain_decides_irreducibility_above_dim_5():
+    for two_alpha in range(-14, -9):
+        alpha = Fraction(two_alpha, 2)
+        module = extract_finite_sl2_submodule(DensityRepSpec(alpha, alpha))
+        assert module.dim > 5
+        assert check_irreducible(module)
+    # a dim-7 module whose raising chain is cut between weights: span of the
+    # top four basis vectors is invariant under e and f
+    module = extract_finite_sl2_submodule(DensityRepSpec(-3, -3))
+    module = FiniteSl2Module.unchecked(module.basis_exponents, module.e, module.h, module.f)
+    module.e[4][3] = Fraction(0)
+    module.f[3][4] = Fraction(0)
+    assert not check_irreducible(module)
+
+
+def test_classification_suite_output_is_the_same_under_python_O():
+    def run(*flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "torusbv.cli", "verify", "rep-classification"],
+            capture_output=True,
+        )
+        return proc.returncode, proc.stdout
+
+    plain = run()
+    assert plain[0] == 0 and b"all passed" in plain[1]
+    assert run("-O") == plain
+
+
+def test_irreducibility_cross_check_still_runs_under_python_O():
+    code = (
+        "import torusbv.densityrep as d\n"
+        "d._irreducible_brute_force = lambda m: False\n"
+        "m = d.extract_finite_sl2_submodule(d.DensityRepSpec(-1, -1))\n"
+        "try:\n"
+        "    d.check_irreducible(m)\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+    assert proc.stdout == b"raised\n"

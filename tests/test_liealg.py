@@ -92,9 +92,24 @@ def test_embedding_report(rank, expected_dim):
     assert report["injective_on_sl"]
 
 
-def test_embedding_rank_out_of_range():
+def test_embedding_rank_below_one_rejected():
     with pytest.raises(ValueError):
-        verify_lie_embedding(4)
+        verify_lie_embedding(0)
+    with pytest.raises(ValueError):
+        root_system_report(0)
+
+
+def test_embedding_and_root_system_at_rank_4():
+    report = verify_lie_embedding(4)
+    assert report["homomorphism_ok"]
+    assert len(report["pairs"]) == 5 ** 4
+    assert report["scalars_killed"]
+    assert report["image_dimension"] == report["expected_dimension"] == 24
+    assert report["injective_on_sl"]
+    roots = root_system_report(4)
+    assert roots["matches_type_a"]
+    assert roots["root_count"] == 20
+    assert roots["cartan_at_zero"]
 
 
 def test_root_grading_matrix_entry():
