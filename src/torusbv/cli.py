@@ -8,17 +8,17 @@ carry `schema`, the echoed command, the rank, and an exact-arithmetic flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
-from fractions import Fraction
 
 from .bvalgebra import bv_delta, gerstenhaber_bracket, wedge
 from .cocycle import is_cocycle_on_window, parse_cochain_spec
 from .densityrep import DensityRepSpec, check_irreducible, extract_finite_sl2_submodule
 from .floermodel import floer_report
 from .liealg import root_system_report
-from .parsing import format_polyvector, parse_polyvector
+from .parsing import format_polyvector, parse_coefficient, parse_polyvector
 from .suites import DEFAULT_SEED, SUITES
 
 SCHEMA_VERSION = 1
@@ -38,19 +38,29 @@ def _envelope(command: str, rank, result) -> dict:
     }
 
 
+def _write_json(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _emit(args, command: str, rank, result, text: str) -> None:
     if args.json:
-        json.dump(_envelope(command, rank, result), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_json(_envelope(command, rank, result))
     else:
         sys.stdout.write(text + "\n")
+
+
+def _emit_polyvector(args, command: str, result) -> None:
+    """Render `result` only in the form that was asked for."""
+    if args.json:
+        _write_json(_envelope(command, args.rank, result.to_json()))
+    else:
+        sys.stdout.write(format_polyvector(result) + "\n")
 
 
 def _binary_op(args, name, op):
     a = parse_polyvector(args.a, args.rank)
     b = parse_polyvector(args.b, args.rank)
-    result = op(a, b)
-    _emit(args, name, args.rank, result.to_json(), format_polyvector(result))
+    _emit_polyvector(args, name, op(a, b))
 
 
 def cmd_bracket(args):
@@ -62,14 +72,10 @@ def cmd_wedge(args):
 
 
 def cmd_bv(args):
-    a = parse_polyvector(args.a, args.rank)
-    result = bv_delta(a)
-    _emit(args, "bv", args.rank, result.to_json(), format_polyvector(result))
+    _emit_polyvector(args, "bv", bv_delta(parse_polyvector(args.a, args.rank)))
 
 
 def cmd_roots(args):
-    if args.rank < 1:
-        raise SystemExit("roots: rank must be >= 1")
     report = root_system_report(args.rank)
     if args.json:
         _emit(args, "roots", args.rank, report, "")
@@ -120,7 +126,7 @@ def cmd_cocycle_check(args):
 
 
 def cmd_rep(args):
-    spec = DensityRepSpec(Fraction(args.alpha), Fraction(args.beta))
+    spec = DensityRepSpec(parse_coefficient(args.alpha), parse_coefficient(args.beta))
     module = extract_finite_sl2_submodule(spec)
     if module is None:
         result = {"alpha": str(spec.alpha), "beta": str(spec.beta), "exists": False}
@@ -160,7 +166,7 @@ def cmd_floer(args):
 def cmd_verify(args):
     suite = SUITES.get(args.suite)
     if suite is None:
-        raise SystemExit(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     params = inspect.signature(suite).parameters
     kwargs = {}
     for flag in VERIFY_FLAGS:
@@ -173,8 +179,7 @@ def cmd_verify(args):
             kwargs["ranks"] = (value,)
         else:
             option = "--" + flag.replace("_", "-")
-            sys.stderr.write(f"torusbv verify: suite {args.suite!r} takes no {option}\n")
-            raise SystemExit(2)
+            raise ValueError(f"suite {args.suite!r} takes no {option}")
     report = suite(**kwargs)
     if args.json:
         _emit(args, "verify", args.rank, report, "")
@@ -251,9 +256,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
+def _report_error(args, err: ValueError) -> None:
+    """One line on stderr; under --json also an error envelope on stdout."""
+    message = str(err).replace("\n", " ")
+    sys.stderr.write(f"torusbv {args.command}: error: {message}\n")
+    if args.json:
+        error = {
+            "type": type(err).__name__,
+            "message": getattr(err, "message", message),
+            "position": getattr(err, "position", None),
+        }
+        _write_json({"schema": SCHEMA_VERSION, "error": error})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    """Run one `torusbv` command and return 0; any other exit status is
+    raised as SystemExit: 1 for a failed check, 2 for a usage error or bad
+    input (ParseError, RankMismatchError, any ValueError)."""
+    args = _shared_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except ValueError as err:
+        _report_error(args, err)
+        raise SystemExit(2) from None
     return 0
 
 

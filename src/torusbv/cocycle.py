@@ -88,28 +88,38 @@ _FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])")
 
 
 def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
-    """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`."""
-    from .parsing import parse_laurent
+    """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`.
+    Malformed text raises ParseError at its index in `spec`."""
+    from .parsing import ParseError, parse_coefficient, parse_laurent
 
     alpha = Fraction(0)
     betas = [Fraction(0)] * rank
     exact = None
+    start = 0
     for field in _FIELD_SEPARATOR.split(spec):
-        if "=" not in field:
-            raise ValueError(f"bad cocycle spec field {field!r}")
-        key, _, value = field.partition("=")
+        key, eq, raw = field.partition("=")
+        value = raw.strip()
+        at = start + len(key) + 1 + len(raw) - len(raw.lstrip())  # index of `value`
+        if not eq:
+            raise ParseError(f"bad cocycle spec field {field!r}", start)
         key = key.strip()
-        value = value.strip()
         if key == "alpha":
-            alpha = Fraction(value)
+            alpha = parse_coefficient(value, at)
         elif key == "beta":
-            inner = value.strip("[]")
-            parts = [p for p in inner.split(",") if p.strip()]
+            parts = [p.strip() for p in value.strip("[]").split(",") if p.strip()]
             if len(parts) != rank:
-                raise ValueError(f"expected {rank} beta entries, got {len(parts)}")
-            betas = [Fraction(p) for p in parts]
+                raise ParseError(f"expected {rank} beta entries, got {len(parts)}", at)
+            betas = []
+            for part in parts:
+                at = spec.index(part, at)
+                betas.append(parse_coefficient(part, at))
+                at += len(part)
         elif key == "g":
-            exact = None if value == "0" else parse_laurent(value, rank)
+            try:
+                exact = None if value == "0" else parse_laurent(value, rank)
+            except ParseError as err:
+                raise ParseError(err.message, at + err.position) from None
         else:
-            raise ValueError(f"unknown cocycle spec key {key!r}")
+            raise ParseError(f"unknown cocycle spec key {key!r}", start)
+        start += len(field) + 1
     return CE1Cochain(rank, alpha, betas, exact)

@@ -17,7 +17,19 @@ from .laurent import LaurentPoly, SparseStore
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+
+def parse_coefficient(text: str, position: int = 0) -> Fraction:
+    """The exact rational that `text` spells (`-3/2`, `4`), or a ParseError
+    at `position`, the index of `text` in the input it was taken from."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", position) from None
+    except ValueError:
+        raise ParseError(f"not a rational number: {text!r}", position) from None
 
 
 _NUMBER = re.compile(r"[+-]?\d+(/\d+)?")
@@ -30,7 +42,8 @@ _THETA = re.compile(r"[tθ](\d+)")
 
 
 def _split_terms(text: str):
-    """Split on top-level +/- (not inside parentheses), keeping signs."""
+    """Split on top-level +/- (not inside parentheses), keeping signs; a
+    run of signs such as `- -` stays with the term that follows it."""
     terms = []
     depth = 0
     current = ""
@@ -45,7 +58,7 @@ def _split_terms(text: str):
         elif ch in "+-" and depth == 0 and current.strip():
             # exponent minus signs always follow '^' or ',' or '('
             prev = current.rstrip()[-1:]
-            if prev not in "^,*(":
+            if prev not in "^,*(+-":
                 terms.append((current, start))
                 current = ""
                 start = pos
@@ -92,14 +105,11 @@ def _parse_term(raw: str, offset: int, rank: int):
         factor = factor.strip()
         if not factor:
             raise ParseError("empty factor", _factor_position(raw, offset, factor))
-        m = _NUMBER.fullmatch(factor)
-        if m:
+        if _NUMBER.fullmatch(factor):
             try:
-                coeff *= Fraction(factor)
-            except ZeroDivisionError:
-                raise ParseError(
-                    f"zero denominator in {factor!r}", _factor_position(raw, offset, factor)
-                ) from None
+                coeff *= parse_coefficient(factor)
+            except ParseError as err:
+                raise ParseError(err.message, _factor_position(raw, offset, factor)) from None
             continue
         m = _TUPLE_EXP.fullmatch(factor)
         if m:
@@ -147,14 +157,19 @@ def _parse_term(raw: str, offset: int, rank: int):
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:
-    """Parse `text`; a ParseError's position is an index into `text`."""
+    """Parse `text`; a ParseError's position is an index into `text`.
+
+    Coefficients are summed under the raw (exponent, wedge) keys of the
+    terms, and one validating PolyVector sorts the wedges (with their
+    Koszul signs), drops repeated generators and cancels to zero."""
     if text.strip() == "0":
         return PolyVector.zero(rank)
-    result = PolyVector.zero(rank)
+    terms = {}
     for term, offset in _split_terms(text):
         coeff, exp, wedge = _parse_term(term, offset, rank)
-        result = result + PolyVector.monomial(rank, exp, wedge, coeff)
-    return result
+        key = (exp, wedge)
+        terms[key] = terms.get(key, 0) + coeff
+    return PolyVector(rank, terms)
 
 
 def parse_laurent(text: str, rank: int) -> LaurentPoly:

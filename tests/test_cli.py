@@ -3,11 +3,23 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from torusbv import cli
+from torusbv.bvalgebra import PolyVector
 from torusbv.cli import SUITES, main
-from torusbv.parsing import ParseError, format_polyvector, parse_laurent, parse_polyvector
+from torusbv.laurent import RankMismatchError
+from torusbv.parsing import (
+    ParseError,
+    _parse_term,
+    _split_terms,
+    format_polyvector,
+    parse_coefficient,
+    parse_laurent,
+    parse_polyvector,
+)
 from torusbv.suites import random_polyvector
 
 
@@ -18,6 +30,15 @@ def run_cli(args):
         text=False,
     )
     return proc.returncode, proc.stdout
+
+
+def run_cli_full(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusbv.cli", *args],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_parse_basic_forms():
@@ -48,6 +69,113 @@ def test_parse_zero_denominator_is_a_parse_error_at_the_factor():
     with pytest.raises(ParseError) as err:
         parse_polyvector(" -2*z1*q3", 2)
     assert err.value.position == 7
+
+
+# (text, rank, ParseError position); zero denominators are pinned above
+ERROR_POSITIONS = [
+    ("z^", 1, 0),
+    ("q3", 1, 0),
+    ("z1*t1 + (z2", 2, 11),
+    ("z1)*t1", 2, 2),
+    ("t1 + ", 1, 3),
+    ("t1 * * z1", 1, 5),
+    ("z^(1,2,3)*t1", 2, 0),
+    ("z3*t1", 2, 0),
+    ("z1^2*t3", 2, 5),
+    ("  z1 - 2*z5^3", 3, 9),
+    ("t1 - -", 1, 3),
+    ("3*z^(1,)", 2, 2),
+    ("", 1, 0),
+    ("1.5*t1", 1, 0),
+]
+
+
+@pytest.mark.parametrize("text,rank,position", ERROR_POSITIONS)
+def test_parse_error_positions(text, rank, position):
+    with pytest.raises(ParseError) as err:
+        parse_polyvector(text, rank)
+    assert err.value.position == position
+
+
+def test_parse_a_minus_minus_b():
+    pv = parse_polyvector("z1*t1 - -z1^2*t1", 1)
+    assert format_polyvector(pv) == "z1^1*t1+z1^2*t1"
+    assert parse_polyvector("z1*t1 + -z1^2*t1", 1) == parse_polyvector("z1*t1 - z1^2*t1", 1)
+    assert parse_polyvector("t1 -+- t1", 1) == parse_polyvector("2*t1", 1)
+    # a run of signs is one term's prefix, so the error is at the factor
+    with pytest.raises(ParseError) as err:
+        parse_polyvector("z1*t1 -+- q", 1)
+    assert err.value.position == 10
+
+
+def test_parse_coefficient():
+    assert parse_coefficient("-3/2") == Fraction(-3, 2)
+    assert parse_coefficient(" 4 ") == 4
+    for text, message in (("1/0", "zero denominator"), ("abc", "not a rational"), ("", "not a")):
+        with pytest.raises(ParseError) as err:
+            parse_coefficient(text, 7)
+        assert err.value.position == 7
+        assert err.value.message.startswith(message)
+
+
+def fold_parse(text, rank):
+    """The former parser: one validated monomial added per term."""
+    if text.strip() == "0":
+        return PolyVector.zero(rank)
+    result = PolyVector.zero(rank)
+    for term, offset in _split_terms(text):
+        coeff, exp, wedge = _parse_term(term, offset, rank)
+        result = result + PolyVector.monomial(rank, exp, wedge, coeff)
+    return result
+
+
+def random_term(rng, rank):
+    """`*`-separated factors in every accepted spelling, odd generators in
+    any order and possibly repeated."""
+    factors = []
+    if rng.random() < 0.5:
+        factors.append(rng.choice(["2", "3/2", "-1/3", "0", "7"]))
+    for _ in range(rng.randint(0, 2)):
+        form = rng.randrange(4 if rank == 1 else 3)
+        if form == 0:
+            factors.append(f"z{rng.randint(1, rank)}^{rng.randint(-3, 3)}")
+        elif form == 1:
+            factors.append(f"z{rng.randint(1, rank)}")
+        elif form == 2:
+            factors.append("z^(" + ",".join(str(rng.randint(-2, 2)) for _ in range(rank)) + ")")
+        else:
+            factors.append(f"z^{rng.randint(-3, 3)}")
+    factors += [f"t{i}" for i in rng.choices(range(1, rank + 1), k=rng.randint(0, rank + 1))]
+    rng.shuffle(factors)
+    return "*".join(factors) or "1"
+
+
+def random_text(rng, rank):
+    """Several terms; some repeat an earlier term, some with the opposite
+    sign so that they cancel."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        if terms and rng.random() < 0.4:
+            sign, term = rng.choice(terms)
+            terms.append((rng.choice([sign, "-" if sign == "+" else "+"]), term))
+        else:
+            terms.append((rng.choice(["+", "-", "- -", "+ -"]), random_term(rng, rank)))
+    return " ".join(f"{sign} {term}" for sign, term in terms)
+
+
+def test_one_pass_parse_equals_monomial_fold():
+    rng = random.Random(4)
+    zero = repeated = 0
+    for rank in (1, 2, 3, 4):
+        for _ in range(300):
+            text = random_text(rng, rank)
+            got = parse_polyvector(text, rank)
+            assert got == fold_parse(text, rank), text
+            zero += got.is_zero()
+            repeated += any(f"t{i}*t{i}" in text for i in range(1, rank + 1))
+    assert zero > 50 and repeated > 50
+    for text, rank in (("t2*t1 + t1*t2", 2), ("t1*t1", 1), ("z^(1,-2)*t2*t1", 2), ("0", 3)):
+        assert parse_polyvector(text, rank) == fold_parse(text, rank)
 
 
 @pytest.mark.parametrize("text", ["", " ", "\t\n "])
@@ -235,3 +363,110 @@ def test_verify_json_envelope_rank(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1
     assert all(c["name"].startswith("rank1_") for c in payload["result"]["checks"])
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._shared_parser.cache_clear()
+    try:
+        assert main(["bv", "z^5*t1"]) == 0
+        assert main(["wedge", "t2", "t1", "--rank", "2"]) == 0
+    finally:
+        cli._shared_parser.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().out == "5*z1^5\n-t1*t2\n"
+    # the public builder still gives a new parser on every call
+    assert real() is not real()
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_polyvector_commands_render_only_the_requested_form(json_mode, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "format_polyvector", lambda pv: calls.append("text") or "x")
+    monkeypatch.setattr(PolyVector, "to_json", lambda pv: calls.append("json") or [])
+    flags = ["--json"] if json_mode else []
+    for argv in (["bracket", "z1*t1", "t1"], ["wedge", "t1", "z1"], ["bv", "z1*t1"]):
+        assert main(argv + flags) == 0
+    assert calls == ["json" if json_mode else "text"] * 3
+    capsys.readouterr()
+
+
+# (argv, ParseError position): bad coefficients and polyvectors exit 2
+BAD_INPUT = [
+    (["cocycle-check", "alpha=1/0"], 6),
+    (["cocycle-check", "beta=[1/0]"], 6),
+    (["cocycle-check", "alpha=-1/2,beta=[x],g=0"], 17),
+    (["cocycle-check", "alpha=0,g=z1*q"], 13),
+    (["rep", "--alpha=1/0", "--beta=0"], 0),
+    (["rep", "--alpha=0", "--beta=1/0"], 0),
+    (["bracket", "z1*t1", "t1 + q"], 5),
+]
+
+
+@pytest.mark.parametrize("argv,position", BAD_INPUT)
+def test_bad_input_is_one_line_and_exit_2(argv, position, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"torusbv {argv[0]}: error: ")
+    assert captured.err.endswith(f"(at position {position})\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["schema"] == 1
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["error"]["position"] == position
+    assert "position" not in payload["error"]["message"]
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["cocycle-check", "alpha=1/0"], ["cocycle-check", "beta=[1/0]"], ["rep", "--alpha=1/0", "--beta=0"]]
+)
+def test_bad_coefficient_gives_no_traceback(argv):
+    code, out, err = run_cli_full(argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "zero denominator in '1/0'" in err
+
+
+def test_rank_mismatch_and_value_errors_exit_2(monkeypatch, capsys):
+    def mismatched(a, b):
+        raise RankMismatchError("rank 1 vs 2")
+
+    monkeypatch.setattr(cli, "gerstenhaber_bracket", mismatched)
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "t1", "t1", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {
+        "type": "RankMismatchError",
+        "message": "rank 1 vs 2",
+        "position": None,
+    }
+    assert captured.err == "torusbv bracket: error: rank 1 vs 2\n"
+
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--rank", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "torusbv roots: error: rank must be >= 1, got 0\n"
+
+
+def test_failed_check_still_exits_1(monkeypatch, capsys):
+    def failing(seed=0):
+        return {"suite": "bv-axioms", "params": {}, "checks": [{"name": "c", "ok": False}], "passed": False}
+
+    monkeypatch.setitem(SUITES, "bv-axioms", failing)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bv-axioms"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("FAILURES PRESENT\n") and captured.err == ""

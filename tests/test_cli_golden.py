@@ -1,0 +1,118 @@
+"""Byte-identical CLI output.
+
+Each README example and each `verify` suite at its default seed, in text and
+`--json`, has a pinned exit code and sha256 of stdout; the pins were taken
+before `main` began to reuse one argument parser.  `verify witt-closed-form`
+is left out because it takes about 15 s; the acceptance test for criterion 2
+runs the same closed forms.  A deliberate change to one of these outputs
+must update its pin here.
+"""
+
+import contextlib
+import hashlib
+import io
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+from torusbv.cli import SUITES, main
+
+README_EXAMPLES = [
+    'bracket "z^1*t1" "z^-1*t1" --rank 1',
+    'bv "z^5*t1"',
+    'wedge "t2" "t1" --rank 2',
+    "roots --rank 2",
+    'cocycle-check "alpha=-1/2,beta=[-1/2],g=0" --window 4',
+    "rep --alpha=-3/2 --beta=-3/2 --extract",
+    "floer --n 3",
+    "verify bv-axioms --seed 7 --cases 200",
+    "verify rep-classification --grid 8",
+    "verify floer --max-n 6",
+]
+SUITE_RUNS = [f"verify {name}" for name in SUITES if name != "witt-closed-form"]
+COMMANDS = [c + mode for c in README_EXAMPLES + SUITE_RUNS for mode in ("", " --json")]
+
+# command line after `torusbv` -> (exit code, sha256 of stdout)
+PINS = {
+    'bracket "z^1*t1" "z^-1*t1" --rank 1': (0, '8ab52bf54d510d06d1b803cd389dcbcf1b556764b5cf1acba756bf090afe0d3b'),
+    'bracket "z^1*t1" "z^-1*t1" --rank 1 --json': (0, '4e84328516a2f755bef2e068f79265fae3d37001598c610377410fd5796f3899'),
+    'bv "z^5*t1"': (0, '609dfd4f7f0c5ae9bf2493c0f96b5bf00b91271c8c2a87794f72cf4c2f5d6a7f'),
+    'bv "z^5*t1" --json': (0, '72775aa485026313337243d2cdbb3dde0d1ddb8ffeffbda904735a1c0fad1131'),
+    'wedge "t2" "t1" --rank 2': (0, '14233887529dadd3146ff5555ce7d099179384e26c4ee56a207aa2042d43d53d'),
+    'wedge "t2" "t1" --rank 2 --json': (0, '1ef00b47334f7f42a6ecc0f042c5e536eec7e5dee740efbfb2b2b4ae236040ab'),
+    'roots --rank 2': (0, '052f5e8db77cc5b69b9b9092b0bcdbf202d8db610a905fd9f35fdbe1d075aa02'),
+    'roots --rank 2 --json': (0, 'd17cd9c634fcae5bb0be569f4ba559333bd6439d10e4043deb57d789101c57bb'),
+    'cocycle-check "alpha=-1/2,beta=[-1/2],g=0" --window 4': (0, 'cb2aa1f9171f3a2abdbc25d44c11a036b0d683d090d4e724b25b5da6afac91b9'),
+    'cocycle-check "alpha=-1/2,beta=[-1/2],g=0" --window 4 --json': (0, 'b2a389e553fb1a4a353381d6fcbab2fa65964eea91549b025ad54a2db2235cc1'),
+    'rep --alpha=-3/2 --beta=-3/2 --extract': (0, 'e2f4b74398c28810e93d1936c7c37d36271178d1fc11e8a537a5f682682cb731'),
+    'rep --alpha=-3/2 --beta=-3/2 --extract --json': (0, 'ad903f3fbcd760bc3f9c812a71c4f9311d515b4fc03c043548376c0df0796e04'),
+    'floer --n 3': (0, 'b322491b1986695de0bd031b28e6e48d972ca7b1381bc78347348bcafcbf2ed6'),
+    'floer --n 3 --json': (0, '1342324712f0c5127b3ff8ecfe46aad66191e8f432976c751fa26288b03cd64b'),
+    'verify bv-axioms --seed 7 --cases 200': (0, '48d4645d86bb9e667adf9815a5154be9cad9d42f9988b7a46b2da0a00b6baec3'),
+    'verify bv-axioms --seed 7 --cases 200 --json': (0, 'ea943797d950d983a796f8ba969d1f60a9d268e2e65efb573c89afae8343fcdf'),
+    'verify rep-classification --grid 8': (0, '7d89bed202db57572e51315f6b75893190c6db90d16a67e4b361c2efd7fe0f52'),
+    'verify rep-classification --grid 8 --json': (0, 'b5284dd8dd2e7b39481bb3513fb53f11cc97fd3512c436577c7c8dbd65ce69f3'),
+    'verify floer --max-n 6': (0, '5216de7cab0aa19e1ab4d49a42e8abae493e9c28d07003a6be8c384304e793f2'),
+    'verify floer --max-n 6 --json': (0, 'fb3311c291b309fc71a502514448601253e0744a1b5b9d4a11da72d1f744fc7a'),
+    'verify bv-axioms': (0, '48d4645d86bb9e667adf9815a5154be9cad9d42f9988b7a46b2da0a00b6baec3'),
+    'verify bv-axioms --json': (0, '44d98f3a9953b85051813ab7ea8f075c6c4bb1f089e8ab7b66a82c01b0f139c5'),
+    'verify embedding': (0, '93eff3dc3e8731c7ee6c53fd1ba9cbe8cdb117ca83f9668f39008dfc0e2d037d'),
+    'verify embedding --json': (0, '2243f49c968b73b16b503859a589d6226091bcee3786c99b3571902433fd6f35'),
+    'verify cocycles': (0, '569fd76957290911fa9e636aa75c028026a8560ad878c49197c1ad4f10e8f5fa'),
+    'verify cocycles --json': (0, 'd0fd0b91d2a4f6bcc1c01f6a7b3cf95c0a576327764e806b4e92180434a54d3c'),
+    'verify rep-classification': (0, '7d89bed202db57572e51315f6b75893190c6db90d16a67e4b361c2efd7fe0f52'),
+    'verify rep-classification --json': (0, 'b5284dd8dd2e7b39481bb3513fb53f11cc97fd3512c436577c7c8dbd65ce69f3'),
+    'verify rep-action': (0, '3c36d7d81de9e7f0d740abac0f8a2214b490663fe3ce0199eee0bc7bc7d16e33'),
+    'verify rep-action --json': (0, '61e576ed9fa3ea3e97675f37f39111d6a6e165a298f27f5b6e82a32356231713'),
+    'verify shift-isomorphism': (0, '37cb4cf7ef689a0cc310fc3de68eee09b64123f607c57c6776f5129aaf639394'),
+    'verify shift-isomorphism --json': (0, 'd5e27131ad40c49541a07ed2f1f26a05c0f1e4fc0d9498ca38db00b169a93880'),
+    'verify floer': (0, '5216de7cab0aa19e1ab4d49a42e8abae493e9c28d07003a6be8c384304e793f2'),
+    'verify floer --json': (0, 'fb3311c291b309fc71a502514448601253e0744a1b5b9d4a11da72d1f744fc7a'),
+}
+
+USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2
+PARSE_ERROR = "bv z1*q"  # ParseError: exit 2, one line on stderr
+
+
+def run_in_process(command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(shlex.split(command))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_subprocess(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusbv.cli", *shlex.split(command)],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_every_command_is_pinned():
+    assert sorted(PINS) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_output_is_pinned(command):
+    code, out, _ = run_in_process(command)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[command]
+
+
+def test_repeated_main_calls_match_fresh_processes():
+    """One process, one shared parser: the README examples run twice,
+    between a usage error and a ParseError, each give what a fresh
+    `torusbv` process gives (exit code, stdout and stderr)."""
+    sequence = []
+    for command in README_EXAMPLES:
+        sequence += [command, USAGE_ERROR, command + " --json", PARSE_ERROR]
+    expected = {command: run_subprocess(command) for command in sequence}
+    assert expected[USAGE_ERROR][0] == expected[PARSE_ERROR][0] == 2
+    for command in sequence + sequence:
+        assert run_in_process(command) == expected[command], command
