@@ -58,10 +58,11 @@ class PolyVector(SparseStore):
                 continue
             if wedge and not (1 <= wedge[0] and wedge[-1] <= rank):
                 raise ValueError(f"wedge indices {wedge} out of range for rank {rank}")
-            coeff = sign * _as_fraction(coeff)
+            coeff = _as_fraction(coeff) if sign > 0 else -_as_fraction(coeff)
             if coeff:
                 key = (exp, wedge)
-                clean[key] = clean.get(key, Fraction(0)) + coeff
+                old = clean.get(key)
+                clean[key] = coeff if old is None else old + coeff
         self.rank = rank
         self.terms = {k: c for k, c in clean.items() if c}
 
@@ -160,9 +161,13 @@ def wedge(a: PolyVector, b: PolyVector) -> PolyVector:
             w, sign = merge_wedges(w1, w2)
             if sign == 0:
                 continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            key = (e, w)
-            terms[key] = terms.get(key, Fraction(0)) + sign * c1 * c2
+            key = (tuple(x + y for x, y in zip(e1, e2)), w)
+            c = c1 * c2
+            old = terms.get(key)
+            if old is None:
+                terms[key] = c if sign > 0 else -c
+            else:
+                terms[key] = old + c if sign > 0 else old - c
     return PolyVector._raw(a.rank, terms)
 
 
@@ -175,9 +180,10 @@ def bv_delta(a: PolyVector) -> PolyVector:
             n_i = exp[i - 1]
             if n_i == 0:
                 continue
-            sign = -1 if j % 2 else 1
             key = (exp, w[:j] + w[j + 1:])
-            terms[key] = terms.get(key, Fraction(0)) + sign * n_i * coeff
+            c = coeff * (-n_i if j % 2 else n_i)
+            old = terms.get(key)
+            terms[key] = c if old is None else old + c
     return PolyVector._raw(a.rank, terms)
 
 
@@ -220,7 +226,9 @@ def _dlog_differential(form_terms, rank):
                 continue
             merged, sign = merge_wedges((i,), tlist)
             key = (exp, merged)
-            out[key] = out.get(key, Fraction(0)) + sign * n_i * coeff
+            c = coeff * (n_i if sign > 0 else -n_i)
+            old = out.get(key)
+            out[key] = c if old is None else old + c
     return out
 
 
@@ -228,43 +236,40 @@ def bv_delta_divergence(a: PolyVector) -> PolyVector:
     """BV operator as the signed divergence for Omega = prod dlog z_i.
 
     Independent of `bv_delta`; computes iota_Omega, then d, then inverts the
-    contraction, then applies the degree sign (-1)^(k+1) per homogeneous
-    cohomological degree k.
+    contraction, then applies the degree sign (-1)^(k+1) of the input's
+    cohomological degree k.  Contraction, d and its inverse each map one
+    degree to one degree, so all degrees go through together and each term
+    carries the sign of its own degree.
     """
-    result = PolyVector.zero(a.rank)
-    for k in a.degrees():
-        part = a.degree_part(k)
-        form = {}
-        for (exp, w), coeff in part.terms.items():
-            compl, sign = _contract_against_volume(w, a.rank)
-            key = (exp, compl)
-            form[key] = form.get(key, Fraction(0)) + sign * coeff
-        dform = _dlog_differential(form, a.rank)
-        terms = {}
-        for (exp, tlist), coeff in dform.items():
-            w = tuple(i for i in range(1, a.rank + 1) if i not in tlist)
-            # iota_{theta_w} Omega = sign * dlog_tlist, so invert by dividing
-            sign = _perm_sign_partition(w, a.rank)
-            key = (exp, w)
-            terms[key] = terms.get(key, Fraction(0)) + coeff / sign
-        degree_sign = 1 if (k + 1) % 2 == 0 else -1
-        result = result + PolyVector._raw(a.rank, terms).scale(degree_sign)
-    return result
+    rank = a.rank
+    form = {}
+    for (exp, w), coeff in a.terms.items():
+        compl, sign = _contract_against_volume(w, rank)
+        # S -> S^c is injective, so no two terms share a form key
+        form[(exp, compl)] = coeff if sign > 0 else -coeff
+    terms = {}
+    for (exp, tlist), coeff in _dlog_differential(form, rank).items():
+        w = tuple(i for i in range(1, rank + 1) if i not in tlist)
+        # iota_{theta_w} Omega = sign * dlog_tlist, so invert by dividing by
+        # sign = +-1; the input had degree k = |w| + 1, so (-1)^(k+1) = (-1)^|w|
+        sign = _perm_sign_partition(w, rank) * (-1 if len(w) % 2 else 1)
+        terms[(exp, w)] = coeff if sign > 0 else -coeff
+    return PolyVector._raw(rank, terms)
 
 
 def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
-    """[a, b] = Delta(a b) - Delta(a) b - (-1)^|a| a Delta(b), extended
-    bilinearly over homogeneous cohomological parts."""
+    """[a, b] = Delta(a b) - Delta(a) b - (-1)^|a| a Delta(b) on homogeneous
+    a, extended bilinearly over the cohomological parts a_k and b_l.
+
+    Delta is linear and the wedge bilinear, so the sum over the parts is
+
+        [a, b] = Delta(a b) - Delta(a) b - a~ Delta(b),
+
+    where a~ = sum_k (-1)^k a_k is the parity twist of a: three wedges and
+    three Deltas for any mix of degrees.
+    """
     a._check_rank(b)
-    degs_a = a.degrees()
-    degs_b = b.degrees()
-    result = PolyVector.zero(a.rank)
-    for ka in degs_a:
-        pa = a if len(degs_a) == 1 else a.degree_part(ka)
-        sign_a = -1 if ka % 2 else 1
-        for kb in degs_b:
-            pb = b if len(degs_b) == 1 else b.degree_part(kb)
-            prod = wedge(pa, pb)
-            term = bv_delta(prod) - wedge(bv_delta(pa), pb) - wedge(pa, bv_delta(pb)).scale(sign_a)
-            result = result + term
-    return result
+    twisted = PolyVector._raw(
+        a.rank, {key: -c if len(key[1]) % 2 else c for key, c in a.terms.items()}
+    )
+    return bv_delta(wedge(a, b)) - wedge(bv_delta(a), b) - wedge(twisted, bv_delta(b))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bvalgebra import PolyVector, bv_delta, gerstenhaber_bracket
-from .laurent import LaurentPoly, _as_fraction
+from .laurent import LaurentPoly, _as_fraction, _check_rank_arg
 
 
 def module_action(x: PolyVector, m: LaurentPoly) -> LaurentPoly:
@@ -27,6 +27,7 @@ class CE1Cochain:
     from degree-1 polyvector fields to Laurent polynomials."""
 
     def __init__(self, rank: int, alpha=0, betas=None, exact_part: LaurentPoly | None = None):
+        _check_rank_arg(rank)
         self.rank = rank
         self.alpha = _as_fraction(alpha)
         betas = list(betas) if betas is not None else [0] * rank

@@ -4,6 +4,9 @@ term store they share with polyvector fields.
 A polynomial of rank r is a finitely supported map from exponent vectors
 in Z^r to nonzero Fractions.  All arithmetic is exact; no zero coefficient
 is ever stored, so equality is structural.
+
+Sparse sums here and in `bvalgebra` store the first Fraction written to a
+key and add later ones to it: no `Fraction(0)` seed, one operation a term.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class SparseStore:
         self._check_rank(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            old = terms.get(key)
+            terms[key] = coeff if old is None else old + coeff
         return self._raw(self.rank, terms)
 
     def __sub__(self, other):
@@ -150,7 +154,8 @@ class LaurentPoly(SparseStore):
             exp = _exponent(exp, rank)
             coeff = _as_fraction(coeff)
             if coeff:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
+                old = clean.get(exp)
+                clean[exp] = coeff if old is None else old + coeff
         self.rank = rank
         self.terms = {e: c for e, c in clean.items() if c}
 
@@ -189,7 +194,9 @@ class LaurentPoly(SparseStore):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                old = terms.get(e)
+                terms[e] = c if old is None else old + c
         return LaurentPoly._raw(self.rank, terms)
 
     __rmul__ = __mul__

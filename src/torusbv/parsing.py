@@ -32,13 +32,16 @@ def parse_coefficient(text: str, position: int = 0) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}", position) from None
 
 
-_NUMBER = re.compile(r"[+-]?\d+(/\d+)?")
-_VAR = re.compile(r"z(\d+)\^(-?\d+)")
-_VAR_PLAIN = re.compile(r"z(\d+)")
-_TUPLE_EXP = re.compile(r"z\^\((-?\d+(?:,-?\d+)*)\)")
-_SINGLE_EXP = re.compile(r"z\^(-?\d+)")
-_Z_PLAIN = re.compile(r"z(?![\d^])")
-_THETA = re.compile(r"[tθ](\d+)")
+# Every factor spelling in one alternation, so a factor is matched once.  No
+# two alternatives match the same text, and the last group that took part
+# (`lastgroup`) names the kind; a bare `z` takes part in none.
+_FACTOR = re.compile(
+    r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"  # 3, -1/2
+    r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
+    r"|z(?P<var>\d+)(?:\^(?P<var_power>-?\d+))?"  # z2, z2^-3
+    r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
+    r"|[tθ](?P<theta>\d+)"  # t1, θ1
+)
 
 
 def _split_terms(text: str):
@@ -89,71 +92,57 @@ def _factor_position(raw: str, offset: int, factor: str) -> int:
 
 
 def _parse_term(raw: str, offset: int, rank: int):
-    """Parse one product of factors; returns (coeff, exp list, wedge list)."""
+    """Parse one product of factors; returns (coeff, exp tuple, wedge tuple).
+    Numbers are multiplied as integer numerators and denominators, so the
+    term builds one Fraction."""
     term = raw.strip()
-    sign = Fraction(1)
+    num = den = 1
     while term and term[0] in "+-":
         if term[0] == "-":
-            sign = -sign
+            num = -num
         term = term[1:].lstrip()
     if not term:
         raise ParseError("empty term", offset)
-    coeff = sign
     exp = [0] * rank
     wedge = []
     for factor in term.split("*"):
         factor = factor.strip()
-        if not factor:
-            raise ParseError("empty factor", _factor_position(raw, offset, factor))
-        if _NUMBER.fullmatch(factor):
-            try:
-                coeff *= parse_coefficient(factor)
-            except ParseError as err:
-                raise ParseError(err.message, _factor_position(raw, offset, factor)) from None
-            continue
-        m = _TUPLE_EXP.fullmatch(factor)
-        if m:
-            values = [int(v) for v in m.group(1).split(",")]
+        m = _FACTOR.fullmatch(factor)
+        kind = m and m.lastgroup
+        if kind in ("num", "den"):
+            num *= int(m["num"])
+            if kind == "den":
+                d = int(m["den"])
+                if not d:
+                    at = _factor_position(raw, offset, factor)
+                    raise ParseError(f"zero denominator in {factor!r}", at)
+                den *= d
+        elif kind == "tuple":
+            values = [int(v) for v in m["tuple"].split(",")]
             if len(values) != rank:
                 raise ParseError(
                     f"exponent tuple has {len(values)} entries, expected {rank}",
                     _factor_position(raw, offset, factor),
                 )
             exp = [a + b for a, b in zip(exp, values)]
-            continue
-        m = _SINGLE_EXP.fullmatch(factor)
-        if m and rank == 1:
-            exp[0] += int(m.group(1))
-            continue
-        m = _VAR.fullmatch(factor)
-        if m:
-            i = int(m.group(1))
+        elif kind in ("var", "var_power"):
+            i = int(m["var"])
             if not 1 <= i <= rank:
                 at = _factor_position(raw, offset, factor)
                 raise ParseError(f"variable z{i} out of range for rank {rank}", at)
-            exp[i - 1] += int(m.group(2))
-            continue
-        m = _VAR_PLAIN.fullmatch(factor)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= rank:
-                at = _factor_position(raw, offset, factor)
-                raise ParseError(f"variable z{i} out of range for rank {rank}", at)
-            exp[i - 1] += 1
-            continue
-        if _Z_PLAIN.fullmatch(factor) and rank == 1:
-            exp[0] += 1
-            continue
-        m = _THETA.fullmatch(factor)
-        if m:
-            i = int(m.group(1))
+            exp[i - 1] += int(m["var_power"] or 1)
+        elif kind == "theta":
+            i = int(m["theta"])
             if not 1 <= i <= rank:
                 at = _factor_position(raw, offset, factor)
                 raise ParseError(f"generator t{i} out of range for rank {rank}", at)
             wedge.append(i)
-            continue
-        raise ParseError(f"unrecognized factor {factor!r}", _factor_position(raw, offset, factor))
-    return coeff, tuple(exp), tuple(wedge)
+        elif m and rank == 1:  # `z` or `z^e`
+            exp[0] += int(m["power"] or 1)
+        else:
+            message = f"unrecognized factor {factor!r}" if factor else "empty factor"
+            raise ParseError(message, _factor_position(raw, offset, factor))
+    return Fraction(num, den), tuple(exp), tuple(wedge)
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:
@@ -168,7 +157,8 @@ def parse_polyvector(text: str, rank: int) -> PolyVector:
     for term, offset in _split_terms(text):
         coeff, exp, wedge = _parse_term(term, offset, rank)
         key = (exp, wedge)
-        terms[key] = terms.get(key, 0) + coeff
+        old = terms.get(key)
+        terms[key] = coeff if old is None else old + coeff
     return PolyVector(rank, terms)
 
 

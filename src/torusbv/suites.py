@@ -58,9 +58,18 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
+def _check_size(name: str, value: int) -> None:
+    """A suite of zero cases would pass having checked nothing."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), window: int = 3) -> dict:
     """Delta^2 = 0, graded commutativity, graded antisymmetry, Jacobi,
-    Poisson, H1-homogeneity, and agreement of the two BV code paths."""
+    Poisson, H1-homogeneity, and agreement of the two BV code paths.
+    Jacobi and Poisson run on cases // 2 triples and H1-homogeneity on
+    cases // 4 pairs, each at least once."""
+    _check_size("cases", cases)
     rng = random.Random(seed)
     checks = []
 
@@ -88,7 +97,7 @@ def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), 
     check("bracket_graded_antisymmetry", antisym)
 
     jacobi = poisson = True
-    for _ in range(cases // 2):
+    for _ in range(max(1, cases // 2)):
         rank = rng.choice(list(ranks))
         dx, dy, dz = (rng.randint(0, rank) for _ in range(3))
         x = random_homogeneous_polyvector(rng, rank, dx, 2, 2)
@@ -109,7 +118,7 @@ def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), 
     check("poisson_derivation", poisson)
 
     homogeneous = True
-    for _ in range(cases // 4):
+    for _ in range(max(1, cases // 4)):
         rank = rng.choice(list(ranks))
         a = random_homogeneous_polyvector(rng, rank, rng.randint(0, rank), 2, 1)
         b = random_homogeneous_polyvector(rng, rank, rng.randint(0, rank), 2, 1)
@@ -225,6 +234,7 @@ def cocycle_suite(rank: int = 1, window: int = 4, seed: int = DEFAULT_SEED) -> d
 def rep_classification_suite(grid: int = 8) -> dict:
     """The finite-submodule classification on the half-integer grid, with
     dimension, spectrum, kernel, and irreducibility checks."""
+    _check_size("grid", grid)
     checks = []
     ok_exist = ok_dim = ok_spectrum = ok_irred = ok_kernels = True
     table = []
@@ -254,6 +264,7 @@ def rep_classification_suite(grid: int = 8) -> dict:
 
 def shift_suite(seed: int = DEFAULT_SEED, triples: int = 5) -> dict:
     """Seeded (alpha, beta, m) triples through the shift intertwiner check."""
+    _check_size("triples", triples)
     rng = random.Random(seed)
     checks = []
     for t in range(triples):
@@ -266,7 +277,9 @@ def shift_suite(seed: int = DEFAULT_SEED, triples: int = 5) -> dict:
 
 
 def rep_action_suite(seed: int = DEFAULT_SEED, cases: int = 10) -> dict:
-    """verify_lie_action on seeded specs over the window [-8, 8]."""
+    """verify_lie_action on two fixed and `cases` seeded specs over the
+    window [-8, 8]."""
+    _check_size("cases", cases)
     rng = random.Random(seed)
     checks = []
     specs = [DensityRepSpec(0, 0), DensityRepSpec(Fraction(1, 2), 0)]
@@ -282,6 +295,7 @@ def rep_action_suite(seed: int = DEFAULT_SEED, cases: int = 10) -> dict:
 
 def floer_suite(max_n: int = 6) -> dict:
     """Uniqueness, Casimir, stability, and density-model match for each n."""
+    _check_size("max_n", max_n)
     checks = []
     for n in range(1, max_n + 1):
         report = floer_report(n)

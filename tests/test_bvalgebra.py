@@ -12,6 +12,7 @@ from torusbv.bvalgebra import (
     wedge,
 )
 from torusbv.laurent import LaurentPoly
+from torusbv.parsing import format_polyvector, parse_polyvector
 from torusbv.suites import random_homogeneous_polyvector, random_polyvector
 
 
@@ -205,3 +206,96 @@ def test_degree0_to_laurent_round_trip():
 def test_json_round_trip():
     pv = PolyVector.monomial(2, (1, -2), (1, 2)).scale(Fraction(3, 4)) + PolyVector.theta(2, 1)
     assert PolyVector.from_json(2, pv.to_json()) == pv
+
+
+def bracket_parts(a, b):
+    """The reference bracket: the Delta formula on each pair of homogeneous
+    parts (a_k, b_l), one summand per pair."""
+    return [
+        bv_delta(wedge(pa, pb)) - wedge(bv_delta(pa), pb) - wedge(pa, bv_delta(pb)).scale(_sign(ka))
+        for ka in a.degrees()
+        for pa in [a.degree_part(ka)]
+        for kb in b.degrees()
+        for pb in [b.degree_part(kb)]
+    ]
+
+
+def oracle_operand(rng, rank):
+    """Zero, degree 0 only, one degree >= 1, or mixed degrees; exponents in
+    [-1, 1] so that terms of different parts often meet and cancel."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return PolyVector.zero(rank)
+    if kind == 1:
+        return random_homogeneous_polyvector(rng, rank, 0, window=1)
+    if kind == 2:
+        return random_homogeneous_polyvector(rng, rank, rng.randint(1, rank), window=1)
+    return random_polyvector(rng, rank, window=1)
+
+
+def test_bracket_equals_sum_over_degree_pairs():
+    """The bilinear formula with the parity twist of `a` against the
+    per-degree-pair formula, on 2200 seeded pairs at ranks 1-4."""
+    rng = random.Random(11)
+    mixed = cancelled = zero = 0
+    for rank in (1, 2, 3, 4):
+        for n in range(550):
+            a = oracle_operand(rng, rank)
+            # every fifth pair brackets an operand with itself
+            b = a if n % 5 == 0 else oracle_operand(rng, rank)
+            parts = bracket_parts(a, b)
+            want = sum(parts, PolyVector.zero(rank))
+            got = gerstenhaber_bracket(a, b)
+            assert got == want, (rank, format_polyvector(a), format_polyvector(b))
+            mixed += len(a.degrees()) > 1 and len(b.degrees()) > 1
+            cancelled += sum(len(p.terms) for p in parts) > len(got.terms)
+            zero += got.is_zero()
+    assert mixed > 400 and cancelled > 150 and zero > 500
+
+
+def assert_exact(x):
+    assert all(type(c) is Fraction and c != 0 for c in x.terms.values()), x.terms
+
+
+def integer_polyvector(rng, rank):
+    """Python-int coefficients; with half the wedges of degree >= 2 the same
+    coefficient is also given under the wedge with its first two generators
+    swapped, so the constructor cancels the pair."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exp = tuple(rng.randint(-1, 1) for _ in range(rank))
+        w = tuple(rng.sample(range(1, rank + 1), rng.randint(0, rank)))
+        c = rng.choice((-2, -1, 1, 2, 3))
+        terms[(exp, w)] = c
+        if len(w) >= 2 and rng.random() < 0.5:
+            terms[(exp, (w[1], w[0]) + w[2:])] = c
+    return PolyVector(rank, terms)
+
+
+def test_every_stored_coefficient_is_a_nonzero_fraction():
+    """Sparse sums store the first coefficient written to a key, so an int
+    or a zero could slip through where no Fraction(0) seeds the sum."""
+    rng = random.Random(12)
+    nonempty = 0
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        a = integer_polyvector(rng, rank)
+        b = integer_polyvector(rng, rank)
+        text = f"{format_polyvector(a)} + 2*t1 - {format_polyvector(b)} + 3 - 2*t1 - 1"
+        exp = tuple(rng.randint(-1, 1) for _ in range(rank))
+        # the same exponent given twice (as ints and as strings) cancels
+        p = LaurentPoly(rank, {exp: 2, tuple(map(str, exp)): -2, (1,) * rank: 3, (0,) * rank: 1})
+        q = LaurentPoly(rank, {(1,) * rank: -3, (-1,) * rank: 5})
+        # at rank >= 2, Delta(z^e (e_r theta_1 - e_1 theta_r)) cancels to 0
+        e = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rank))
+        free = PolyVector(rank, {(e, (1,)): e[-1], (e, (rank,)): -e[0]}) + a
+        results = [
+            a, b, a + b, a - b, a - a, a.scale(2), a.scale(-1), a.scale(Fraction(1, 2)),
+            wedge(a, b), bv_delta(free), bv_delta_divergence(free), gerstenhaber_bracket(a, b),
+            gerstenhaber_bracket(a, a), parse_polyvector(text, rank),
+            p, q, p + q, p - q, p.scale(-3), p * q, q * q,
+        ]
+        for x in results:
+            assert_exact(x)
+        nonempty += all(results[i] for i in (8, 9, 10, 11, 13))
+    assert nonempty > 50

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import cli
-from torusbv.bvalgebra import PolyVector
+from torusbv import cli, suites
+from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.cli import SUITES, main
+from torusbv.cocycle import CE1Cochain
 from torusbv.laurent import RankMismatchError
 from torusbv.parsing import (
     ParseError,
@@ -470,3 +471,53 @@ def test_failed_check_still_exits_1(monkeypatch, capsys):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out.endswith("FAILURES PRESENT\n") and captured.err == ""
+
+
+# (argv, message): a zero rank or suite size would check nothing and pass
+VACUOUS = [
+    (["cocycle-check", "alpha=1", "--rank", "0"], "rank must be >= 1, got 0"),
+    (["verify", "bv-axioms", "--cases", "-1"], "cases must be >= 1, got -1"),
+    (["verify", "bv-axioms", "--cases", "0"], "cases must be >= 1, got 0"),
+    (["verify", "rep-classification", "--grid", "-2"], "grid must be >= 1, got -2"),
+    (["verify", "rep-classification", "--grid", "0"], "grid must be >= 1, got 0"),
+    (["verify", "floer", "--max-n", "0"], "max_n must be >= 1, got 0"),
+    (["verify", "rep-action", "--cases", "0"], "cases must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", VACUOUS)
+def test_vacuous_rank_or_size_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"torusbv {argv[0]}: error: {message}\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"])
+    assert exc.value.code == 2
+    error = {"type": "ValueError", "message": message, "position": None}
+    assert json.loads(capsys.readouterr().out) == {"schema": 1, "error": error}
+
+
+def test_library_rejects_vacuous_rank_and_triples():
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        CE1Cochain(0, alpha=1)
+    with pytest.raises(ValueError, match="triples must be >= 1, got 0"):
+        suites.shift_suite(triples=0)
+
+
+@pytest.mark.parametrize("cases,brackets", [(1, 12), (2, 14), (3, 16)])
+def test_bv_axioms_small_case_counts_run_every_loop(cases, brackets, monkeypatch, capsys):
+    """Antisymmetry brackets 2 pairs per case; Jacobi and Poisson 9 times per
+    triple and H1-homogeneity once per pair, each loop at least once."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gerstenhaber_bracket(a, b)
+
+    monkeypatch.setattr(suites, "gerstenhaber_bracket", counting)
+    assert main(["verify", "bv-axioms", "--cases", str(cases)]) == 0
+    assert len(calls) == brackets
+    assert capsys.readouterr().out.endswith("all passed\n")

@@ -1,8 +1,11 @@
 """Byte-identical CLI output.
 
-Each README example and each `verify` suite at its default seed, in text and
-`--json`, has a pinned exit code and sha256 of stdout; the pins were taken
-before `main` began to reuse one argument parser.  `verify witt-closed-form`
+Each README example, each `verify` suite at its default seed and each
+mixed-degree `bracket`/`wedge`/`bv` command below, in text and `--json`, has
+a pinned exit code and sha256 of stdout.  The README and suite pins were
+taken before `main` began to reuse one argument parser, the mixed-degree
+pins before the bracket became one bilinear Delta formula over all degree
+parts.  `verify witt-closed-form`
 is left out because it takes about 15 s; the acceptance test for criterion 2
 runs the same closed forms.  A deliberate change to one of these outputs
 must update its pin here.
@@ -32,7 +35,21 @@ README_EXAMPLES = [
     "verify floer --max-n 6",
 ]
 SUITE_RUNS = [f"verify {name}" for name in SUITES if name != "witt-closed-form"]
-COMMANDS = [c + mode for c in README_EXAMPLES + SUITE_RUNS for mode in ("", " --json")]
+# (command and options, operands): multi-term operands mixing cohomological
+# degrees, one with parts that cancel; operands follow `--`, since one
+# starts with '-'
+MIXED_DEGREE = [
+    ("bracket --rank 1", '"z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"'),
+    ("bracket --rank 2", '"-z1^1*z2^-1*t1+2*t1*t2+z2^3" "z1^-2*t2-1/3*z1^1*z2^1*t1*t2+5"'),
+    ("bracket --rank 2", '"z1^1*t1+z1^1*t2-z1^1*t2+z2^2-z2^2+1/2*z1^-1*t1*t2" "z2^1*t1-z1^-1+z1^2*z2^-1*t1*t2"'),
+    ("bracket --rank 3", '"z1^1*t1*t3+z2^-1*z3^2*t2-z1^-1+3/4*z3^1*t1*t2*t3" "z1^2*z2^1*t3+2*z2^-2*t1*t2-1/2*z3^-1"'),
+    ("bracket --rank 4", '"-3*z1^1*z4^-2*t2*t4+z2^1*t1-z3^-1*z4^1+t1*t2*t3*t4" "2/3*z1^-1*z3^2*t3+z2^2*z4^1*t1*t2*t4-7"'),
+    ("wedge --rank 3", '"-2*z1^1*t1+z2^-1*t2*t3+1/2" "z3^1*t1+z1^-1*z2^1-t2"'),
+    ("bv --rank 4", '"-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"'),
+]
+COMMANDS = [c + mode for c in README_EXAMPLES + SUITE_RUNS for mode in ("", " --json")] + [
+    f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
+]
 
 # command line after `torusbv` -> (exit code, sha256 of stdout)
 PINS = {
@@ -70,6 +87,20 @@ PINS = {
     'verify shift-isomorphism --json': (0, 'd5e27131ad40c49541a07ed2f1f26a05c0f1e4fc0d9498ca38db00b169a93880'),
     'verify floer': (0, '5216de7cab0aa19e1ab4d49a42e8abae493e9c28d07003a6be8c384304e793f2'),
     'verify floer --json': (0, 'fb3311c291b309fc71a502514448601253e0744a1b5b9d4a11da72d1f744fc7a'),
+    'bracket --rank 1 -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'cd5149dd493809180f9672149a1dad5e20b1fc2016ce259ddb6cf0b0a7d0b164'),
+    'bracket --rank 1 --json -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'b6a200f05245f94301d2a69ab1c51431c8a09184e2966bd4298562dd3f94604a'),
+    'bracket --rank 2 -- "-z1^1*z2^-1*t1+2*t1*t2+z2^3" "z1^-2*t2-1/3*z1^1*z2^1*t1*t2+5"': (0, '03621adff17b6d959b3f574042e8aa971b8f6c9bbaab512df8f92e837b0109bd'),
+    'bracket --rank 2 --json -- "-z1^1*z2^-1*t1+2*t1*t2+z2^3" "z1^-2*t2-1/3*z1^1*z2^1*t1*t2+5"': (0, '3d67c69ffaf3bff0e448c41972007ccce3f158f0f21fcb76ed9cd157096fa044'),
+    'bracket --rank 2 -- "z1^1*t1+z1^1*t2-z1^1*t2+z2^2-z2^2+1/2*z1^-1*t1*t2" "z2^1*t1-z1^-1+z1^2*z2^-1*t1*t2"': (0, '0800c57ae8836b58b4b8f79e2441e23f7b5f7c986dc24b04fe4038501fc7e729'),
+    'bracket --rank 2 --json -- "z1^1*t1+z1^1*t2-z1^1*t2+z2^2-z2^2+1/2*z1^-1*t1*t2" "z2^1*t1-z1^-1+z1^2*z2^-1*t1*t2"': (0, 'a4b4395ccbccd6aec7b0323d0a314e134425a507c9d63c107b2399cb72740990'),
+    'bracket --rank 3 -- "z1^1*t1*t3+z2^-1*z3^2*t2-z1^-1+3/4*z3^1*t1*t2*t3" "z1^2*z2^1*t3+2*z2^-2*t1*t2-1/2*z3^-1"': (0, 'd70a557f6c0413088170db2f9d18fabd12ed7df36d7ef86ca727cdac4de06d77'),
+    'bracket --rank 3 --json -- "z1^1*t1*t3+z2^-1*z3^2*t2-z1^-1+3/4*z3^1*t1*t2*t3" "z1^2*z2^1*t3+2*z2^-2*t1*t2-1/2*z3^-1"': (0, '2d6bc7b6212023388f302b25f7fa1d3e9bafba19d04d70d35ee8be1960847b95'),
+    'bracket --rank 4 -- "-3*z1^1*z4^-2*t2*t4+z2^1*t1-z3^-1*z4^1+t1*t2*t3*t4" "2/3*z1^-1*z3^2*t3+z2^2*z4^1*t1*t2*t4-7"': (0, '69a9de8764baf8dcbac95b9eba472611bf73b9bd3c456a374cc6fe3f180a6068'),
+    'bracket --rank 4 --json -- "-3*z1^1*z4^-2*t2*t4+z2^1*t1-z3^-1*z4^1+t1*t2*t3*t4" "2/3*z1^-1*z3^2*t3+z2^2*z4^1*t1*t2*t4-7"': (0, 'bbfa4c8824da74d50dbf1e74a46cc441150eddad4d7475be72e9ace82d7222ed'),
+    'wedge --rank 3 -- "-2*z1^1*t1+z2^-1*t2*t3+1/2" "z3^1*t1+z1^-1*z2^1-t2"': (0, '0b685d37685b6e64d54be5b9950ceeb4faf090752e9128edbcab30fda1963f97'),
+    'wedge --rank 3 --json -- "-2*z1^1*t1+z2^-1*t2*t3+1/2" "z3^1*t1+z1^-1*z2^1-t2"': (0, '39763356fe8871a91d4f87e9f2263f2689b7e3f0691f1ba9222b6ab5dc684caa'),
+    'bv --rank 4 -- "-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"': (0, '1c651f5eba0eef043a4b7cc4e4239f23f26346091ee19cfe9fdb905c649f107c'),
+    'bv --rank 4 --json -- "-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"': (0, '03e58a11ec9dee718e01051da509bf469eee2c39e8ea301abfa912551d060092'),
 }
 
 USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2
