@@ -125,12 +125,6 @@ class PolyVector(SparseStore):
             self.rank, {key: c for key, c in self.terms.items() if len(key[1]) == k}
         )
 
-    def h1_part(self, exp) -> "PolyVector":
-        exp = tuple(exp)
-        return PolyVector._raw(
-            self.rank, {key: c for key, c in self.terms.items() if key[0] == exp}
-        )
-
     def degree0_to_laurent(self) -> LaurentPoly:
         """Extract the function part as a LaurentPoly; the element must be
         concentrated in cohomological degree 0."""

@@ -19,7 +19,7 @@ from .densityrep import DensityRepSpec, check_irreducible, extract_finite_sl2_su
 from .floermodel import floer_report
 from .liealg import root_system_report
 from .parsing import format_polyvector, parse_coefficient, parse_polyvector
-from .suites import DEFAULT_SEED, SUITES
+from .suites import SUITES
 
 SCHEMA_VERSION = 1
 
@@ -201,58 +201,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rank_default=1):
-        p.add_argument("--rank", type=int, default=rank_default)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
     p = sub.add_parser("bracket", help="Gerstenhaber bracket of two polyvectors")
     p.add_argument("a")
     p.add_argument("b")
-    add_common(p)
+    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("wedge", help="graded product of two polyvectors")
     p.add_argument("a")
     p.add_argument("b")
-    add_common(p)
+    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_wedge)
 
     p = sub.add_parser("bv", help="BV operator applied to a polyvector")
     p.add_argument("a")
-    add_common(p)
+    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_bv)
 
     p = sub.add_parser("roots", help="type-A root system report")
-    add_common(p, rank_default=2)
+    p.add_argument("--rank", type=int, default=2)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("cocycle-check", help="window check of a symbolic 1-cochain")
     p.add_argument("spec", help="e.g. alpha=-1/2,beta=[-1/2],g=0")
     p.add_argument("--window", type=int, default=4)
-    add_common(p)
+    p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=cmd_cocycle_check)
 
     p = sub.add_parser("rep", help="finite sl2 submodule of a density representation")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--extract", action="store_true", help="kept for symmetry; extraction always runs")
-    add_common(p)
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("floer", help="forced sl2 action on intersection generators")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
     p.set_defaults(func=cmd_floer)
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--json", action="store_true")
     # unset flags stay None so each suite keeps its own defaults
     for flag in VERIFY_FLAGS:
         p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int)
     p.set_defaults(func=cmd_verify)
 
+    # each command declares only the flags it reads; all of them take --json
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

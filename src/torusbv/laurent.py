@@ -106,9 +106,6 @@ class SparseStore:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def support(self):
-        return sorted(self.terms)
-
     def homogeneous_class(self):
         """The common H1-grading (exponent vector) of all terms, or None if
         mixed or zero."""

@@ -83,46 +83,28 @@ class GlMatrixElement:
         return sum(self.entries[i][i] for i in range(self.size))
 
 
-def _restrict_entry(rank: int, i: int, j: int) -> PolyVector:
-    """Image of Z_i D_j on the torus chart, with d_j encoded as z_j^{-1} theta_j."""
-    zero = (0,) * rank
-    if i != 0 and j != 0:
-        # z_i d_j = z_i z_j^{-1} theta_j
-        exp = list(zero)
-        exp[i - 1] += 1
-        exp[j - 1] -= 1
-        return PolyVector.xi(rank, exp, j)
-    if i == 0 and j != 0:
-        # d_j = z_j^{-1} theta_j
-        exp = list(zero)
-        exp[j - 1] -= 1
-        return PolyVector.xi(rank, exp, j)
-    if i != 0 and j == 0:
-        # -z_i sum_k z_k d_k = -z_i sum_k theta_k
-        exp = list(zero)
-        exp[i - 1] += 1
-        out = PolyVector.zero(rank)
-        for k in range(1, rank + 1):
-            out = out - PolyVector.xi(rank, exp, k)
-        return out
-    # Z_0 D_0 -> -sum_k theta_k
-    out = PolyVector.zero(rank)
-    for k in range(1, rank + 1):
-        out = out - PolyVector.theta(rank, k)
-    return out
-
-
 def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
     """Restriction of the linear vector field sum m_ij Z_i D_j from P^r to the
-    open torus, written in the theta presentation.  Kernel = scalar matrices."""
+    open torus, written in the theta presentation.  Kernel = scalar matrices.
+
+    On the chart Z_0 = 1, z_k = Z_k, each E_ij = Z_i D_j restricts to
+    z^{e_i - e_j} theta~_j, with e_0 = 0, theta~_k = theta_k for k >= 1 and
+    theta~_0 = -(theta_1 + ... + theta_r): D_j = z_j^{-1} theta_j, and the
+    Euler relation Z_0 D_0 + ... + Z_r D_r = 0 gives D_0 = -sum_k theta_k."""
     rank = m.size - 1
-    out = PolyVector.zero(rank)
-    for i in range(m.size):
-        for j in range(m.size):
-            c = m.entries[i][j]
+    e = [(0,) * rank] + [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
+    theta_tilde = [[(k, -1) for k in range(1, rank + 1)]] + [[(j, 1)] for j in range(1, rank + 1)]
+    terms = {}
+    for i, row in enumerate(m.entries):
+        for j, c in enumerate(row):
             if c:
-                out = out + _restrict_entry(rank, i, j).scale(c)
-    return out
+                exp = tuple(a - b for a, b in zip(e[i], e[j]))
+                for k, sign in theta_tilde[j]:
+                    key = (exp, (k,))
+                    v = c if sign > 0 else -c
+                    old = terms.get(key)
+                    terms[key] = v if old is None else old + v
+    return PolyVector._raw(rank, terms)
 
 
 class RootVector:
@@ -181,19 +163,6 @@ def ar_root_system(rank: int):
     return roots
 
 
-def _polyvector_coordinates(vectors):
-    """Coordinate rows of PolyVectors in their joint term basis."""
-    keys = sorted({k for v in vectors for k in v.terms})
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(keys)
-        for k, c in v.terms.items():
-            row[index[k]] = c
-        rows.append(row)
-    return rows
-
-
 def verify_lie_embedding(rank: int) -> dict:
     """Check that restriction from P^r is a Lie homomorphism on all gl_{r+1}
     basis pairs, that scalars die, and that the image has dimension
@@ -215,7 +184,7 @@ def verify_lie_embedding(rank: int) -> dict:
             ok = lhs == rhs
             all_ok = all_ok and ok
             pairs.append({"pair": [[i1, j1], [i2, j2]], "ok": ok})
-    image_rank = matrix.rank(_polyvector_coordinates(list(images.values())))
+    image_rank = matrix.rank([v.terms for v in images.values()])
     identity = GlMatrixElement([[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)])
     scalar_killed = restrict_from_projective(identity).is_zero()
     expected_dim = size * size - 1

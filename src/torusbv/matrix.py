@@ -1,8 +1,11 @@
-"""Exact dense matrices as lists of rows of Fractions.
+"""Exact matrices over the rationals.
 
-The matrices of the representation layer are mostly zero (diagonal,
-sub- or super-diagonal, elementary), so the product and the entrywise
-operations skip every term known to vanish.
+Square matrices are lists of rows of Fractions.  Those of the
+representation layer are mostly zero (diagonal, sub- or super-diagonal,
+elementary), so the product and the entrywise operations skip every term
+known to vanish.  `rank` takes sparse rows {column: Fraction} instead, so
+vectors such as PolyVector.terms go in as they are, with no shared
+coordinate basis built first.
 """
 
 from __future__ import annotations
@@ -53,19 +56,27 @@ def commutator(a, b):
 
 
 def rank(rows) -> int:
-    """Rank of a list of Fraction row vectors by Gaussian elimination."""
-    rows = [list(row) for row in rows]
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col] / pv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    """Rank of sparse rows {column: Fraction}, by elimination on arrival.
+
+    Each row is reduced by the pivot rows kept so far, in the order they
+    were kept, and what is left, if anything, is kept as a new pivot row
+    scaled to 1 at its first column.  A pivot row has no entry in any
+    earlier pivot's column, so one pass in that order clears them all.
+    Columns may be any hashable keys; zero entries count as absent."""
+    pivots = []
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        for col, pivot_row in pivots:
+            c = row.get(col)
+            if c:
+                for k, v in pivot_row.items():
+                    old = row.get(k)
+                    new = -c * v if old is None else old - c * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+        if row:
+            col, p = next(iter(row.items()))
+            pivots.append((col, {k: v / p for k, v in row.items()}))
+    return len(pivots)

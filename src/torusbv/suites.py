@@ -68,8 +68,10 @@ def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), 
     """Delta^2 = 0, graded commutativity, graded antisymmetry, Jacobi,
     Poisson, H1-homogeneity, and agreement of the two BV code paths.
     Jacobi and Poisson run on cases // 2 triples and H1-homogeneity on
-    cases // 4 pairs, each at least once."""
+    cases // 4 pairs, each at least once.  At window 0 every exponent is 0,
+    so every Delta and bracket vanishes and the window must be >= 1."""
     _check_size("cases", cases)
+    _check_size("window", window)
     rng = random.Random(seed)
     checks = []
 

@@ -482,6 +482,8 @@ VACUOUS = [
     (["verify", "rep-classification", "--grid", "0"], "grid must be >= 1, got 0"),
     (["verify", "floer", "--max-n", "0"], "max_n must be >= 1, got 0"),
     (["verify", "rep-action", "--cases", "0"], "cases must be >= 1, got 0"),
+    (["verify", "bv-axioms", "--window", "0"], "window must be >= 1, got 0"),
+    (["verify", "bv-axioms", "--window", "-1"], "window must be >= 1, got -1"),
 ]
 
 
@@ -521,3 +523,34 @@ def test_bv_axioms_small_case_counts_run_every_loop(cases, brackets, monkeypatch
     assert main(["verify", "bv-axioms", "--cases", str(cases)]) == 0
     assert len(calls) == brackets
     assert capsys.readouterr().out.endswith("all passed\n")
+
+
+# each command with the arguments it needs; none of them reads --seed, and
+# rep and floer report rank 1 whatever is asked
+COMMANDS_WITHOUT_SEED = {
+    "bracket": ["bracket", "t1", "t1"],
+    "wedge": ["wedge", "t1", "t1"],
+    "bv": ["bv", "t1"],
+    "roots": ["roots"],
+    "cocycle-check": ["cocycle-check", "alpha=1", "--window", "1"],
+    "rep": ["rep", "--alpha=-1", "--beta=0"],
+    "floer": ["floer", "--n", "3"],
+}
+REMOVED_FLAGS = [(name, "--seed", "5") for name in COMMANDS_WITHOUT_SEED] + [
+    ("rep", "--rank", "7"),
+    ("floer", "--rank", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(command, flag, value, capsys):
+    argv = COMMANDS_WITHOUT_SEED[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for extra in ([], ["--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} {value}" in captured.err

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from torusbv.bvalgebra import PolyVector
@@ -81,7 +84,7 @@ def test_restrict_kills_identity():
         assert restrict_from_projective(identity).is_zero()
 
 
-@pytest.mark.parametrize("rank,expected_dim", [(1, 3), (2, 8), (3, 15)])
+@pytest.mark.parametrize("rank,expected_dim", [(1, 3), (2, 8), (3, 15), (4, 24), (5, 35)])
 def test_embedding_report(rank, expected_dim):
     report = verify_lie_embedding(rank)
     assert report["homomorphism_ok"]
@@ -140,3 +143,69 @@ def test_root_system_matches_type_a(rank):
     assert report["cartan_dim"] == rank
     assert report["cartan_at_zero"]
     assert set(map(tuple, report["roots"])) == {r.ambient for r in ar_root_system(rank)}
+
+
+def restrict_entry_oracle(rank, i, j):
+    """The four-case image of Z_i D_j, with d_j = z_j^{-1} theta_j and the
+    Euler relation for D_0: the oracle of the closed form."""
+    zero = (0,) * rank
+    if i != 0 and j != 0:
+        exp = list(zero)
+        exp[i - 1] += 1
+        exp[j - 1] -= 1
+        return PolyVector.xi(rank, exp, j)
+    if i == 0 and j != 0:
+        exp = list(zero)
+        exp[j - 1] -= 1
+        return PolyVector.xi(rank, exp, j)
+    if i != 0 and j == 0:
+        exp = list(zero)
+        exp[i - 1] += 1
+        out = PolyVector.zero(rank)
+        for k in range(1, rank + 1):
+            out = out - PolyVector.xi(rank, exp, k)
+        return out
+    out = PolyVector.zero(rank)
+    for k in range(1, rank + 1):
+        out = out - PolyVector.theta(rank, k)
+    return out
+
+
+def restrict_oracle(m):
+    rank = m.size - 1
+    out = PolyVector.zero(rank)
+    for i in range(m.size):
+        for j in range(m.size):
+            if m.entries[i][j]:
+                out = out + restrict_entry_oracle(rank, i, j).scale(m.entries[i][j])
+    return out
+
+
+def test_restrict_closed_form_matches_four_case_oracle():
+    rng = random.Random(31)
+    matrices = [
+        GlMatrixElement.elementary(size, i, j)
+        for size in range(2, 7)
+        for i in range(size)
+        for j in range(size)
+    ]
+    for _ in range(600):
+        size = rng.randint(2, 6)
+        zero_share = rng.choice((0.0, 0.5, 0.9))
+        entries = [
+            [0 if rng.random() < zero_share else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+             for _ in range(size)]
+            for _ in range(size)
+        ]
+        if rng.random() < 0.2:
+            # scalar matrices restrict to 0: every term cancels
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            entries = [[c if a == b else 0 for b in range(size)] for a in range(size)]
+        matrices.append(GlMatrixElement(entries))
+    zero_results = 0
+    for m in matrices:
+        got = restrict_from_projective(m)
+        assert got == restrict_oracle(m)
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        zero_results += got.is_zero()
+    assert zero_results > 50
