@@ -81,10 +81,6 @@ class PolyVector(SparseStore):
         return cls(rank, {(tuple(exp), tuple(wedge)): _as_fraction(coeff)})
 
     @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "PolyVector":
-        return cls._raw(p.rank, {(e, ()): c for e, c in p.terms.items()})
-
-    @classmethod
     def theta(cls, rank: int, i: int) -> "PolyVector":
         """The Cartan generator theta_i = z_i d/dz_i."""
         if not 1 <= i <= rank:

@@ -12,19 +12,39 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from .bvalgebra import PolyVector, bv_delta, gerstenhaber_bracket
-from .laurent import LaurentPoly, _as_fraction, _check_rank_arg
+from .bvalgebra import PolyVector, gerstenhaber_bracket
+from .laurent import LaurentPoly, _as_fraction, _check_rank_arg, _check_size
+
+
+def _vector_field_terms(x: PolyVector):
+    """(n, i, c) for each term c z^n theta_{i+1} of x.  Functions act by 0
+    and are skipped; a term of degree >= 2 raises ValueError."""
+    for (n, w), c in x.terms.items():
+        if len(w) == 1:
+            yield n, w[0] - 1, c
+        elif w:
+            raise ValueError(f"expected a vector field, got a degree-{len(w)} term")
 
 
 def module_action(x: PolyVector, m: LaurentPoly) -> LaurentPoly:
-    """Reference action of vector fields on functions: x.m = [x, m]."""
-    bracket = gerstenhaber_bracket(x, PolyVector.from_laurent(m))
-    return bracket.degree0_to_laurent()
+    """Vector fields act on functions as derivations, x.m = [x, m]:
+    z^n theta_i . z^k = k_i z^{n+k}, in one pass over the term pairs."""
+    x._check_rank(m)
+    terms = {}
+    for n, i, c in _vector_field_terms(x):
+        for k, d in m.terms.items():
+            if k[i]:
+                e = tuple(a + b for a, b in zip(n, k))
+                v = c * d * k[i]
+                old = terms.get(e)
+                terms[e] = v if old is None else old + v
+    return LaurentPoly._raw(x.rank, terms)
 
 
 class CE1Cochain:
     """alpha*Delta + sum_i beta_i z_i^{-1}[-, z_i] + [-, g] as a 1-cochain
-    from degree-1 polyvector fields to Laurent polynomials."""
+    from vector fields to Laurent polynomials, in closed form on a term:
+    psi(z^n theta_i) = (alpha n_i + beta_i) z^n + [z^n theta_i, g]."""
 
     def __init__(self, rank: int, alpha=0, betas=None, exact_part: LaurentPoly | None = None):
         _check_rank_arg(rank)
@@ -38,23 +58,20 @@ class CE1Cochain:
             raise ValueError("exact part has wrong rank")
         self.exact_part = exact_part
 
-    def __call__(self, x: PolyVector) -> LaurentPoly:
-        return self.evaluate(x)
-
     def evaluate(self, x: PolyVector) -> LaurentPoly:
         if x.rank != self.rank:
             raise ValueError(f"rank {x.rank} argument for rank {self.rank} cochain")
-        out = LaurentPoly.zero(self.rank)
-        if self.alpha:
-            out = out + bv_delta(x).degree0_to_laurent().scale(self.alpha)
-        for i, beta in enumerate(self.betas, start=1):
-            if not beta:
-                continue
-            z_i = LaurentPoly.variable(self.rank, i)
-            out = out + (z_i.invert_monomial() * module_action(x, z_i)).scale(beta)
-        if self.exact_part is not None:
-            out = out + module_action(x, self.exact_part)
-        return out
+        terms = {}
+        for n, i, c in _vector_field_terms(x):
+            v = self.alpha * n[i] + self.betas[i]
+            if v:
+                v *= c
+                old = terms.get(n)
+                terms[n] = v if old is None else old + v
+        out = LaurentPoly._raw(self.rank, terms)
+        return out if self.exact_part is None else out + module_action(x, self.exact_part)
+
+    __call__ = evaluate
 
 
 def ce_differential_check(cochain, x: PolyVector, y: PolyVector) -> LaurentPoly:
@@ -74,8 +91,7 @@ def witt_basis(rank: int, window: int):
 def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     """Check the cocycle condition on all basis pairs (xi_{n,i}, xi_{m,j})
     with sup-norm at most `window`."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    _check_size("window", window)
     basis = list(witt_basis(rank, window))
     for x in basis:
         for y in basis:
@@ -96,6 +112,7 @@ def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     alpha = Fraction(0)
     betas = [Fraction(0)] * rank
     exact = None
+    seen = set()
     start = 0
     for field in _FIELD_SEPARATOR.split(spec):
         key, eq, raw = field.partition("=")
@@ -104,17 +121,20 @@ def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
         if not eq:
             raise ParseError(f"bad cocycle spec field {field!r}", start)
         key = key.strip()
+        if key in seen:
+            raise ParseError(f"repeated cocycle spec key {key!r}", start)
+        seen.add(key)
         if key == "alpha":
             alpha = parse_coefficient(value, at)
         elif key == "beta":
-            parts = [p.strip() for p in value.strip("[]").split(",") if p.strip()]
+            parts = value.strip("[]").split(",")
             if len(parts) != rank:
                 raise ParseError(f"expected {rank} beta entries, got {len(parts)}", at)
+            at += len(value) - len(value.lstrip("["))
             betas = []
             for part in parts:
-                at = spec.index(part, at)
-                betas.append(parse_coefficient(part, at))
-                at += len(part)
+                betas.append(parse_coefficient(part.strip(), at + len(part) - len(part.lstrip())))
+                at += len(part) + 1
         elif key == "g":
             try:
                 exact = None if value == "0" else parse_laurent(value, rank)

@@ -32,9 +32,14 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
+def _check_size(name: str, value: int) -> None:
+    """A rank, window or case count below 1 would make a check vacuous."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _check_rank_arg(rank: int) -> None:
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_size("rank", rank)
 
 
 def _exponent(exp, rank: int) -> tuple:
@@ -169,15 +174,6 @@ class LaurentPoly(SparseStore):
     @classmethod
     def monomial(cls, rank: int, exp, coeff=1) -> "LaurentPoly":
         return cls(rank, {tuple(exp): _as_fraction(coeff)})
-
-    @classmethod
-    def variable(cls, rank: int, i: int) -> "LaurentPoly":
-        """The coordinate z_i, with 1 <= i <= rank."""
-        if not 1 <= i <= rank:
-            raise ValueError(f"variable index {i} out of range for rank {rank}")
-        exp = [0] * rank
-        exp[i - 1] = 1
-        return cls.monomial(rank, exp)
 
     # -- ring structure --------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 Machine form uses ASCII `t` for the odd generators, e.g. `3/2*z1^-2*z2^3*t1`
 or the tuple-exponent shorthand `z^(1,-2)*t1`.  Terms are `+`/`-` separated.
-Human-facing rendering substitutes the Greek letter and wedge symbol.
 """
 
 from __future__ import annotations
@@ -167,22 +166,16 @@ def parse_laurent(text: str, rank: int) -> LaurentPoly:
     return pv.degree0_to_laurent()
 
 
-def format_polyvector(pv: SparseStore, human: bool = False) -> str:
-    """Canonical machine form (round-trips through parse_polyvector), or a
-    human form with Greek theta and wedge glyphs.  A LaurentPoly prints as
-    the degree-0 polyvector with the same terms."""
+def format_polyvector(pv: SparseStore) -> str:
+    """Canonical machine form (round-trips through parse_polyvector).  A
+    LaurentPoly prints as the degree-0 polyvector with the same terms."""
     if pv.is_zero():
         return "0"
     parts = []
     for key, c in sorted(pv.terms.items()):
         exp, wedge = pv._exp_wedge(key)
         factors = [f"z{i + 1}^{e}" for i, e in enumerate(exp) if e != 0]
-        if human:
-            theta = "∧".join(f"θ{i}" for i in wedge)
-            if theta:
-                factors.append(theta)
-        else:
-            factors.extend(f"t{i}" for i in wedge)
+        factors.extend(f"t{i}" for i in wedge)
         if not factors:
             parts.append(str(c))
         elif c == 1:

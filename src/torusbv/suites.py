@@ -27,7 +27,7 @@ from .densityrep import (
     verify_lie_action,
 )
 from .floermodel import ChordGenerator, end_action, floer_report
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _check_size
 from .liealg import root_system_report, verify_lie_embedding
 
 DEFAULT_SEED = 2024
@@ -56,12 +56,6 @@ def random_polyvector(rng: random.Random, rank: int, window: int = 3) -> PolyVec
 
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
-
-
-def _check_size(name: str, value: int) -> None:
-    """A suite of zero cases would pass having checked nothing."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), window: int = 3) -> dict:

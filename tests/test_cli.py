@@ -403,6 +403,11 @@ BAD_INPUT = [
     (["rep", "--alpha=1/0", "--beta=0"], 0),
     (["rep", "--alpha=0", "--beta=1/0"], 0),
     (["bracket", "z1*t1", "t1 + q"], 5),
+    (["cocycle-check", "alpha=1,alpha=2"], 8),
+    (["cocycle-check", "beta=[1,,0]", "--rank", "2"], 5),
+    (["cocycle-check", "beta=[1,,0]", "--rank", "3"], 8),
+    (["cocycle-check", "beta=[1, ,0]", "--rank", "3"], 9),
+    (["cocycle-check", "beta=[1],g=z,beta=[2]"], 13),
 ]
 
 
@@ -484,6 +489,8 @@ VACUOUS = [
     (["verify", "rep-action", "--cases", "0"], "cases must be >= 1, got 0"),
     (["verify", "bv-axioms", "--window", "0"], "window must be >= 1, got 0"),
     (["verify", "bv-axioms", "--window", "-1"], "window must be >= 1, got -1"),
+    (["verify", "cocycles", "--window", "0"], "window must be >= 1, got 0"),
+    (["cocycle-check", "alpha=5", "--window", "0"], "window must be >= 1, got 0"),
 ]
 
 
@@ -500,6 +507,17 @@ def test_vacuous_rank_or_size_exits_2(argv, message, capsys):
     assert exc.value.code == 2
     error = {"type": "ValueError", "message": message, "position": None}
     assert json.loads(capsys.readouterr().out) == {"schema": 1, "error": error}
+
+
+def test_operand_starting_with_minus_needs_double_dash(capsys):
+    """argparse reads `-z^5*t1` as an unknown option; the documented
+    workaround is `--`, and there is no argv pre-pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bv", "-z^5*t1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(["bv", "--", "-z^5*t1"]) == 0
+    assert capsys.readouterr().out == "-5*z1^5\n"
 
 
 def test_library_rejects_vacuous_rank_and_triples():

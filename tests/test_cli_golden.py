@@ -1,11 +1,11 @@
 """Byte-identical CLI output.
 
-Each README example, each `verify` suite at its default seed and each
-mixed-degree `bracket`/`wedge`/`bv` command below, in text and `--json`, has
-a pinned exit code and sha256 of stdout.  The README and suite pins were
-taken before `main` began to reuse one argument parser, the mixed-degree
-pins before the bracket became one bilinear Delta formula over all degree
-parts.  `verify witt-closed-form`
+Each README example, each `verify` suite at its default seed, each
+mixed-degree `bracket`/`wedge`/`bv` command and the rank-2 `cocycle-check`
+below, in text and `--json`, has a pinned exit code and sha256 of stdout.
+The README and suite pins were taken before `main` began to reuse one
+argument parser, the mixed-degree pins before the bracket became one
+bilinear Delta formula over all degree parts.  `verify witt-closed-form`
 is left out because it takes about 15 s; the acceptance test for criterion 2
 runs the same closed forms.  A deliberate change to one of these outputs
 must update its pin here.
@@ -47,7 +47,12 @@ MIXED_DEGREE = [
     ("wedge --rank 3", '"-2*z1^1*t1+z2^-1*t2*t3+1/2" "z3^1*t1+z1^-1*z2^1-t2"'),
     ("bv --rank 4", '"-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"'),
 ]
-COMMANDS = [c + mode for c in README_EXAMPLES + SUITE_RUNS for mode in ("", " --json")] + [
+# a rank-2 spec with every part nonzero, pinned before the cochain and the
+# module action were computed in closed form
+COCYCLE_CHECKS = ['cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2']
+COMMANDS = [
+    c + mode for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS for mode in ("", " --json")
+] + [
     f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
 ]
 
@@ -87,6 +92,8 @@ PINS = {
     'verify shift-isomorphism --json': (0, 'd5e27131ad40c49541a07ed2f1f26a05c0f1e4fc0d9498ca38db00b169a93880'),
     'verify floer': (0, '5216de7cab0aa19e1ab4d49a42e8abae493e9c28d07003a6be8c384304e793f2'),
     'verify floer --json': (0, 'fb3311c291b309fc71a502514448601253e0744a1b5b9d4a11da72d1f744fc7a'),
+    'cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2': (0, 'cb2aa1f9171f3a2abdbc25d44c11a036b0d683d090d4e724b25b5da6afac91b9'),
+    'cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2 --json': (0, 'bd1b26e3f0bc7bb4cc261517b79371de08cbb446f14032a24d169a594baa7648'),
     'bracket --rank 1 -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'cd5149dd493809180f9672149a1dad5e20b1fc2016ce259ddb6cf0b0a7d0b164'),
     'bracket --rank 1 --json -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'b6a200f05245f94301d2a69ab1c51431c8a09184e2966bd4298562dd3f94604a'),
     'bracket --rank 2 -- "-z1^1*z2^-1*t1+2*t1*t2+z2^3" "z1^-2*t2-1/3*z1^1*z2^1*t1*t2+5"': (0, '03621adff17b6d959b3f574042e8aa971b8f6c9bbaab512df8f92e837b0109bd'),

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from torusbv.bvalgebra import PolyVector
+from torusbv.bvalgebra import PolyVector, bv_delta, gerstenhaber_bracket
 from torusbv.cocycle import (
     CE1Cochain,
     ce_differential_check,
@@ -11,7 +12,8 @@ from torusbv.cocycle import (
     parse_cochain_spec,
     witt_basis,
 )
-from torusbv.laurent import LaurentPoly
+from torusbv.densityrep import DensityRepSpec, rho_apply
+from torusbv.laurent import LaurentPoly, RankMismatchError
 
 
 def xi(n):
@@ -124,3 +126,107 @@ def test_parse_cochain_spec_rank2():
     assert psi.exact_part == LaurentPoly(2, {(2, -1): 1})
     with pytest.raises(ValueError):
         parse_cochain_spec("beta=[1,2", 2)
+
+
+# Oracles: the action and the cochain family through the Gerstenhaber
+# bracket, as the definitions x.m = [x, m] and
+# alpha*Delta + sum_i beta_i z_i^{-1}[-, z_i] + [-, g] read.
+
+
+def as_polyvector(m):
+    return PolyVector(m.rank, {(e, ()): c for e, c in m.terms.items()})
+
+
+def bracket_module_action(x, m):
+    return gerstenhaber_bracket(x, as_polyvector(m)).degree0_to_laurent()
+
+
+def bracket_cochain(psi, x):
+    out = bv_delta(x).degree0_to_laurent().scale(psi.alpha)
+    for i, beta in enumerate(psi.betas):
+        z_i = LaurentPoly.monomial(psi.rank, [int(j == i) for j in range(psi.rank)])
+        out = out + (z_i.invert_monomial() * bracket_module_action(x, z_i)).scale(beta)
+    if psi.exact_part is not None:
+        out = out + bracket_module_action(x, psi.exact_part)
+    return out
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def random_laurent(rng, rank, max_terms=3):
+    return LaurentPoly(rank, {
+        tuple(rng.randint(-2, 2) for _ in range(rank)): random_fraction(rng)
+        for _ in range(rng.randint(0, max_terms))
+    })
+
+
+def random_field(rng, rank):
+    """A vector field plus, half the time, a function part (which acts by 0)."""
+    terms = {
+        (tuple(rng.randint(-2, 2) for _ in range(rank)), (rng.randint(1, rank),)): random_fraction(rng)
+        for _ in range(rng.randint(1, 3))
+    }
+    if rng.random() < 0.5:
+        terms[(tuple(rng.randint(-2, 2) for _ in range(rank)), ())] = random_fraction(rng)
+    return PolyVector(rank, terms)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_module_action_matches_bracket_oracle(rank):
+    rng = random.Random(700 + rank)
+    for _ in range(200):
+        x, m = random_field(rng, rank), random_laurent(rng, rank)
+        assert module_action(x, m) == bracket_module_action(x, m)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_cochain_matches_bracket_oracle(rank):
+    rng = random.Random(800 + rank)
+    for _ in range(200):
+        g = random_laurent(rng, rank) if rng.random() < 0.5 else None
+        psi = CE1Cochain(rank, random_fraction(rng), [random_fraction(rng) for _ in range(rank)], g)
+        x = random_field(rng, rank)
+        assert psi(x) == bracket_cochain(psi, x)
+
+
+def test_action_and_cochain_cancel_to_zero():
+    # (theta_1 + theta_2) . z1 z2^-1 = (1 - 1) z1 z2^-1
+    x = PolyVector.theta(2, 1) + PolyVector.theta(2, 2)
+    m = LaurentPoly(2, {(1, -1): 3})
+    assert module_action(x, m).is_zero() and bracket_module_action(x, m).is_zero()
+    # psi(theta_1 + theta_2) = beta_1 + beta_2 = 0
+    psi = CE1Cochain(2, alpha=5, betas=[1, -1])
+    assert psi(x).is_zero() and bracket_cochain(psi, x).is_zero()
+    # alpha n_i + beta_i = 0 on both terms, and the two brackets with a
+    # nonzero g cancel
+    psi = CE1Cochain(2, alpha=1, betas=[-3, 1], exact_part=LaurentPoly(2, {(1, 1): 2}))
+    x = PolyVector.xi(2, (3, -1), 1) - PolyVector.xi(2, (3, -1), 2)
+    assert psi(x).is_zero() and bracket_cochain(psi, x).is_zero()
+
+
+def test_degree_2_input_raises_even_when_the_bracket_vanishes():
+    # [theta_1 theta_2, 1] = 0, so the bracket oracle returns 0 here; the
+    # action is defined on vector fields only and raises
+    pv = PolyVector.monomial(2, (0, 0), (1, 2))
+    assert bracket_module_action(pv, LaurentPoly.one(2)).is_zero()
+    with pytest.raises(ValueError, match="degree-2"):
+        module_action(pv, LaurentPoly.one(2))
+    with pytest.raises(ValueError, match="degree-2"):
+        CE1Cochain(2)(pv + PolyVector.theta(2, 1))
+    with pytest.raises(RankMismatchError):
+        module_action(PolyVector.theta(2, 1), LaurentPoly.one(1))
+
+
+def test_density_action_is_module_action_twisted_by_cocycle():
+    """rho_{alpha,beta}(xi_i) p = xi_i.p + psi(xi_i) p with
+    psi = alpha*Delta + beta*z^{-1}[-, z]."""
+    rng = random.Random(900)
+    for _ in range(500):
+        alpha, beta = random_fraction(rng), random_fraction(rng)
+        i, p = rng.randint(-4, 4), random_laurent(rng, 1, 4)
+        xi_i = PolyVector.xi(1, (i,), 1)
+        twisted = module_action(xi_i, p) + CE1Cochain(1, alpha, [beta])(xi_i) * p
+        assert rho_apply(DensityRepSpec(alpha, beta), i, p) == twisted
+
