@@ -13,15 +13,34 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import matrix
-from .laurent import LaurentPoly, _as_fraction
+from .laurent import LaurentPoly, _as_fraction, _check_size
 
 
 class DensityRepSpec:
-    """The pair (alpha, beta) defining rho_{alpha,beta} at rank 1."""
+    """The pair (alpha, beta) defining rho_{alpha,beta} at rank 1.  Both are
+    read-only, so the memo behind `shift` cannot go stale."""
+
+    __slots__ = ("_alpha", "_beta", "_shifts")
 
     def __init__(self, alpha, beta):
-        self.alpha = _as_fraction(alpha)
-        self.beta = _as_fraction(beta)
+        self._alpha = _as_fraction(alpha)
+        self._beta = _as_fraction(beta)
+        self._shifts = {}
+
+    @property
+    def alpha(self) -> Fraction:
+        return self._alpha
+
+    @property
+    def beta(self) -> Fraction:
+        return self._beta
+
+    def shift(self, i: int) -> Fraction:
+        """alpha*i + beta, computed at most once per i."""
+        s = self._shifts.get(i)
+        if s is None:
+            s = self._shifts[i] = self._alpha * i + self._beta
+        return s
 
     def __repr__(self):
         return f"DensityRepSpec(alpha={self.alpha}, beta={self.beta})"
@@ -32,7 +51,7 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
     # j -> i + j is injective, so each key is hit once; _raw drops the zeros
-    shift = spec.alpha * i + spec.beta
+    shift = spec.shift(i)
     return LaurentPoly._raw(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
 
 
@@ -47,20 +66,26 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
 
     Images are evaluated exactly on each monomial, so there are no
     truncation edge effects.  For each z^j the images rho(xi_k) z^j,
-    |k| <= 2*bracket_window, are computed once and serve as the inner
-    factors of both orders of the commutator and as the left side.
+    |k| <= 2W with W = bracket_window, are computed once and serve as the
+    left sides and the inner factors.  Each composite rho(xi_n) rho(xi_m) z^j
+    is then computed once and serves both orders of the commutator, so a
+    monomial costs (4W+1) + (2W+1)^2 calls of rho_apply.
+
+    An empty monomial range or a window below 1 would check nothing and
+    raises ValueError.
     """
+    _check_size("hi - lo + 1", hi - lo + 1)
+    _check_size("bracket_window", bracket_window)
     window = range(-bracket_window, bracket_window + 1)
     reach = range(-2 * bracket_window, 2 * bracket_window + 1)
     for j in range(lo, hi + 1):
         zj = LaurentPoly.monomial(1, (j,))
         image = {k: rho_apply(spec, k, zj) for k in reach}
+        twice = {(n, m): rho_apply(spec, n, image[m]) for n in window for m in window}
         for n in window:
             for m in window:
                 # [xi_n, xi_m] = (m - n) xi_{n+m}
-                lhs = image[n + m].scale(m - n)
-                rhs = rho_apply(spec, n, image[m]) - rho_apply(spec, m, image[n])
-                if lhs != rhs:
+                if image[n + m].scale(m - n) != twice[n, m] - twice[m, n]:
                     return False
     return True
 
@@ -222,9 +247,13 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     """Verify that z^j -> z^{j+m} intertwines rho_{alpha, beta+m} with
     rho_{alpha, beta}: rho_{alpha,beta}(xi_i) o shift = shift o
     rho_{alpha,beta+m}(xi_i) on all window monomials, |i| <= bracket_window.
+    A bool shift raises TypeError; an empty monomial range or a window below
+    1 raises ValueError.
     """
-    if not isinstance(m, int):
-        raise TypeError("shift must be an integer")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"shift must be an integer, got {m!r}")
+    _check_size("hi - lo + 1", hi - lo + 1)
+    _check_size("bracket_window", bracket_window)
     base = DensityRepSpec(alpha, beta)
     shifted = DensityRepSpec(alpha, _as_fraction(beta) + m)
 

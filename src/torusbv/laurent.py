@@ -94,7 +94,12 @@ class SparseStore:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        self._check_rank(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            old = terms.get(key)
+            terms[key] = -coeff if old is None else old - coeff
+        return self._raw(self.rank, terms)
 
     def __neg__(self):
         return self._raw(self.rank, {k: -c for k, c in self.terms.items()})

@@ -13,7 +13,7 @@ from .laurent import _as_fraction, _check_rank_arg
 
 
 def _require_vector_field(pv: PolyVector, what: str = "argument") -> None:
-    if pv.degree() not in (0, 1) or (pv.terms and pv.degree() != 1):
+    if any(len(w) != 1 for _, w in pv.terms):
         raise ValueError(f"{what} must be a pure degree-1 polyvector field")
 
 

@@ -18,7 +18,7 @@ from .bvalgebra import (
     gerstenhaber_bracket,
     wedge,
 )
-from .cocycle import CE1Cochain, ce_differential_check, is_cocycle_on_window, witt_basis
+from .cocycle import CE1Cochain, is_cocycle_on_window, module_action, witt_basis
 from .densityrep import (
     DensityRepSpec,
     check_irreducible,
@@ -182,7 +182,9 @@ def embedding_suite(ranks=(1, 2, 3)) -> dict:
 
 def cocycle_suite(rank: int = 1, window: int = 4, seed: int = DEFAULT_SEED) -> dict:
     """BV and logarithmic cocycles pass the window check; a coboundary
-    passes; the engineered non-cocycle fails; linear combinations pass."""
+    passes; the engineered non-cocycle fails; linear combinations pass; the
+    closed-form module action equals the bracket action on the window basis
+    and three seeded Laurent polynomials."""
     rng = random.Random(seed)
     checks = []
     bv = CE1Cochain(rank, alpha=1)
@@ -224,6 +226,25 @@ def cocycle_suite(rank: int = 1, window: int = 4, seed: int = DEFAULT_SEED) -> d
             rhs = gerstenhaber_bracket(x, bv_delta(y)) - gerstenhaber_bracket(y, bv_delta(x))
             bv_identity &= lhs == rhs
     checks.append({"name": "bv_cocycle_identity_exact_form", "ok": bv_identity})
+
+    # the closed-form module action is the bracket action x.m = [x, m], with
+    # m a function (degree-0 polyvector); the bracket has no other degree
+    def function(m):
+        return PolyVector(rank, {(e, ()): c for e, c in m.terms.items()})
+
+    samples = [
+        LaurentPoly(rank, {
+            tuple(rng.randint(-2, 2) for _ in range(rank)):
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(3)
+        })
+        for _ in range(3)
+    ]
+    action_ok = True
+    for x in witt_basis(rank, window):
+        for m in samples:
+            action_ok &= gerstenhaber_bracket(x, function(m)) == function(module_action(x, m))
+    checks.append({"name": "module_action_is_bracket_action", "ok": action_ok})
     return _finish("cocycles", checks, rank=rank, window=window)
 
 

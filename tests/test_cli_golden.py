@@ -82,8 +82,8 @@ PINS = {
     'verify bv-axioms --json': (0, '44d98f3a9953b85051813ab7ea8f075c6c4bb1f089e8ab7b66a82c01b0f139c5'),
     'verify embedding': (0, '93eff3dc3e8731c7ee6c53fd1ba9cbe8cdb117ca83f9668f39008dfc0e2d037d'),
     'verify embedding --json': (0, '2243f49c968b73b16b503859a589d6226091bcee3786c99b3571902433fd6f35'),
-    'verify cocycles': (0, '569fd76957290911fa9e636aa75c028026a8560ad878c49197c1ad4f10e8f5fa'),
-    'verify cocycles --json': (0, 'd0fd0b91d2a4f6bcc1c01f6a7b3cf95c0a576327764e806b4e92180434a54d3c'),
+    'verify cocycles': (0, '36d1518e9ab2cf46df81b43c557dafe4c10cad355e0ac9cf2d1181c4d14afab8'),
+    'verify cocycles --json': (0, '85323b414f936ddb70ed8aad3658f4867b80c2bdb587c944842197f8e1aac5b9'),
     'verify rep-classification': (0, '7d89bed202db57572e51315f6b75893190c6db90d16a67e4b361c2efd7fe0f52'),
     'verify rep-classification --json': (0, 'b5284dd8dd2e7b39481bb3513fb53f11cc97fd3512c436577c7c8dbd65ce69f3'),
     'verify rep-action': (0, '3c36d7d81de9e7f0d740abac0f8a2214b490663fe3ce0199eee0bc7bc7d16e33'),

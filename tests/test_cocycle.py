@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusbv import suites
 from torusbv.bvalgebra import PolyVector, bv_delta, gerstenhaber_bracket
 from torusbv.cocycle import (
     CE1Cochain,
@@ -230,3 +231,24 @@ def test_density_action_is_module_action_twisted_by_cocycle():
         twisted = module_action(xi_i, p) + CE1Cochain(1, alpha, [beta])(xi_i) * p
         assert rho_apply(DensityRepSpec(alpha, beta), i, p) == twisted
 
+
+@pytest.mark.parametrize("rank, window", [(1, 4), (2, 2)])
+def test_cocycle_suite_checks_module_action_against_the_bracket(monkeypatch, rank, window):
+    def names(report):
+        return {c["name"]: c["ok"] for c in report["checks"]}
+
+    assert names(suites.cocycle_suite(rank, window))["module_action_is_bracket_action"] is True
+
+    def n_for_k(x, m):
+        # z^n theta_i . z^k = n_i z^{n+k}: the factor of the wrong side
+        terms = {}
+        for (n, w), c in x.terms.items():
+            for k, d in m.terms.items():
+                e = tuple(a + b for a, b in zip(n, k))
+                terms[e] = terms.get(e, 0) + c * d * n[w[0] - 1]
+        return LaurentPoly(x.rank, terms)
+
+    monkeypatch.setattr(suites, "module_action", n_for_k)
+    report = suites.cocycle_suite(rank, window)
+    assert names(report)["module_action_is_bracket_action"] is False
+    assert report["passed"] is False

@@ -229,3 +229,136 @@ def test_irreducibility_cross_check_still_runs_under_python_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
     assert proc.stdout == b"raised\n"
+
+
+# The two-call form of the Lie-action check, kept as an oracle: both orders
+# of each composite are built from scratch, through the patchable
+# `densityrep.rho_apply` like the library check, and subtraction is written
+# as a + (-b) so that it does not go through SparseStore.__sub__.
+def two_call_lie_action(spec, lo, hi, bracket_window):
+    rho = densityrep.rho_apply
+    window = range(-bracket_window, bracket_window + 1)
+    for j in range(lo, hi + 1):
+        zj = zpow(j)
+        image = {k: rho(spec, k, zj) for k in range(-2 * bracket_window, 2 * bracket_window + 1)}
+        for n in window:
+            for m in window:
+                lhs = image[n + m].scale(m - n)
+                rhs = rho(spec, n, image[m]) + (-rho(spec, m, image[n]))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def rep_theory_grid_specs():
+    # the benchmark's rep-theory grid: 2 alpha in [-8, 2], 2 beta in [-8, 8]
+    return [
+        DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_beta, 2))
+        for two_alpha in range(-8, 3)
+        for two_beta in range(-8, 9)
+    ]
+
+
+def rep_action_suite_specs():
+    rng = random.Random(2024)
+    specs = [DensityRepSpec(0, 0), DensityRepSpec(Fraction(1, 2), 0)]
+    for _ in range(10):
+        specs.append(
+            DensityRepSpec(Fraction(rng.randint(-8, 8), 2), Fraction(rng.randint(-8, 8), 2))
+        )
+    return specs
+
+
+def wrong_off_unit_coefficients(spec, i, p):
+    # c -> c^2: right on coefficients 0 and 1 only, so right on every
+    # monomial z^j and wrong on most composites
+    return LaurentPoly._raw(1, {(i + j,): (j + spec.shift(i)) * c * c for (j,), c in p.terms.items()})
+
+
+def wrong_for_one_order():
+    """rho_apply, except that the outer factor of rho(xi_n) rho(xi_m) z^j is
+    doubled when n > m and right when n <= m.  Each result remembers the
+    index that made it (the object is kept alive, so its id is not reused)."""
+    made_by = {}
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, p)
+        inner = made_by.get(id(p))
+        if inner is not None and i > inner[1]:
+            out = out.scale(2)
+        made_by[id(out)] = (out, i)
+        return out
+
+    return rho
+
+
+@pytest.mark.parametrize("specs, lo, hi, window", [
+    (rep_theory_grid_specs(), -2, 2, 1),
+    (rep_action_suite_specs(), -8, 8, 3),
+], ids=["rep_theory_grid", "rep_action_specs"])
+def test_lie_action_matches_two_call_oracle(specs, lo, hi, window):
+    for spec in specs:
+        assert verify_lie_action(spec, lo, hi, window) is two_call_lie_action(spec, lo, hi, window) is True
+
+
+@pytest.mark.parametrize(
+    "mutant", [lambda: wrong_off_unit_coefficients, wrong_for_one_order], ids=["off_unit", "one_order"]
+)
+def test_lie_action_check_catches_composite_only_faults(monkeypatch, mutant):
+    specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
+    for spec in specs:
+        for check in (verify_lie_action, two_call_lie_action):
+            rho = mutant()
+            monkeypatch.setattr(densityrep, "rho_apply", rho)
+            # right on every monomial, so every single image is right
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    assert rho(spec, i, zpow(j)) == rho_apply(spec, i, zpow(j))
+            assert check(spec, -3, 3, 2) is False
+
+
+@pytest.mark.parametrize("lo, hi, window, calls", [(-2, 2, 1, 70), (-8, 8, 3, 1054), (0, 0, 2, 34)])
+def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window, calls):
+    # (hi - lo + 1) * ((4W + 1) + (2W + 1)^2) calls, with W = window
+    count = 0
+
+    def counted(spec, i, p):
+        nonlocal count
+        count += 1
+        return rho_apply(spec, i, p)
+
+    monkeypatch.setattr(densityrep, "rho_apply", counted)
+    assert verify_lie_action(DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), lo, hi, window)
+    assert count == calls == (hi - lo + 1) * ((4 * window + 1) + (2 * window + 1) ** 2)
+
+
+def test_vacuous_lie_action_check_raises(monkeypatch):
+    spec = DensityRepSpec(0, 0)
+    with pytest.raises(ValueError, match=r"^hi - lo \+ 1 must be >= 1, got -2$"):
+        verify_lie_action(spec, 5, 2)
+    # at window 0 only [xi_0, xi_0] = 0 would be checked, which any map passes
+    monkeypatch.setattr(densityrep, "rho_apply", lambda spec, i, p: zpow(7, 11))
+    for window in (0, -1):
+        with pytest.raises(ValueError, match=rf"^bracket_window must be >= 1, got {window}$"):
+            verify_lie_action(spec, -2, 2, window)
+
+
+def test_vacuous_shift_check_raises():
+    with pytest.raises(ValueError, match=r"^hi - lo \+ 1 must be >= 1, got 0$"):
+        shift_isomorphism_check(-1, -1, 5, 3, 2)
+    with pytest.raises(ValueError, match=r"^bracket_window must be >= 1, got -1$"):
+        shift_isomorphism_check(-1, -1, 5, -8, 8, bracket_window=-1)
+    with pytest.raises(TypeError, match="shift must be an integer, got True"):
+        shift_isomorphism_check(-1, -1, True, -8, 8)
+
+
+def test_spec_shift_is_memoized_and_parameters_are_read_only():
+    spec = DensityRepSpec(Fraction(-3, 2), Fraction(5, 7))
+    for i in range(-6, 7):
+        assert spec.shift(i) == spec.alpha * i + spec.beta
+        assert spec.shift(i) is spec.shift(i)
+    for name in ("alpha", "beta"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 0)
+    assert (spec.alpha, spec.beta) == (Fraction(-3, 2), Fraction(5, 7))
+    assert spec.shift(1) == Fraction(-3, 2) + Fraction(5, 7)

@@ -6,6 +6,7 @@ import pytest
 from torusbv.bvalgebra import PolyVector
 from torusbv.laurent import LaurentPoly, NotInvertibleError, RankMismatchError
 from torusbv.parsing import format_polyvector
+from torusbv.suites import random_polyvector
 
 
 def L(rank, terms):
@@ -148,3 +149,28 @@ def test_inexact_coefficients_rejected():
         PolyVector.monomial(1, (0,), (), True)
     with pytest.raises(TypeError):
         L(1, {(1,): 1}).scale(1j)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sub_equals_add_of_negation(rank):
+    rng = random.Random(400 + rank)
+    for _ in range(60):
+        p, q = random_laurent(rng, rank), random_laurent(rng, rank)
+        a, b = random_polyvector(rng, rank, 2), random_polyvector(rng, rank, 2)
+        for x, y in ((p, q), (a, b), (p, p), (a, a)):
+            diff = x - y
+            assert diff == x + (-y)
+            assert type(diff) is type(x)
+            assert all(type(c) is Fraction and c for c in diff.terms.values())
+        assert (p - p).terms == {} and (a - a).terms == {}
+
+
+def test_sub_checks_rank_and_type():
+    with pytest.raises(RankMismatchError):
+        L(1, {(1,): 1}) - L(2, {(1, 0): 1})
+    with pytest.raises(RankMismatchError):
+        PolyVector.theta(1, 1) - PolyVector.theta(2, 1)
+    with pytest.raises(TypeError):
+        L(1, {(1,): 1}) - PolyVector.theta(1, 1)
+    with pytest.raises(TypeError):
+        PolyVector.theta(1, 1) - L(1, {(1,): 1})

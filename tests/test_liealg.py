@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv.bvalgebra import PolyVector
+from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.liealg import (
     GlMatrixElement,
     RootVector,
@@ -209,3 +209,19 @@ def test_restrict_closed_form_matches_four_case_oracle():
         assert all(type(c) is Fraction and c for c in got.terms.values())
         zero_results += got.is_zero()
     assert zero_results > 50
+
+
+def test_vector_field_arguments_accepted_and_rejected():
+    f = PolyVector.monomial(2, (1, 0))
+    theta = PolyVector.theta(2, 1)
+    two_vector = PolyVector.monomial(2, (0, 1), (1, 2))
+    accepted = [PolyVector.zero(2), theta, theta + PolyVector.xi(2, (1, -1), 2)]
+    rejected = [f, theta + f, two_vector, theta + two_vector, f + two_vector]
+    for x in accepted:
+        for y in accepted:
+            assert witt_bracket(x, y) == gerstenhaber_bracket(x, y)
+    for bad in rejected:
+        with pytest.raises(ValueError, match="^left argument must be a pure degree-1 polyvector field$"):
+            witt_bracket(bad, theta)
+        with pytest.raises(ValueError, match="^right argument must be a pure degree-1 polyvector field$"):
+            witt_bracket(theta, bad)
