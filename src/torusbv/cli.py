@@ -139,10 +139,11 @@ def cmd_rep(args):
         "dim": module.dim,
         "h_spectrum": [int(v) for v in module.h_spectrum()],
         "basis": module.basis_exponents,
-        "e": [[str(v) for v in row] for row in module.e],
-        "f": [[str(v) for v in row] for row in module.f],
         "irreducible": check_irreducible(module),
     }
+    if args.json:
+        result["e"] = [[str(v) for v in row] for row in module.e]
+        result["f"] = [[str(v) for v in row] for row in module.f]
     text = (
         f"finite sl2 submodule: dim {module.dim}, "
         f"basis z^{module.basis_exponents}, "

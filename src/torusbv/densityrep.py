@@ -15,6 +15,8 @@ from itertools import combinations
 from . import matrix
 from .laurent import LaurentPoly, _as_fraction, _check_size
 
+_ZERO = Fraction(0)
+
 
 class DensityRepSpec:
     """The pair (alpha, beta) defining rho_{alpha,beta} at rank 1.  Both are
@@ -69,7 +71,9 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     |k| <= 2W with W = bracket_window, are computed once and serve as the
     left sides and the inner factors.  Each composite rho(xi_n) rho(xi_m) z^j
     is then computed once and serves both orders of the commutator, so a
-    monomial costs (4W+1) + (2W+1)^2 calls of rho_apply.
+    monomial costs (4W+1) + (2W+1)^2 calls of rho_apply.  Only n < m is
+    compared: the (m, n) identity is the exact negation of the (n, m) one,
+    and n = m reads 0 == 0.
 
     An empty monomial range or a window below 1 would check nothing and
     raises ValueError.
@@ -82,71 +86,99 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
         zj = LaurentPoly.monomial(1, (j,))
         image = {k: rho_apply(spec, k, zj) for k in reach}
         twice = {(n, m): rho_apply(spec, n, image[m]) for n in window for m in window}
-        for n in window:
-            for m in window:
-                # [xi_n, xi_m] = (m - n) xi_{n+m}
-                if image[n + m].scale(m - n) != twice[n, m] - twice[m, n]:
-                    return False
+        for n, m in combinations(window, 2):
+            # [xi_n, xi_m] = (m - n) xi_{n+m}
+            if image[n + m].scale(m - n) != twice[n, m] - twice[m, n]:
+                return False
     return True
 
 
 class FiniteSl2Module:
     """A finite dimensional sl2 module with one-dimensional weight spaces,
-    given by matrices for e, h, f in a monomial basis z^{j} (labels stored)."""
+    as a weight chain on the basis x_t = z^{basis_exponents[t]}:
 
-    def __init__(self, basis_exponents, e, h, f):
-        self._set_entries(basis_exponents, e, h, f)
-        self._check_invariants()
+        h x_t = weights[t] x_t,   e x_t = a[t] x_{t+1},   f x_{t+1} = b[t] x_t.
 
-    def _set_entries(self, basis_exponents, e, h, f):
-        self.dim = len(basis_exponents)
-        self.basis_exponents = list(basis_exponents)
-        self.e = [[_as_fraction(v) for v in row] for row in e]
-        self.h = [[_as_fraction(v) for v in row] for row in h]
-        self.f = [[_as_fraction(v) for v in row] for row in f]
+    Such a module is fully described by its weights and one raising and one
+    lowering coefficient per step (Humphreys, Introduction to Lie Algebras
+    and Representation Theory, 7.2).  The sl2 relations are checked on the
+    chain: [h, e] = 2e and [h, f] = -2f say the weights are -n, -n+2, ..., n
+    in chain order, and [e, f] = h says a[t-1] b[t-1] - a[t] b[t] =
+    weights[t].  The dense matrices `e`, `h`, `f` are built on demand."""
 
-    def _check_invariants(self):
-        if matrix.commutator(self.h, self.e) != matrix.scale(self.e, 2):
-            raise ValueError("[h, e] != 2e")
-        if matrix.commutator(self.h, self.f) != matrix.scale(self.f, -2):
-            raise ValueError("[h, f] != -2f")
-        if matrix.commutator(self.e, self.f) != self.h:
-            raise ValueError("[e, f] != h")
-        spectrum = self.h_spectrum()
-        if any(v.denominator != 1 for v in spectrum):
+    def __init__(self, basis_exponents, weights, a, b):
+        self._set_chain(basis_exponents, weights, a, b)
+        d = self.dim
+        if len(self.weights) != d or len(self.a) != d - 1 or len(self.b) != d - 1:
+            raise ValueError(
+                f"{d} basis vectors need {d} weights and {d - 1} values each of a and b, "
+                f"got {len(self.weights)}, {len(self.a)} and {len(self.b)}"
+            )
+        if any(w.denominator != 1 for w in self.weights):
             raise ValueError("h eigenvalues must be integers")
-        n = self.dim - 1
-        if spectrum != [Fraction(-n + 2 * t) for t in range(self.dim)]:
-            raise ValueError("h spectrum must be {-n, -n+2, ..., n}")
+        if self.weights != [Fraction(2 * t - d + 1) for t in range(d)]:
+            raise ValueError("h weights must be -n, -n+2, ..., n in chain order")
+        products = self._step_products()
+        if any(products[t] - products[t + 1] != w for t, w in enumerate(self.weights)):
+            raise ValueError("[e, f] != h")
+
+    def _set_chain(self, basis_exponents, weights, a, b):
+        self.basis_exponents = list(basis_exponents)
+        self.weights = [_as_fraction(v) for v in weights]
+        self.a = [_as_fraction(v) for v in a]
+        self.b = [_as_fraction(v) for v in b]
 
     @classmethod
-    def unchecked(cls, basis_exponents, e, h, f) -> "FiniteSl2Module":
+    def unchecked(cls, basis_exponents, weights, a, b) -> "FiniteSl2Module":
         """Construct without invariant checks (test fixtures for reducible
         or malformed modules)."""
         module = object.__new__(cls)
-        module._set_entries(basis_exponents, e, h, f)
+        module._set_chain(basis_exponents, weights, a, b)
         return module
 
     def __repr__(self):
-        def rows(m):
-            return [[str(v) for v in row] for row in m]
-
         return (
             f"FiniteSl2Module(basis_exponents={self.basis_exponents}, "
-            f"e={rows(self.e)}, h={rows(self.h)}, f={rows(self.f)})"
+            f"weights={[str(v) for v in self.weights]}, "
+            f"a={[str(v) for v in self.a]}, b={[str(v) for v in self.b]})"
         )
 
+    def _step_products(self):
+        """[0, a[0] b[0], ..., a[d-2] b[d-2], 0]: ef x_t and fe x_t are
+        entries t and t + 1 times x_t."""
+        return [_ZERO, *(x * y for x, y in zip(self.a, self.b)), _ZERO]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_exponents)
+
+    @property
+    def e(self):
+        return self._dense(self.a, 1, 0)
+
+    @property
+    def h(self):
+        return self._dense(self.weights, 0, 0)
+
+    @property
+    def f(self):
+        return self._dense(self.b, 0, 1)
+
+    def _dense(self, values, row, col):
+        """A new dense matrix with values[t] at (t + row, t + col)."""
+        m = matrix.zeros(self.dim)
+        for t, v in enumerate(values):
+            m[t + row][t + col] = v
+        return m
+
     def h_spectrum(self):
-        if any(self.h[i][j] for i in range(self.dim) for j in range(self.dim) if i != j):
-            raise ValueError("h must act diagonally")
-        return sorted(self.h[i][i] for i in range(self.dim))
+        return sorted(self.weights)
 
     def casimir(self):
-        """ef + fe + h^2/2 as a matrix."""
-        ef = matrix.product(self.e, self.f)
-        fe = matrix.product(self.f, self.e)
-        hh = matrix.scale(matrix.product(self.h, self.h), Fraction(1, 2))
-        return matrix.add(matrix.add(ef, fe), hh)
+        """The value of ef + fe + h^2/2 on each basis vector, which it maps
+        to a multiple of itself on any chain."""
+        products = self._step_products()
+        return [products[t] + products[t + 1] + w * w / 2 for t, w in enumerate(self.weights)]
 
 
 def has_finite_submodule(spec: DensityRepSpec) -> bool:
@@ -177,23 +209,14 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
         raise RuntimeError(f"lowest exponent alpha - beta = {j0} of {spec!r} is not an integer")
     j0 = int(j0)
     exponents = [j0 + t for t in range(n + 1)]
-    dim = n + 1
-    e = matrix.zeros(dim)
-    h = matrix.zeros(dim)
-    f = matrix.zeros(dim)
-    for t, j in enumerate(exponents):
-        h[t][t] = 2 * weight_of(spec, j)
-        ecoeff = j + spec.alpha + spec.beta
-        if ecoeff:
-            if t + 1 >= dim:
-                raise RuntimeError("raising operator escapes the submodule")
-            e[t + 1][t] = ecoeff
-        fcoeff = -(j - spec.alpha + spec.beta)
-        if fcoeff:
-            if t - 1 < 0:
-                raise RuntimeError("lowering operator escapes the submodule")
-            f[t - 1][t] = fcoeff
-    return FiniteSl2Module(exponents, e, h, f)
+    a = [j + spec.alpha + spec.beta for j in exponents]
+    b = [spec.alpha - spec.beta - j for j in exponents]
+    if a.pop():
+        raise RuntimeError("raising operator escapes the submodule")
+    if b.pop(0):
+        raise RuntimeError("lowering operator escapes the submodule")
+    weights = [2 * weight_of(spec, j) for j in exponents]
+    return FiniteSl2Module(exponents, weights, a, b)
 
 
 def check_irreducible(module: FiniteSl2Module) -> bool:
@@ -206,11 +229,10 @@ def check_irreducible(module: FiniteSl2Module) -> bool:
     the diagonal operator h, which has distinct eigenvalues).
     """
     dim = module.dim
-    spectrum = module.h_spectrum()
-    if len(set(spectrum)) != dim:
+    if len(set(module.weights)) != dim:
         # repeated weights: by complete reducibility the module splits
         return False
-    chain_ok = all(module.e[t + 1][t] != 0 for t in range(dim - 1))
+    chain_ok = all(module.a)
     if dim <= 5 and chain_ok != _irreducible_brute_force(module):
         raise RuntimeError(
             f"raising-chain criterion ({chain_ok}) and brute force disagree on {module!r}"
@@ -221,24 +243,15 @@ def check_irreducible(module: FiniteSl2Module) -> bool:
 def _irreducible_brute_force(module: FiniteSl2Module) -> bool:
     """Enumerate all proper nonzero spans of h-eigenvectors and test
     invariance under e and f.  Since h is diagonal with distinct entries,
-    every invariant subspace is of this form."""
-    dim = module.dim
-    indices = range(dim)
-    for size in range(1, dim):
-        for subset in combinations(indices, size):
+    every invariant subspace is of this form; on the chain, it is invariant
+    iff no nonzero a[t] leads out of it from x_t and no nonzero b[t] from
+    x_{t+1}."""
+    steps = [(t, t + 1) for t, v in enumerate(module.a) if v]
+    steps += [(t + 1, t) for t, v in enumerate(module.b) if v]
+    for size in range(1, module.dim):
+        for subset in combinations(range(module.dim), size):
             inside = set(subset)
-            invariant = True
-            for op in (module.e, module.f):
-                for col in subset:
-                    for row in indices:
-                        if row not in inside and op[row][col]:
-                            invariant = False
-                            break
-                    if not invariant:
-                        break
-                if not invariant:
-                    break
-            if invariant:
+            if all(dst in inside for src, dst in steps if src in inside):
                 return False
     return True
 

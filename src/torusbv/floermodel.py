@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matrix
 from .densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule
 
 
@@ -85,32 +84,6 @@ def end_action(j: int, g: ChordGenerator, n: int):
     return Fraction(k), ChordGenerator("proper_minus", k + j)
 
 
-@dataclass
-class ConstrainedSl2Action:
-    """A solution of the forced-action system on the intersection span:
-    e x_k = a[k] x_{k+1}, f x_k = b[k] x_{k-1}, h x_k = (2k - n) x_k."""
-
-    n: int
-    a: list  # length n, a[k] for k = 0..n-1
-    b: list  # length n, b[k-1] for k = 1..n
-
-    def matrices(self):
-        dim = self.n + 1
-        e = matrix.zeros(dim)
-        h = matrix.zeros(dim)
-        f = matrix.zeros(dim)
-        for k in range(dim):
-            h[k][k] = Fraction(2 * k - self.n)
-        for k in range(self.n):
-            e[k + 1][k] = self.a[k]
-            f[k][k + 1] = self.b[k]
-        return e, h, f
-
-    def to_module(self) -> FiniteSl2Module:
-        e, h, f = self.matrices()
-        return FiniteSl2Module(list(range(self.n + 1)), e, h, f)
-
-
 def solve_forced_action(n: int):
     """Solve for all sl2 actions on the intersection span consistent with
     the proved constraints, up to basis rescaling.
@@ -128,7 +101,8 @@ def solve_forced_action(n: int):
     nonzero and the rescaling group acts transitively on solutions.
 
     Returns the single orbit in canonical form a_k = n - k (so b follows as
-    b_{k+1} = c_k / a_k = k + 1), as a one-element list.
+    b_{k+1} = c_k / a_k = k + 1), as a one-element list holding the weight
+    chain with a[k] = a_k and b[k] = b_{k+1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -146,21 +120,13 @@ def solve_forced_action(n: int):
         return []
     a = [Fraction(n - k) for k in range(n)]
     b = [c[k] / a[k] for k in range(n)]
-    return [ConstrainedSl2Action(n, a, b)]
+    return [FiniteSl2Module(range(n + 1), [2 * k - n for k in range(n + 1)], a, b)]
 
 
-def casimir_scalar(action: ConstrainedSl2Action):
+def casimir_scalar(module: FiniteSl2Module):
     """The scalar by which ef + fe + h^2/2 acts, or None if not scalar."""
-    module = action.to_module()
-    cas = module.casimir()
-    dim = module.dim
-    value = cas[0][0]
-    for i in range(dim):
-        for j in range(dim):
-            expected = value if i == j else 0
-            if cas[i][j] != expected:
-                return None
-    return value
+    values = module.casimir()
+    return values[0] if all(v == values[0] for v in values) else None
 
 
 def identify_with_density_model(n: int) -> dict:
@@ -174,33 +140,27 @@ def identify_with_density_model(n: int) -> dict:
     solutions = solve_forced_action(n)
     if len(solutions) != 1:
         return {"n": n, "matches": False, "reason": f"{len(solutions)} orbits"}
-    action = solutions[0]
+    return _match_density_model(n, solutions[0])
+
+
+def _match_density_model(n: int, floer: FiniteSl2Module) -> dict:
     density = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
     if density is None or density.dim != n + 1:
         return {"n": n, "matches": False, "reason": "density submodule missing"}
-    floer = action.to_module()
-    if floer.h_spectrum() != density.h_spectrum():
+    if floer.weights != density.weights:
         return {"n": n, "matches": False, "reason": "h spectra differ"}
-    # solve u from the e-intertwining relation u_{k+1} a_k = e_density * u_k
+    # T = diag(u) with T e_floer = e_density T: u_{k+1} a_floer[k] = a_density[k] u_k
     u = [Fraction(1)]
     for k in range(n):
-        e_dens = density.e[k + 1][k]
-        u.append(u[k] * e_dens / action.a[k])
-    # verify T e_floer = e_dens T, T h_floer = h_dens T, T f_floer = f_dens T
-    # with T = diag(u)
-    ok = True
-    ef, hf, ff = action.matrices()
-    for (op_f, op_d) in ((ef, density.e), (hf, density.h), (ff, density.f)):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if u[i] * op_f[i][j] != op_d[i][j] * u[j]:
-                    ok = False
+        u.append(u[k] * density.a[k] / floer.a[k])
+    # then T f_floer = f_density T on the chain; T h = h T since the weights agree
+    ok = all(u[k] * floer.b[k] == density.b[k] * u[k + 1] for k in range(n))
     return {
         "n": n,
         "matches": ok,
         "rescaling": [str(v) for v in u],
         "h_spectrum": [int(v) for v in floer.h_spectrum()],
-        "casimir": str(casimir_scalar(action)),
+        "casimir": str(casimir_scalar(floer)),
     }
 
 
@@ -215,9 +175,8 @@ def floer_report(n: int) -> dict:
         "unique_up_to_rescaling": unique,
     }
     if unique:
-        action = solutions[0]
-        module = action.to_module()
+        module = solutions[0]
         report["h_spectrum"] = [int(v) for v in module.h_spectrum()]
-        report["casimir"] = str(casimir_scalar(action))
-        report["matches_density_model"] = identify_with_density_model(n)["matches"]
+        report["casimir"] = str(casimir_scalar(module))
+        report["matches_density_model"] = _match_density_model(n, module)["matches"]
     return report

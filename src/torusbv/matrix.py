@@ -2,7 +2,7 @@
 
 Square matrices are lists of rows of Fractions.  Those of the
 representation layer are mostly zero (diagonal, sub- or super-diagonal,
-elementary), so the product and the entrywise operations skip every term
+elementary), so the product and the commutator skip every term
 known to vanish.  `rank` takes sparse rows {column: Fraction} instead, so
 vectors such as PolyVector.terms go in as they are, with no shared
 coordinate basis built first.
@@ -37,14 +37,6 @@ def product(a, b):
                     out_row[j] = x * y if v is _ZERO else v + x * y
         out.append(out_row)
     return out
-
-
-def add(a, b):
-    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(a, c):
-    return [[c * x if x else x for x in row] for row in a]
 
 
 def commutator(a, b):

@@ -110,7 +110,7 @@ def test_criterion_8_floer_forcing():
         ok &= len(solutions) == 1
         if solutions:
             action = solutions[0]
-            ok &= action.to_module().dim == n + 1
+            ok &= action.dim == n + 1
             ok &= casimir_scalar(action) == Fraction(n * (n + 2), 2)
             ok &= identify_with_density_model(n)["matches"]
     report(8, "forced sl2 action is unique and matches the density model, n = 1..6", ok)

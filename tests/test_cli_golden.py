@@ -2,13 +2,13 @@
 
 Each README example, each `verify` suite at its default seed, each
 mixed-degree `bracket`/`wedge`/`bv` command and the rank-2 `cocycle-check`
-below, in text and `--json`, has a pinned exit code and sha256 of stdout.
-The README and suite pins were taken before `main` began to reuse one
-argument parser, the mixed-degree pins before the bracket became one
-bilinear Delta formula over all degree parts.  `verify witt-closed-form`
-is left out because it takes about 15 s; the acceptance test for criterion 2
-runs the same closed forms.  A deliberate change to one of these outputs
-must update its pin here.
+below, in text and `--json`, and each `rep`/`floer` command of
+`SL2_MODULES`, has a pinned exit code and sha256 of stdout.  The README and
+suite pins were taken before `main` began to reuse one argument parser, the
+mixed-degree pins before the bracket became one bilinear Delta formula over
+all degree parts.  `verify witt-closed-form` is left out because it takes
+about 15 s; the acceptance test for criterion 2 runs the same closed forms.
+A deliberate change to one of these outputs must update its pin here.
 """
 
 import contextlib
@@ -50,11 +50,20 @@ MIXED_DEGREE = [
 # a rank-2 spec with every part nonzero, pinned before the cochain and the
 # module action were computed in closed form
 COCYCLE_CHECKS = ['cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2']
+# sl2 modules beyond the README sizes, pinned before the density and Floer
+# models shared one weight-chain module type: an 8-dimensional submodule
+# with a negative lowest exponent, a point with no submodule, and V(8)
+SL2_MODULES = [
+    "rep --alpha=-7/2 --beta=5/2",
+    "rep --alpha=-7/2 --beta=5/2 --json",
+    "rep --alpha=1/2 --beta=0 --json",
+    "floer --n 8 --json",
+]
 COMMANDS = [
     c + mode for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS for mode in ("", " --json")
 ] + [
     f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
-]
+] + SL2_MODULES
 
 # command line after `torusbv` -> (exit code, sha256 of stdout)
 PINS = {
@@ -108,6 +117,10 @@ PINS = {
     'wedge --rank 3 --json -- "-2*z1^1*t1+z2^-1*t2*t3+1/2" "z3^1*t1+z1^-1*z2^1-t2"': (0, '39763356fe8871a91d4f87e9f2263f2689b7e3f0691f1ba9222b6ab5dc684caa'),
     'bv --rank 4 -- "-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"': (0, '1c651f5eba0eef043a4b7cc4e4239f23f26346091ee19cfe9fdb905c649f107c'),
     'bv --rank 4 --json -- "-z1^2*z2^-1*t1*t2+3*z3^1*z4^-1*t3*t4*t1+z4^2*t4-5*z1^1"': (0, '03e58a11ec9dee718e01051da509bf469eee2c39e8ea301abfa912551d060092'),
+    'rep --alpha=-7/2 --beta=5/2': (0, '3b88602203dff15403aa17293089b964a2162093f689bcfa8ea4f77080314cd4'),
+    'rep --alpha=-7/2 --beta=5/2 --json': (0, '04027d2dafb7e140252e9e5812134584c3b5fb08804d7d0ce74c92c31bdcd311'),
+    'rep --alpha=1/2 --beta=0 --json': (0, 'a4fb1dba353a055dbb93e8a8533143705110f5a1870318a10e5c06625f707c4f'),
+    'floer --n 8 --json': (0, 'b8581a34498673c0f3de82af6875c8c55247c6f78ef7a368705daa0f9753b229'),
 }
 
 USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2

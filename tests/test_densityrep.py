@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import densityrep
+from torusbv import densityrep, matrix
 from torusbv.densityrep import (
     DensityRepSpec,
     FiniteSl2Module,
@@ -18,6 +18,7 @@ from torusbv.densityrep import (
     verify_lie_action,
     weight_of,
 )
+from torusbv.floermodel import solve_forced_action
 from torusbv.laurent import LaurentPoly
 
 
@@ -92,8 +93,7 @@ def test_extract_dim4_irreducible():
 
 def test_reducible_fixture_detected():
     # Direct sum of two trivial modules: span{first vector} is invariant.
-    zero2 = [[0, 0], [0, 0]]
-    fixture = FiniteSl2Module.unchecked([0, 5], zero2, zero2, zero2)
+    fixture = FiniteSl2Module.unchecked([0, 5], [0, 0], [0], [0])
     assert not check_irreducible(fixture)
 
 
@@ -103,10 +103,7 @@ def test_casimir_scalar_on_extracted_modules():
         spec = DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_alpha, 2))
         module = extract_finite_sl2_submodule(spec)
         expected = Fraction(n * (n + 2), 2)
-        cas = module.casimir()
-        for i in range(module.dim):
-            for j in range(module.dim):
-                assert cas[i][j] == (expected if i == j else 0)
+        assert module.casimir() == [expected] * module.dim
 
 
 def test_classification_sweep_matches_criterion():
@@ -198,16 +195,18 @@ def test_raising_chain_decides_irreducibility_above_dim_5():
     # a dim-7 module whose raising chain is cut between weights: span of the
     # top four basis vectors is invariant under e and f
     module = extract_finite_sl2_submodule(DensityRepSpec(-3, -3))
-    module = FiniteSl2Module.unchecked(module.basis_exponents, module.e, module.h, module.f)
-    module.e[4][3] = Fraction(0)
-    module.f[3][4] = Fraction(0)
+    module = FiniteSl2Module.unchecked(module.basis_exponents, module.weights, module.a, module.b)
+    module.a[3] = Fraction(0)
+    module.b[3] = Fraction(0)
     assert not check_irreducible(module)
 
 
-def test_classification_suite_output_is_the_same_under_python_O():
+@pytest.mark.parametrize("suite", ["rep-classification", "floer"])
+def test_classification_suite_output_is_the_same_under_python_O(suite):
+    # the sl2-module invariants are ValueErrors, not asserts, so -O keeps them
     def run(*flags):
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "torusbv.cli", "verify", "rep-classification"],
+            [sys.executable, *flags, "-m", "torusbv.cli", "verify", suite],
             capture_output=True,
         )
         return proc.returncode, proc.stdout
@@ -362,3 +361,57 @@ def test_spec_shift_is_memoized_and_parameters_are_read_only():
             setattr(spec, name, 0)
     assert (spec.alpha, spec.beta) == (Fraction(-3, 2), Fraction(5, 7))
     assert spec.shift(1) == Fraction(-3, 2) + Fraction(5, 7)
+
+
+@pytest.mark.parametrize("basis, weights, a, b, message", [
+    ([0, 1], [-1, 1], [1, 1], [1], r"^2 basis vectors need 2 weights and 1 values each of a and b, got 2, 2 and 1$"),
+    ([0, 1, 2], [-1, 1], [1], [1], r"^3 basis vectors need 3 weights and 2 values each of a and b, got 2, 1 and 1$"),
+    ([], [], [], [], r"^0 basis vectors need 0 weights and -1 values each of a and b, got 0, 0 and 0$"),
+    ([0, 1], [Fraction(-1, 2), Fraction(1, 2)], [1], [1], r"^h eigenvalues must be integers$"),
+    # [e, f] = h holds here, but the weights run downwards along the chain
+    ([0, 1], [1, -1], [1], [-1], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
+    ([0, 1, 2], [-2, 0, 4], [2, 1], [1, 2], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
+    ([0, 1], [-1, 1], [1], [2], r"^\[e, f\] != h$"),
+    ([0, 1, 2], [-2, 0, 2], [2, 1], [1, 1], r"^\[e, f\] != h$"),
+], ids=["long_a", "short_weights", "empty", "half_integer", "descending", "gap", "ef_scalar", "ef_middle"])
+def test_chain_invariants_raise_value_error(basis, weights, a, b, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteSl2Module(basis, weights, a, b)
+    # the same chain is accepted, unchecked, as a fixture
+    assert FiniteSl2Module.unchecked(basis, weights, a, b).a == a
+
+
+def test_dense_views_are_built_fresh_and_cannot_be_set():
+    module = extract_finite_sl2_submodule(DensityRepSpec(-1, 0))
+    assert module.basis_exponents == [-1, 0, 1]
+    assert (module.a, module.b, module.weights) == ([-2, -1], [-1, -2], [-2, 0, 2])
+    assert module.e == [[0, 0, 0], [-2, 0, 0], [0, -1, 0]]
+    assert module.h == [[-2, 0, 0], [0, 0, 0], [0, 0, 2]]
+    assert module.f == [[0, -1, 0], [0, 0, -2], [0, 0, 0]]
+    module.e[1][0] = Fraction(5)
+    assert module.e[1][0] == -2 and module.a == [-2, -1]
+    for name in ("e", "h", "f", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(module, name, None)
+
+
+def test_chain_modules_satisfy_the_dense_sl2_relations():
+    # the dense commutator form of the relations the chain checks in
+    # closed form, and ef + fe + h^2/2 against the chain's Casimir values,
+    # on every finite submodule of the rep-theory grid and on V(1)..V(8)
+    # of the forced Floer action
+    modules = [extract_finite_sl2_submodule(spec) for spec in rep_theory_grid_specs()]
+    modules = [m for m in modules if m is not None]
+    for n in range(1, 9):
+        modules += solve_forced_action(n)
+    assert len(modules) == 77 + 8
+    for module in modules:
+        e, h, f = module.e, module.h, module.f
+        assert matrix.commutator(h, e) == [[2 * x for x in row] for row in e]
+        assert matrix.commutator(h, f) == [[-2 * x for x in row] for row in f]
+        assert matrix.commutator(e, f) == h
+        ef, fe, hh = matrix.product(e, f), matrix.product(f, e), matrix.product(h, h)
+        casimir = [[x + y + z / 2 for x, y, z in zip(*rows)] for rows in zip(ef, fe, hh)]
+        values = module.casimir()
+        for i, row in enumerate(casimir):
+            assert row == [values[i] if j == i else 0 for j in range(module.dim)]

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from torusbv import floermodel
+from torusbv.densityrep import FiniteSl2Module
 from torusbv.floermodel import (
     ChordGenerator,
     build_chord_basis,
@@ -129,9 +131,8 @@ def test_forced_action_unique_and_irreducible(n):
     assert [action.a[k] * action.b[k] for k in range(n)] == [
         (k + 1) * (n - k) for k in range(n)
     ]
-    module = action.to_module()
-    assert module.dim == n + 1
-    assert module.h_spectrum() == list(range(-n, n + 1, 2))
+    assert action.dim == n + 1
+    assert action.h_spectrum() == list(range(-n, n + 1, 2))
     assert casimir_scalar(action) == Fraction(n * (n + 2), 2)
 
 
@@ -139,7 +140,7 @@ def test_forced_action_stability():
     # e kills the top grading and f kills the bottom one.
     for n in range(1, 7):
         (action,) = solve_forced_action(n)
-        e, _, f = action.matrices()
+        e, f = action.e, action.f
         dim = n + 1
         assert all(e[i][dim - 1] == 0 for i in range(dim))
         assert all(f[i][0] == 0 for i in range(dim))
@@ -164,3 +165,27 @@ def test_floer_report_n3():
     assert report["casimir"] == "15/2"
     assert report["unique_up_to_rescaling"]
     assert report["matches_density_model"]
+
+
+def test_casimir_scalar_is_none_off_a_scalar_chain():
+    # ef + fe + h^2/2 takes the values 3, 2, 3 on this unchecked chain
+    module = FiniteSl2Module.unchecked([0, 1, 2], [-2, 0, 2], [1, 1], [1, 1])
+    assert module.casimir() == [3, 2, 3]
+    assert casimir_scalar(module) is None
+    assert casimir_scalar(solve_forced_action(2)[0]) == 4
+
+
+@pytest.mark.parametrize("factors", [[3] * 4, [1, 1, 3, 1]], ids=["every_b", "one_b"])
+def test_density_match_fails_when_b_is_off_by_a_factor(monkeypatch, factors):
+    good_report = identify_with_density_model(4)
+    assert good_report["matches"] is True
+    (good,) = solve_forced_action(4)
+    bad = FiniteSl2Module.unchecked(
+        good.basis_exponents, good.weights, good.a, [c * v for c, v in zip(factors, good.b)]
+    )
+    monkeypatch.setattr(floermodel, "solve_forced_action", lambda n: [bad])
+    report = identify_with_density_model(4)
+    # a is unchanged, so e still fixes the same rescaling, which then fails on f
+    assert report["matches"] is False
+    assert report["rescaling"] == good_report["rescaling"]
+    assert floer_report(4)["matches_density_model"] is False
