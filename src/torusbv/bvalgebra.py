@@ -106,16 +106,6 @@ class PolyVector(SparseStore):
     def degrees(self):
         return sorted({len(w) for (_, w) in self.terms})
 
-    def degree(self):
-        """Cohomological degree of a homogeneous element, None if mixed,
-        and 0 for the zero element."""
-        degs = self.degrees()
-        if not degs:
-            return 0
-        if len(degs) == 1:
-            return degs[0]
-        return None
-
     def degree_part(self, k: int) -> "PolyVector":
         return PolyVector._raw(
             self.rank, {key: c for key, c in self.terms.items() if len(key[1]) == k}

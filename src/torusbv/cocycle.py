@@ -14,6 +14,7 @@ from itertools import product
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import LaurentPoly, _as_fraction, _check_rank_arg, _check_size
+from .parsing import ParseError, parse_coefficient, parse_laurent
 
 
 def _vector_field_terms(x: PolyVector):
@@ -107,8 +108,6 @@ _FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])")
 def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`.
     Malformed text raises ParseError at its index in `spec`."""
-    from .parsing import ParseError, parse_coefficient, parse_laurent
-
     alpha = Fraction(0)
     betas = [Fraction(0)] * rank
     exact = None
@@ -127,10 +126,13 @@ def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
         if key == "alpha":
             alpha = parse_coefficient(value, at)
         elif key == "beta":
-            parts = value.strip("[]").split(",")
+            inner = value[1:-1]
+            if value[:1] != "[" or value[-1:] != "]" or "[" in inner or "]" in inner:
+                raise ParseError(f"beta must be written [b1,...,br], got {value!r}", at)
+            parts = inner.split(",")
             if len(parts) != rank:
                 raise ParseError(f"expected {rank} beta entries, got {len(parts)}", at)
-            at += len(value) - len(value.lstrip("["))
+            at += 1
             betas = []
             for part in parts:
                 betas.append(parse_coefficient(part.strip(), at + len(part) - len(part.lstrip())))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from . import matrix
 from .laurent import LaurentPoly, _as_fraction, _check_size
 
 _ZERO = Fraction(0)
@@ -166,7 +165,7 @@ class FiniteSl2Module:
 
     def _dense(self, values, row, col):
         """A new dense matrix with values[t] at (t + row, t + col)."""
-        m = matrix.zeros(self.dim)
+        m = [[_ZERO] * self.dim for _ in range(self.dim)]
         for t, v in enumerate(values):
             m[t + row][t + col] = v
         return m

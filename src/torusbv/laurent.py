@@ -208,9 +208,6 @@ class LaurentPoly(SparseStore):
         (exp, coeff), = self.terms.items()
         return LaurentPoly.monomial(self.rank, tuple(-e for e in exp), Fraction(1) / coeff)
 
-    def coeff(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self):

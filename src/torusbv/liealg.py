@@ -55,32 +55,46 @@ def cartan_subalgebra(rank: int):
 
 class GlMatrixElement:
     """A rational (r+1) x (r+1) matrix acting as the linear vector field
-    sum_ij m[i][j] Z_i D_j on the ambient affine space of P^r."""
+    sum_ij m[i][j] Z_i D_j on the ambient affine space of P^r, stored as
+    its nonzero entries {(i, j): Fraction}."""
 
-    def __init__(self, entries):
-        entries = [[_as_fraction(v) for v in row] for row in entries]
-        size = len(entries)
-        if any(len(row) != size for row in entries):
+    def __init__(self, rows):
+        rows = [[_as_fraction(v) for v in row] for row in rows]
+        size = len(rows)
+        if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
         if size < 2:
             raise ValueError("matrix must be at least 2x2 (rank r >= 1)")
         self.size = size
-        self.entries = entries
+        self.entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+    @classmethod
+    def _from_entries(cls, size: int, entries) -> "GlMatrixElement":
+        m = cls.__new__(cls)
+        m.size = size
+        m.entries = entries
+        return m
 
     @classmethod
     def elementary(cls, size: int, i: int, j: int) -> "GlMatrixElement":
         """E_ij = Z_i D_j with 0-based indices i, j in {0, ..., size-1}."""
-        entries = matrix.zeros(size)
-        entries[i][j] = Fraction(1)
-        return cls(entries)
+        if size < 2:
+            raise ValueError("matrix must be at least 2x2 (rank r >= 1)")
+        if not (0 <= i < size and 0 <= j < size):
+            raise IndexError(f"E_{i}{j} is not a {size}x{size} matrix unit")
+        return cls._from_entries(size, {(i, j): Fraction(1)})
 
     def commutator(self, other: "GlMatrixElement") -> "GlMatrixElement":
+        """ab - ba over the nonzero entries only, by E_ij E_kl = [j = k] E_il."""
         if self.size != other.size:
             raise ValueError("size mismatch")
-        return GlMatrixElement(matrix.commutator(self.entries, other.entries))
-
-    def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.size))
+        out = {}
+        for a, b, sign in ((self, other, 1), (other, self, -1)):
+            for (i, j), x in a.entries.items():
+                for (k, l), y in b.entries.items():
+                    if j == k:
+                        out[i, l] = out.get((i, l), 0) + sign * x * y
+        return GlMatrixElement._from_entries(self.size, {k: v for k, v in out.items() if v})
 
 
 def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
@@ -95,15 +109,13 @@ def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
     e = [(0,) * rank] + [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
     theta_tilde = [[(k, -1) for k in range(1, rank + 1)]] + [[(j, 1)] for j in range(1, rank + 1)]
     terms = {}
-    for i, row in enumerate(m.entries):
-        for j, c in enumerate(row):
-            if c:
-                exp = tuple(a - b for a, b in zip(e[i], e[j]))
-                for k, sign in theta_tilde[j]:
-                    key = (exp, (k,))
-                    v = c if sign > 0 else -c
-                    old = terms.get(key)
-                    terms[key] = v if old is None else old + v
+    for (i, j), c in m.entries.items():
+        exp = tuple(a - b for a, b in zip(e[i], e[j]))
+        for k, sign in theta_tilde[j]:
+            key = (exp, (k,))
+            v = c if sign > 0 else -c
+            old = terms.get(key)
+            terms[key] = v if old is None else old + v
     return PolyVector._raw(rank, terms)
 
 
@@ -130,9 +142,6 @@ class RootVector:
 
     def __hash__(self):
         return hash(self.h1_coords)
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(tuple(a + b for a, b in zip(self.h1_coords, other.h1_coords)))
 
     def __repr__(self):
         return f"RootVector(h1={self.h1_coords}, ambient={self.ambient})"
@@ -185,7 +194,7 @@ def verify_lie_embedding(rank: int) -> dict:
             all_ok = all_ok and ok
             pairs.append({"pair": [[i1, j1], [i2, j2]], "ok": ok})
     image_rank = matrix.rank([v.terms for v in images.values()])
-    identity = GlMatrixElement([[Fraction(1 if i == j else 0) for j in range(size)] for i in range(size)])
+    identity = GlMatrixElement._from_entries(size, {(i, i): Fraction(1) for i in range(size)})
     scalar_killed = restrict_from_projective(identity).is_zero()
     expected_dim = size * size - 1
     return {
@@ -205,15 +214,13 @@ def root_system_report(rank: int) -> dict:
     _check_rank_arg(rank)
     size = rank + 1
     found = {}
-    cartan = []
     for i in range(size):
         for j in range(size):
             if i == j:
                 continue
             image = restrict_from_projective(GlMatrixElement.elementary(size, i, j))
             found[(i, j)] = root_grading(image)
-    for theta in cartan_subalgebra(rank):
-        cartan.append(root_grading(theta))
+    thetas = cartan_subalgebra(rank)
     expected = ar_root_system(rank)
     roots = set(found.values())
     return {
@@ -221,7 +228,7 @@ def root_system_report(rank: int) -> dict:
         "roots": sorted(r.ambient for r in roots),
         "root_count": len(roots),
         "matches_type_a": roots == expected,
-        "cartan_dim": rank,
-        "cartan_at_zero": all(r.is_zero() for r in cartan),
+        "cartan_dim": matrix.rank([t.terms for t in thetas]),
+        "cartan_at_zero": all(root_grading(t).is_zero() for t in thetas),
         "origins": {f"E{i}{j}": list(v.ambient) for (i, j), v in sorted(found.items())},
     }

@@ -1,50 +1,11 @@
-"""Exact matrices over the rationals.
+"""Exact rank over the rationals.
 
-Square matrices are lists of rows of Fractions.  Those of the
-representation layer are mostly zero (diagonal, sub- or super-diagonal,
-elementary), so the product and the commutator skip every term
-known to vanish.  `rank` takes sparse rows {column: Fraction} instead, so
-vectors such as PolyVector.terms go in as they are, with no shared
-coordinate basis built first.
+`rank` takes sparse rows {column: Fraction}, so vectors such as
+PolyVector.terms go in as they are, with no shared coordinate basis built
+first.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-_ZERO = Fraction(0)
-
-
-def zeros(n: int):
-    """The n x n zero matrix."""
-    return [[_ZERO] * n for _ in range(n)]
-
-
-def product(a, b):
-    """ab, accumulated row by row over the nonzero a[i][k] and b[k][j] only;
-    an entry with no nonzero term is Fraction(0).  Shapes follow the dense
-    definition: row i of a pairs with the first len(a[i]) rows of b, and
-    the product has as many columns as the shortest row of b."""
-    ncols = min(map(len, b), default=0)
-    sparse_b = [[(j, y) for j, y in enumerate(row[:ncols]) if y] for row in b]
-    out = []
-    for row in a:
-        out_row = [_ZERO] * ncols
-        for x, b_row in zip(row, sparse_b):
-            if x:
-                for j, y in b_row:
-                    v = out_row[j]
-                    out_row[j] = x * y if v is _ZERO else v + x * y
-        out.append(out_row)
-    return out
-
-
-def commutator(a, b):
-    """ab - ba."""
-    return [
-        [x - y if y else x for x, y in zip(ra, rb)]
-        for ra, rb in zip(product(a, b), product(b, a))
-    ]
 
 
 def rank(rows) -> int:

@@ -408,6 +408,11 @@ BAD_INPUT = [
     (["cocycle-check", "beta=[1,,0]", "--rank", "3"], 8),
     (["cocycle-check", "beta=[1, ,0]", "--rank", "3"], 9),
     (["cocycle-check", "beta=[1],g=z,beta=[2]"], 13),
+    (["cocycle-check", "beta=[[1]]"], 5),
+    (["cocycle-check", "beta=]1["], 5),
+    (["cocycle-check", "beta=1"], 5),
+    (["cocycle-check", "beta=[1"], 5),
+    (["cocycle-check", "alpha=1,beta=[2]]"], 13),
 ]
 
 

@@ -1,12 +1,12 @@
 """Byte-identical CLI output.
 
 Each README example, each `verify` suite at its default seed, each
-mixed-degree `bracket`/`wedge`/`bv` command and the rank-2 `cocycle-check`
-below, in text and `--json`, and each `rep`/`floer` command of
-`SL2_MODULES`, has a pinned exit code and sha256 of stdout.  The README and
-suite pins were taken before `main` began to reuse one argument parser, the
-mixed-degree pins before the bracket became one bilinear Delta formula over
-all degree parts.  `verify witt-closed-form` is left out because it takes
+mixed-degree `bracket`/`wedge`/`bv` command, the rank-2 `cocycle-check` and
+the `LIE_EMBEDDING` commands below, in text and `--json`, and each
+`rep`/`floer` command of `SL2_MODULES`, has a pinned exit code and sha256
+of stdout.  The README and suite pins were taken before `main` began to
+reuse one argument parser, the mixed-degree pins before the bracket became
+one bilinear Delta formula over all degree parts.  `verify witt-closed-form` is left out because it takes
 about 15 s; the acceptance test for criterion 2 runs the same closed forms.
 A deliberate change to one of these outputs must update its pin here.
 """
@@ -59,8 +59,13 @@ SL2_MODULES = [
     "rep --alpha=1/2 --beta=0 --json",
     "floer --n 8 --json",
 ]
+# the sl_{r+1} layer at ranks beside the README's, pinned before its
+# gl_{r+1} elements were stored as sparse entries
+LIE_EMBEDDING = ["roots --rank 1", "roots --rank 3", "verify embedding --rank 4"]
 COMMANDS = [
-    c + mode for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS for mode in ("", " --json")
+    c + mode
+    for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS + LIE_EMBEDDING
+    for mode in ("", " --json")
 ] + [
     f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
 ] + SL2_MODULES
@@ -121,6 +126,12 @@ PINS = {
     'rep --alpha=-7/2 --beta=5/2 --json': (0, '04027d2dafb7e140252e9e5812134584c3b5fb08804d7d0ce74c92c31bdcd311'),
     'rep --alpha=1/2 --beta=0 --json': (0, 'a4fb1dba353a055dbb93e8a8533143705110f5a1870318a10e5c06625f707c4f'),
     'floer --n 8 --json': (0, 'b8581a34498673c0f3de82af6875c8c55247c6f78ef7a368705daa0f9753b229'),
+    'roots --rank 1': (0, '0ac9ae09cee5b724df12cf118e8a2245f617eb838b0867c7d3b9224106467ed8'),
+    'roots --rank 1 --json': (0, 'f849f343e64f1bb31e05719e1010a0b59772847bd0381ca06238036cd1f93d35'),
+    'roots --rank 3': (0, '76792f6fcfd6939cb5e5333defee81d9be7c9ca6fc033b48c0bb5a9d6c4f5ff7'),
+    'roots --rank 3 --json': (0, '72cda333d5567a3c7c01af9a259f2c343769dcd856909ce882e2b4719dc6822d'),
+    'verify embedding --rank 4': (0, 'e47fac42ffb326ad65bcadd3c6a5d9c5948328eeba0af5bbbf8dec8fbd2c92c9'),
+    'verify embedding --rank 4 --json': (0, '526ea0510ed4c72d5e7d436bd7271682df67129111617da58e7470ad49a2a066'),
 }
 
 USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2

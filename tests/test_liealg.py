@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusbv import liealg
 from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.liealg import (
     GlMatrixElement,
@@ -145,6 +146,97 @@ def test_root_system_matches_type_a(rank):
     assert set(map(tuple, report["roots"])) == {r.ambient for r in ar_root_system(rank)}
 
 
+def test_cartan_dim_is_measured_not_echoed(monkeypatch):
+    # a Cartan list with theta_1 twice spans rank - 1 dimensions
+    def repeated_theta_1(rank):
+        return [PolyVector.theta(rank, 1)] * 2 + [PolyVector.theta(rank, i) for i in range(2, rank)]
+
+    monkeypatch.setattr(liealg, "cartan_subalgebra", repeated_theta_1)
+    for rank in (2, 3, 4):
+        report = root_system_report(rank)
+        assert report["cartan_dim"] == rank - 1
+        assert report["cartan_at_zero"]
+
+
+def dense_rows(m):
+    return [[m.entries.get((i, j), 0) for j in range(m.size)] for i in range(m.size)]
+
+
+def dense_commutator(a, b):
+    """ab - ba on lists of rows, by the definition of the matrix product."""
+    def product(x, y):
+        return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(product(a, b), product(b, a))]
+
+
+def assert_sparse(m):
+    assert all(type(v) is Fraction and v for v in m.entries.values())
+    assert all(0 <= i < m.size and 0 <= j < m.size for i, j in m.entries)
+
+
+def test_entries_are_the_nonzero_fractions():
+    m = GlMatrixElement([[0, "1/2", 0], [Fraction(0), 0, -3], [0, 0, 0]])
+    assert m.size == 3
+    assert m.entries == {(0, 1): Fraction(1, 2), (1, 2): Fraction(-3)}
+    assert_sparse(m)
+    assert GlMatrixElement([[0, 0], [0, 0]]).entries == {}
+    assert GlMatrixElement.elementary(4, 3, 1).entries == {(3, 1): Fraction(1)}
+    for rows in ([[1, 2], [3]], [[1]], []):
+        with pytest.raises(ValueError):
+            GlMatrixElement(rows)
+    with pytest.raises(TypeError):
+        GlMatrixElement([[0.5, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        GlMatrixElement.elementary(1, 0, 0)
+    for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            GlMatrixElement.elementary(2, i, j)
+    with pytest.raises(ValueError):
+        GlMatrixElement.elementary(2, 0, 1).commutator(GlMatrixElement.elementary(3, 0, 1))
+
+
+def test_commutator_matches_dense_definition():
+    rng = random.Random(41)
+    zero_results = 0
+    for trial in range(360):
+        size = rng.randint(2, 6)
+        zero_share = (0.0, 0.5, 0.9)[trial % 3]
+        a, b = (
+            GlMatrixElement([
+                [0 if rng.random() < zero_share else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(size)]
+                for _ in range(size)
+            ])
+            for _ in range(2)
+        )
+        if trial % 10 == 0:
+            b = a  # [a, a] = 0: every product term cancels
+        got = a.commutator(b)
+        assert got.size == size
+        assert_sparse(got)
+        assert dense_rows(got) == dense_commutator(dense_rows(a), dense_rows(b))
+        zero_results += not got.entries
+    assert zero_results >= 36
+
+
+def test_commutator_of_matrix_units():
+    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+    for size in range(2, 6):
+        units = [(i, j) for i in range(size) for j in range(size)]
+        for i, j in units:
+            for k, l in units:
+                want = {}
+                if j == k:
+                    want[i, l] = Fraction(1)
+                if l == i:
+                    want[k, j] = want.get((k, j), 0) - 1
+                want = {key: v for key, v in want.items() if v}
+                got = GlMatrixElement.elementary(size, i, j).commutator(GlMatrixElement.elementary(size, k, l))
+                assert got.entries == want
+                assert_sparse(got)
+
+
 def restrict_entry_oracle(rank, i, j):
     """The four-case image of Z_i D_j, with d_j = z_j^{-1} theta_j and the
     Euler relation for D_0: the oracle of the closed form."""
@@ -174,10 +266,8 @@ def restrict_entry_oracle(rank, i, j):
 def restrict_oracle(m):
     rank = m.size - 1
     out = PolyVector.zero(rank)
-    for i in range(m.size):
-        for j in range(m.size):
-            if m.entries[i][j]:
-                out = out + restrict_entry_oracle(rank, i, j).scale(m.entries[i][j])
+    for (i, j), c in m.entries.items():
+        out = out + restrict_entry_oracle(rank, i, j).scale(c)
     return out
 
 
