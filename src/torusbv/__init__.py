@@ -22,16 +22,13 @@ from .densityrep import (
 )
 from .floermodel import (
     ChordGenerator,
-    build_chord_basis,
     end_action,
     identify_with_density_model,
     solve_forced_action,
-    xi0_eigenvalue_differences,
 )
 from .laurent import LaurentPoly, NotInvertibleError, RankMismatchError
 from .liealg import (
     GlMatrixElement,
-    RootVector,
     Sl2Triple,
     cartan_subalgebra,
     restrict_from_projective,
@@ -53,9 +50,7 @@ __all__ = [
     "ParseError",
     "PolyVector",
     "RankMismatchError",
-    "RootVector",
     "Sl2Triple",
-    "build_chord_basis",
     "bv_delta",
     "bv_delta_divergence",
     "cartan_subalgebra",
@@ -80,5 +75,4 @@ __all__ = [
     "wedge",
     "weight_of",
     "witt_bracket",
-    "xi0_eigenvalue_differences",
 ]

@@ -124,13 +124,6 @@ class PolyVector(SparseStore):
             for key in sorted(self.terms)
         ]
 
-    @classmethod
-    def from_json(cls, rank: int, data) -> "PolyVector":
-        return cls(
-            rank,
-            {(tuple(d["exp"]), tuple(d["wedge"])): Fraction(d["coeff"]) for d in data},
-        )
-
 
 def wedge(a: PolyVector, b: PolyVector) -> PolyVector:
     """Graded-commutative product: (z^n, S)(z^m, T) = sign * (z^{n+m}, S u T)."""

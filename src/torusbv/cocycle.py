@@ -92,6 +92,7 @@ def witt_basis(rank: int, window: int):
 def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     """Check the cocycle condition on all basis pairs (xi_{n,i}, xi_{m,j})
     with sup-norm at most `window`."""
+    _check_rank_arg(rank)
     _check_size("window", window)
     basis = list(witt_basis(rank, window))
     for x in basis:

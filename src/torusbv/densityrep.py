@@ -287,17 +287,3 @@ def classification_grid(grid: int = 8):
         for two_beta in range(-grid, grid + 1):
             spec = DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_beta, 2))
             yield spec, extract_finite_sl2_submodule(spec)
-
-
-def classification_sweep(grid: int = 8):
-    """Existence and dimension of the finite submodule at each point of
-    `classification_grid`."""
-    return [
-        {
-            "alpha": str(spec.alpha),
-            "beta": str(spec.beta),
-            "exists": module is not None,
-            "dim": module.dim if module is not None else 0,
-        }
-        for spec, module in classification_grid(grid)
-    ]

@@ -3,11 +3,11 @@ Lagrangian and its n-th twist on the cylinder.
 
 The generators are intersection generators (grading indices 0..n) plus
 proper chords winding around either end.  Only the structural constraints
-with a geometric proof are hard-coded: eigenvalue differences of the
-grading operator, the end-actions k * v_{+-, k+j}, and the highest/lowest
-weight kernels.  The interior raising/lowering coefficients are *derived*
-by solving the resulting polynomial system, which has a single solution up
-to rescaling the basis.
+with a geometric proof are hard-coded: the grading operator h = 2k - n on
+intersection generator k, the end-actions k * v_{+-, k+j}, and the
+highest/lowest weight kernels.  The interior raising/lowering coefficients
+are *derived* by solving the resulting polynomial system, which has a
+single solution up to rescaling the basis.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule
+from .laurent import _check_size
 
 
 @dataclass(frozen=True)
@@ -33,29 +34,6 @@ class ChordGenerator:
         if self.kind == "proper_minus" or (self.kind == "intersection" and self.grading_index == 0):
             return self.grading_index
         return self.grading_index - n
-
-
-def build_chord_basis(n: int, window: int):
-    """n+1 intersection generators at grading 0..n plus `window` proper
-    chords on each end."""
-    if n <= 0:
-        raise ValueError("the twist parameter n must be positive")
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    basis = [ChordGenerator("proper_minus", -k) for k in range(window, 0, -1)]
-    basis += [ChordGenerator("intersection", k) for k in range(n + 1)]
-    basis += [ChordGenerator("proper_plus", n + k) for k in range(1, window + 1)]
-    return basis
-
-
-def xi0_eigenvalue_differences(basis, n: int):
-    """Eigenvalues of the grading operator xi_0 on the chord basis.
-
-    Only differences are pinned by the grading torsor; the global constant
-    is normalized so the h = 2 xi_0 spectrum on intersection generators is
-    symmetric about zero, i.e. lambda(v_-) = -n/2.
-    """
-    return {g: g.grading_index - Fraction(n, 2) for g in basis}
 
 
 def end_action(j: int, g: ChordGenerator, n: int):
@@ -104,8 +82,7 @@ def solve_forced_action(n: int):
     b_{k+1} = c_k / a_k = k + 1), as a one-element list holding the weight
     chain with a[k] = a_k and b[k] = b_{k+1}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n)
     # forward-substitute the telescoping products c_k = a_k b_{k+1}
     c = []
     prev = Fraction(0)  # c_{-1}

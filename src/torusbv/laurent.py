@@ -207,15 +207,3 @@ class LaurentPoly(SparseStore):
             )
         (exp, coeff), = self.terms.items()
         return LaurentPoly.monomial(self.rank, tuple(-e for e in exp), Fraction(1) / coeff)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        return [
-            {"coeff": str(self.terms[e]), "exp": list(e)}
-            for e in sorted(self.terms)
-        ]
-
-    @classmethod
-    def from_json(cls, rank: int, data) -> "LaurentPoly":
-        return cls(rank, {tuple(d["exp"]): Fraction(d["coeff"]) for d in data})

@@ -119,57 +119,16 @@ def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
     return PolyVector._raw(rank, terms)
 
 
-class RootVector:
-    """A root in both coordinate systems: Z^{r+1} (sum-zero, e_a - e_b form)
-    and the H1 = Z^r coordinates, related by z_i <-> e_i - e_0."""
-
-    def __init__(self, h1_coords):
-        self.h1_coords = tuple(int(v) for v in h1_coords)
-        self.ambient = (-sum(self.h1_coords),) + self.h1_coords
-
-    @classmethod
-    def from_ambient(cls, coords) -> "RootVector":
-        coords = tuple(int(v) for v in coords)
-        if sum(coords) != 0:
-            raise ValueError("ambient coordinates must sum to zero")
-        return cls(coords[1:])
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.h1_coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RootVector) and self.h1_coords == other.h1_coords
-
-    def __hash__(self):
-        return hash(self.h1_coords)
-
-    def __repr__(self):
-        return f"RootVector(h1={self.h1_coords}, ambient={self.ambient})"
-
-
-def root_grading(x: PolyVector) -> RootVector:
-    """H1-class of a homogeneous vector field, in root coordinates.
-    Cartan elements (class 0) map to the zero vector."""
+def root_grading(x: PolyVector) -> tuple:
+    """The root of a homogeneous vector field of H1 class n, in ambient
+    coordinates (-n_1 - ... - n_r, n_1, ..., n_r): z_i <-> e_i - e_0.
+    Zero and Cartan elements (class 0) map to the zero tuple."""
     if x.is_zero():
-        return RootVector((0,) * x.rank)
+        return (0,) * (x.rank + 1)
     cls = x.homogeneous_class()
     if cls is None:
         raise ValueError("input is not homogeneous in the H1 grading")
-    return RootVector(cls)
-
-
-def ar_root_system(rank: int):
-    """All e_a - e_b with a != b, 0 <= a, b <= rank, in ambient coordinates."""
-    roots = set()
-    for a in range(rank + 1):
-        for b in range(rank + 1):
-            if a == b:
-                continue
-            coords = [0] * (rank + 1)
-            coords[a] += 1
-            coords[b] -= 1
-            roots.add(RootVector.from_ambient(coords))
-    return roots
+    return (-sum(cls),) + cls
 
 
 def verify_lie_embedding(rank: int) -> dict:
@@ -221,14 +180,19 @@ def root_system_report(rank: int) -> dict:
             image = restrict_from_projective(GlMatrixElement.elementary(size, i, j))
             found[(i, j)] = root_grading(image)
     thetas = cartan_subalgebra(rank)
-    expected = ar_root_system(rank)
+    expected = {
+        tuple(int(c == a) - int(c == b) for c in range(size))
+        for a in range(size)
+        for b in range(size)
+        if a != b
+    }
     roots = set(found.values())
     return {
         "rank": rank,
-        "roots": sorted(r.ambient for r in roots),
+        "roots": sorted(roots),
         "root_count": len(roots),
         "matches_type_a": roots == expected,
         "cartan_dim": matrix.rank([t.terms for t in thetas]),
-        "cartan_at_zero": all(root_grading(t).is_zero() for t in thetas),
-        "origins": {f"E{i}{j}": list(v.ambient) for (i, j), v in sorted(found.items())},
+        "cartan_at_zero": all(root_grading(t) == (0,) * size for t in thetas),
+        "origins": {f"E{i}{j}": list(v) for (i, j), v in sorted(found.items())},
     }

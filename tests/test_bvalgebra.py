@@ -203,11 +203,6 @@ def test_degree0_to_laurent_round_trip():
     assert PolyVector(2, {(e, ()): c for e, c in p.terms.items()}).degree0_to_laurent() == p
 
 
-def test_json_round_trip():
-    pv = PolyVector.monomial(2, (1, -2), (1, 2)).scale(Fraction(3, 4)) + PolyVector.theta(2, 1)
-    assert PolyVector.from_json(2, pv.to_json()) == pv
-
-
 def bracket_parts(a, b):
     """The reference bracket: the Delta formula on each pair of homogeneous
     parts (a_k, b_l), one summand per pair."""

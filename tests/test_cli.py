@@ -496,6 +496,8 @@ VACUOUS = [
     (["verify", "bv-axioms", "--window", "-1"], "window must be >= 1, got -1"),
     (["verify", "cocycles", "--window", "0"], "window must be >= 1, got 0"),
     (["cocycle-check", "alpha=5", "--window", "0"], "window must be >= 1, got 0"),
+    (["floer", "--n", "0"], "n must be >= 1, got 0"),
+    (["floer", "--n", "-1"], "n must be >= 1, got -1"),
 ]
 
 

@@ -79,6 +79,12 @@ def test_rank2_log_cocycles():
     assert is_cocycle_on_window(psi, 2, 2)
 
 
+def test_window_check_rejects_vacuous_rank():
+    # rank 0 has an empty Witt basis, so the check would pass on nothing
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        is_cocycle_on_window(lambda x: None, 0, 2)
+
+
 def test_engineered_non_cocycle_fails():
     # psi(xi_n) = n^2 z^n fails on the pair (xi_1, xi_-1):
     # psi([xi_1, xi_-1]) = psi(-2 xi_0) = 0, but

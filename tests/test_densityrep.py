@@ -10,7 +10,7 @@ from torusbv.densityrep import (
     DensityRepSpec,
     FiniteSl2Module,
     check_irreducible,
-    classification_sweep,
+    classification_grid,
     extract_finite_sl2_submodule,
     has_finite_submodule,
     rho_apply,
@@ -107,15 +107,14 @@ def test_casimir_scalar_on_extracted_modules():
 
 
 def test_classification_sweep_matches_criterion():
-    rows = classification_sweep(grid=8)
+    rows = list(classification_grid(grid=8))
     assert len(rows) == 11 * 17
-    for row in rows:
-        alpha = Fraction(row["alpha"])
-        beta = Fraction(row["beta"])
+    for spec, module in rows:
+        alpha, beta = spec.alpha, spec.beta
         should_exist = alpha <= 0 and (2 * alpha).denominator == 1 and (alpha + beta).denominator == 1
-        assert row["exists"] == should_exist
+        assert (module is not None) == should_exist
         if should_exist:
-            assert row["dim"] == -2 * alpha + 1
+            assert module.dim == -2 * alpha + 1
 
 
 def test_shift_isomorphism():

@@ -6,52 +6,17 @@ from torusbv import floermodel
 from torusbv.densityrep import FiniteSl2Module
 from torusbv.floermodel import (
     ChordGenerator,
-    build_chord_basis,
     casimir_scalar,
     end_action,
     floer_report,
     identify_with_density_model,
     solve_forced_action,
-    xi0_eigenvalue_differences,
 )
-
-
-def test_basis_counts():
-    basis = build_chord_basis(3, 0)
-    assert len(basis) == 4
-    assert all(g.kind == "intersection" for g in basis)
-
-    basis = build_chord_basis(1, 2)
-    assert len(basis) == 6
-    kinds = [g.kind for g in basis]
-    assert kinds.count("intersection") == 2
-    assert kinds.count("proper_plus") == 2
-    assert kinds.count("proper_minus") == 2
-
-
-def test_basis_rejects_nonpositive_twist():
-    with pytest.raises(ValueError):
-        build_chord_basis(0, 2)
-    with pytest.raises(ValueError):
-        build_chord_basis(-1, 0)
 
 
 def test_generator_kind_validation():
     with pytest.raises(ValueError):
         ChordGenerator("mystery", 0)
-
-
-def test_h_eigenvalues_symmetric():
-    basis = build_chord_basis(3, 0)
-    eigs = xi0_eigenvalue_differences(basis, 3)
-    assert sorted(2 * v for v in eigs.values()) == [-3, -1, 1, 3]
-
-
-def test_eigenvalue_steps():
-    basis = build_chord_basis(4, 2)
-    eigs = xi0_eigenvalue_differences(basis, 4)
-    ordered = [eigs[g] for g in basis]
-    assert all(b - a == 1 for a, b in zip(ordered, ordered[1:]))
 
 
 def test_end_action_highest_weight_kernels():

@@ -112,11 +112,6 @@ def test_mul_support_additive(rank):
         assert set((p * q).terms) <= sums
 
 
-def test_json_round_trip():
-    p = L(2, {(1, -2): Fraction(3, 2), (0, 3): -1})
-    assert LaurentPoly.from_json(2, p.to_json()) == p
-
-
 def test_text_format():
     p = L(2, {(-2, 3): Fraction(3, 2)})
     assert str(p) == "3/2*z1^-2*z2^3"

@@ -7,9 +7,7 @@ from torusbv import liealg
 from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.liealg import (
     GlMatrixElement,
-    RootVector,
     Sl2Triple,
-    ar_root_system,
     cartan_subalgebra,
     restrict_from_projective,
     root_grading,
@@ -120,20 +118,21 @@ def test_root_grading_matrix_entry():
     # z_1 d_2 has grading e_1 - e_2.
     e12 = GlMatrixElement.elementary(3, 1, 2)
     grading = root_grading(restrict_from_projective(e12))
-    assert grading.ambient == (0, 1, -1)
+    assert grading == (0, 1, -1)
 
 
 def test_root_grading_cartan_at_zero():
     for theta in cartan_subalgebra(2):
-        assert root_grading(theta).is_zero()
+        assert root_grading(theta) == (0, 0, 0)
+    assert root_grading(PolyVector.zero(2)) == (0, 0, 0)
 
 
 def test_root_vector_coordinates():
     # z_i corresponds to e_i - e_0 in the ambient sum-zero lattice.
-    assert RootVector((1, 0)).ambient == (-1, 1, 0)
-    assert RootVector.from_ambient((-1, 0, 1)).h1_coords == (0, 1)
-    with pytest.raises(ValueError):
-        RootVector.from_ambient((1, 0, 0))
+    assert root_grading(PolyVector.xi(2, (1, 0), 1)) == (-1, 1, 0)
+    assert root_grading(PolyVector.xi(2, (0, 1), 2)) == (-1, 0, 1)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        root_grading(PolyVector.xi(2, (1, 0), 1) + PolyVector.xi(2, (0, 1), 1))
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -143,7 +142,16 @@ def test_root_system_matches_type_a(rank):
     assert report["matches_type_a"]
     assert report["cartan_dim"] == rank
     assert report["cartan_at_zero"]
-    assert set(map(tuple, report["roots"])) == {r.ambient for r in ar_root_system(rank)}
+    # e_a - e_b for a != b in Z^{rank+1}
+    size = rank + 1
+    type_a = set()
+    for a in range(size):
+        for b in range(size):
+            if a != b:
+                root = [0] * size
+                root[a], root[b] = 1, -1
+                type_a.add(tuple(root))
+    assert set(map(tuple, report["roots"])) == type_a
 
 
 def test_cartan_dim_is_measured_not_echoed(monkeypatch):
