@@ -53,6 +53,9 @@ class PolyVector(SparseStore):
         clean = {}
         for (exp, wedge), coeff in (terms or {}).items():
             exp = _exponent(exp, rank)
+            for i in wedge:
+                if type(i) is not int:
+                    raise TypeError(f"wedge index {i!r} is not an integer")
             wedge, sign = normalize_wedge(wedge)
             if sign == 0:
                 continue

@@ -156,10 +156,10 @@ def cmd_floer(args):
     report = floer_report(args.n)
     text = (
         f"V({args.n}): dim {report['dim']}, "
-        f"h spectrum {report.get('h_spectrum')}, "
-        f"casimir {report.get('casimir')}, "
+        f"h spectrum {report['h_spectrum']}, "
+        f"casimir {report['casimir']}, "
         f"unique orbit: {report['unique_up_to_rescaling']}, "
-        f"matches density model: {report.get('matches_density_model')}"
+        f"matches density model: {report['matches_density_model']}"
     )
     _emit(args, "floer", 1, report, text)
 

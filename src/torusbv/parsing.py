@@ -20,17 +20,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-def parse_coefficient(text: str, position: int = 0) -> Fraction:
-    """The exact rational that `text` spells (`-3/2`, `4`), or a ParseError
-    at `position`, the index of `text` in the input it was taken from."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", position) from None
-    except ValueError:
-        raise ParseError(f"not a rational number: {text!r}", position) from None
-
-
 # Every factor spelling in one alternation, so a factor is matched once.  No
 # two alternatives match the same text, and the last group that took part
 # (`lastgroup`) names the kind; a bare `z` takes part in none.
@@ -41,6 +30,20 @@ _FACTOR = re.compile(
     r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
     r"|[tθ](?P<theta>\d+)"  # t1, θ1
 )
+
+
+def parse_coefficient(text: str, position: int = 0) -> Fraction:
+    """The exact rational that `text` spells as a polyvector coefficient
+    (`-3/2`, `4`), or a ParseError at `position`, the index of `text` in the
+    input it was taken from.  Decimals, exponents and `_` digit separators
+    are rejected, as they are in a polyvector."""
+    m = _FACTOR.fullmatch(text.strip())
+    if not m or m.lastgroup not in ("num", "den"):
+        raise ParseError(f"not a rational number: {text!r}", position)
+    den = int(m["den"] or 1)
+    if not den:
+        raise ParseError(f"zero denominator in {text!r}", position)
+    return Fraction(int(m["num"]), den)
 
 
 def _split_terms(text: str):

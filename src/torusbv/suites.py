@@ -316,21 +316,12 @@ def floer_suite(max_n: int = 6) -> dict:
     checks = []
     for n in range(1, max_n + 1):
         report = floer_report(n)
-        checks.append({"name": f"n{n}_unique_orbit", "ok": report["unique_up_to_rescaling"]})
-        if report["unique_up_to_rescaling"]:
-            expected_casimir = Fraction(n * (n + 2), 2)
-            checks.append(
-                {"name": f"n{n}_casimir", "ok": report["casimir"] == str(expected_casimir)}
-            )
-            checks.append(
-                {
-                    "name": f"n{n}_h_spectrum",
-                    "ok": report["h_spectrum"] == list(range(-n, n + 1, 2)),
-                }
-            )
-            checks.append(
-                {"name": f"n{n}_density_match", "ok": report["matches_density_model"]}
-            )
+        checks += [
+            {"name": f"n{n}_unique_orbit", "ok": report["unique_up_to_rescaling"]},
+            {"name": f"n{n}_casimir", "ok": report["casimir"] == str(Fraction(n * (n + 2), 2))},
+            {"name": f"n{n}_h_spectrum", "ok": report["h_spectrum"] == list(range(-n, n + 1, 2))},
+            {"name": f"n{n}_density_match", "ok": report["matches_density_model"]},
+        ]
     # end-action bracket compatibility on the plus end
     end_ok = True
     n = 1

@@ -112,7 +112,12 @@ def test_parse_a_minus_minus_b():
 def test_parse_coefficient():
     assert parse_coefficient("-3/2") == Fraction(-3, 2)
     assert parse_coefficient(" 4 ") == 4
-    for text, message in (("1/0", "zero denominator"), ("abc", "not a rational"), ("", "not a")):
+    assert parse_coefficient("+5") == 5
+    for text, message in (
+        ("1/0", "zero denominator"), ("abc", "not a rational"), ("", "not a"),
+        ("-0.5", "not a rational"), ("1_000", "not a rational"), ("1e2", "not a rational"),
+        ("3/-2", "not a rational"),
+    ):
         with pytest.raises(ParseError) as err:
             parse_coefficient(text, 7)
         assert err.value.position == 7
@@ -413,6 +418,11 @@ BAD_INPUT = [
     (["cocycle-check", "beta=1"], 5),
     (["cocycle-check", "beta=[1"], 5),
     (["cocycle-check", "alpha=1,beta=[2]]"], 13),
+    # a coefficient is spelled as in a polyvector: no decimals, exponents or `_`
+    (["rep", "--alpha=-0.5", "--beta=0"], 0),
+    (["rep", "--alpha=0", "--beta=1_000"], 0),
+    (["cocycle-check", "alpha=1e2"], 6),
+    (["cocycle-check", "beta=[1, 0.5]", "--rank", "2"], 9),
 ]
 
 

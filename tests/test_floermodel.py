@@ -154,3 +154,31 @@ def test_density_match_fails_when_b_is_off_by_a_factor(monkeypatch, factors):
     assert report["matches"] is False
     assert report["rescaling"] == good_report["rescaling"]
     assert floer_report(4)["matches_density_model"] is False
+
+
+def test_zero_step_product_is_not_unique_up_to_rescaling(monkeypatch):
+    # b[1] = 0 makes a_1 b_2 = 0: rescaling then cannot reach every chain
+    (good,) = solve_forced_action(3)
+    assert floer_report(3)["unique_up_to_rescaling"] is True
+    b = list(good.b)
+    b[1] = 0
+    bad = FiniteSl2Module.unchecked(good.basis_exponents, good.weights, good.a, b)
+    monkeypatch.setattr(floermodel, "solve_forced_action", lambda n: [bad])
+    report = floer_report(3)
+    assert report["unique_up_to_rescaling"] is False
+    assert report["matches_density_model"] is False
+
+
+def test_density_match_fails_when_the_weights_are_permuted(monkeypatch):
+    # e and f agree with the forced chain, so only the h comparison can fail
+    good_report = identify_with_density_model(3)
+    assert good_report["matches"] is True
+    (good,) = solve_forced_action(3)
+    weights = [good.weights[t] for t in (1, 0, 2, 3)]
+    bad = FiniteSl2Module.unchecked(good.basis_exponents, weights, good.a, good.b)
+    monkeypatch.setattr(floermodel, "solve_forced_action", lambda n: [bad])
+    report = identify_with_density_model(3)
+    assert report["matches"] is False
+    assert report["rescaling"] == good_report["rescaling"]
+    assert report["h_spectrum"] == good_report["h_spectrum"] == [-3, -1, 1, 3]
+    assert floer_report(3)["matches_density_model"] is False

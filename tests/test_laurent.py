@@ -146,6 +146,34 @@ def test_inexact_coefficients_rejected():
         L(1, {(1,): 1}).scale(1j)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyVector(1, {((2.7,), (1,)): 1}),
+        lambda: LaurentPoly(1, {(Fraction(5, 2),): 1}),
+        lambda: LaurentPoly(2, {(1.0, 0): 1}),
+        lambda: LaurentPoly(1, {(True,): 1}),
+        lambda: PolyVector(2, {((0, 0), (1.0,)): 1}),
+        lambda: PolyVector(2, {((0, 0), (True,)): 1}),
+        lambda: PolyVector(2, {((0, 0), (1, 1.0)): 1}),
+        lambda: PolyVector.monomial(1, (Fraction(3),), (1,)),
+    ],
+    ids=["float", "fraction", "float_laurent", "bool", "float_wedge", "bool_wedge",
+         "float_wedge_repeat", "integral_fraction"],
+)
+def test_non_integer_exponents_and_wedge_indices_rejected(build):
+    # each was truncated or stored as given, and printed wrongly, before
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_int_string_exponents_still_accepted():
+    assert L(2, {("3", "-1"): 2}) == L(2, {(3, -1): 2})
+    assert PolyVector(1, {(("-2",), (1,)): 1}) == PolyVector.monomial(1, (-2,), (1,))
+    with pytest.raises(ValueError):
+        L(1, {("2.5",): 1})
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_sub_equals_add_of_negation(rank):
     rng = random.Random(400 + rank)

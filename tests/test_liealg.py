@@ -77,9 +77,7 @@ def test_restrict_upper_corner():
 def test_restrict_kills_identity():
     for rank in (1, 2, 3):
         size = rank + 1
-        identity = GlMatrixElement(
-            [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        )
+        identity = GlMatrixElement(size, {(i, i): 1 for i in range(size)})
         assert restrict_from_projective(identity).is_zero()
 
 
@@ -178,28 +176,41 @@ def dense_commutator(a, b):
     return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(product(a, b), product(b, a))]
 
 
+def random_entries(rng, size, zero_share):
+    """The entries of a size x size matrix: each is left out with probability
+    zero_share, else a small Fraction, which may itself be 0."""
+    entries = {}
+    for i in range(size):
+        for j in range(size):
+            if rng.random() >= zero_share:
+                entries[i, j] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return entries
+
+
 def assert_sparse(m):
     assert all(type(v) is Fraction and v for v in m.entries.values())
     assert all(0 <= i < m.size and 0 <= j < m.size for i, j in m.entries)
 
 
 def test_entries_are_the_nonzero_fractions():
-    m = GlMatrixElement([[0, "1/2", 0], [Fraction(0), 0, -3], [0, 0, 0]])
+    m = GlMatrixElement(3, {(0, 1): "1/2", (1, 0): Fraction(0), (1, 2): -3, (2, 2): 0})
     assert m.size == 3
     assert m.entries == {(0, 1): Fraction(1, 2), (1, 2): Fraction(-3)}
     assert_sparse(m)
-    assert GlMatrixElement([[0, 0], [0, 0]]).entries == {}
+    assert GlMatrixElement(2, {}).entries == {}
     assert GlMatrixElement.elementary(4, 3, 1).entries == {(3, 1): Fraction(1)}
-    for rows in ([[1, 2], [3]], [[1]], []):
+    for size in (1, 0, -1):
         with pytest.raises(ValueError):
-            GlMatrixElement(rows)
+            GlMatrixElement(size, {})
     with pytest.raises(TypeError):
-        GlMatrixElement([[0.5, 0], [0, 0]])
+        GlMatrixElement(2, {(0, 0): 0.5})
     with pytest.raises(ValueError):
         GlMatrixElement.elementary(1, 0, 0)
     for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
             GlMatrixElement.elementary(2, i, j)
+        with pytest.raises(IndexError):
+            GlMatrixElement(2, {(0, 0): 1, (i, j): 1})
     with pytest.raises(ValueError):
         GlMatrixElement.elementary(2, 0, 1).commutator(GlMatrixElement.elementary(3, 0, 1))
 
@@ -210,14 +221,7 @@ def test_commutator_matches_dense_definition():
     for trial in range(360):
         size = rng.randint(2, 6)
         zero_share = (0.0, 0.5, 0.9)[trial % 3]
-        a, b = (
-            GlMatrixElement([
-                [0 if rng.random() < zero_share else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                 for _ in range(size)]
-                for _ in range(size)
-            ])
-            for _ in range(2)
-        )
+        a, b = (GlMatrixElement(size, random_entries(rng, size, zero_share)) for _ in range(2))
         if trial % 10 == 0:
             b = a  # [a, a] = 0: every product term cancels
         got = a.commutator(b)
@@ -290,16 +294,12 @@ def test_restrict_closed_form_matches_four_case_oracle():
     for _ in range(600):
         size = rng.randint(2, 6)
         zero_share = rng.choice((0.0, 0.5, 0.9))
-        entries = [
-            [0 if rng.random() < zero_share else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-             for _ in range(size)]
-            for _ in range(size)
-        ]
+        entries = random_entries(rng, size, zero_share)
         if rng.random() < 0.2:
             # scalar matrices restrict to 0: every term cancels
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            entries = [[c if a == b else 0 for b in range(size)] for a in range(size)]
-        matrices.append(GlMatrixElement(entries))
+            entries = {(a, a): c for a in range(size)}
+        matrices.append(GlMatrixElement(size, entries))
     zero_results = 0
     for m in matrices:
         got = restrict_from_projective(m)
