@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentPoly, SparseStore, _as_fraction, _check_rank_arg, _exponent
+from .laurent import LaurentPoly, SparseStore, _as_fraction, _check_size, _exponent
 
 
 def normalize_wedge(indices):
@@ -49,7 +49,7 @@ class PolyVector(SparseStore):
     __slots__ = ()
 
     def __init__(self, rank: int, terms=None):
-        _check_rank_arg(rank)
+        _check_size("rank", rank)
         clean = {}
         for (exp, wedge), coeff in (terms or {}).items():
             exp = _exponent(exp, rank)

@@ -165,9 +165,7 @@ def cmd_floer(args):
 
 
 def cmd_verify(args):
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    suite = SUITES[args.suite]
     params = inspect.signature(suite).parameters
     kwargs = {}
     for flag in VERIFY_FLAGS:

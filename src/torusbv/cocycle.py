@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import LaurentPoly, _as_fraction, _check_rank_arg, _check_size
+from .laurent import LaurentPoly, _as_fraction, _check_size
 from .parsing import ParseError, parse_coefficient, parse_laurent
 
 
@@ -48,7 +48,7 @@ class CE1Cochain:
     psi(z^n theta_i) = (alpha n_i + beta_i) z^n + [z^n theta_i, g]."""
 
     def __init__(self, rank: int, alpha=0, betas=None, exact_part: LaurentPoly | None = None):
-        _check_rank_arg(rank)
+        _check_size("rank", rank)
         self.rank = rank
         self.alpha = _as_fraction(alpha)
         betas = list(betas) if betas is not None else [0] * rank
@@ -92,7 +92,7 @@ def witt_basis(rank: int, window: int):
 def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     """Check the cocycle condition on all basis pairs (xi_{n,i}, xi_{m,j})
     with sup-norm at most `window`."""
-    _check_rank_arg(rank)
+    _check_size("rank", rank)
     _check_size("window", window)
     basis = list(witt_basis(rank, window))
     for x in basis:

@@ -180,40 +180,21 @@ class FiniteSl2Module:
         return [products[t] + products[t + 1] + w * w / 2 for t, w in enumerate(self.weights)]
 
 
-def has_finite_submodule(spec: DensityRepSpec) -> bool:
-    """Existence criterion: alpha a non-positive half-integer and
-    alpha + beta an integer."""
-    two_alpha = 2 * spec.alpha
-    return (
-        two_alpha.denominator == 1
-        and two_alpha <= 0
-        and (spec.alpha + spec.beta).denominator == 1
-    )
-
-
 def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None:
     """The unique finite dimensional sl2 submodule of rho_{alpha,beta}, or
-    None when the existence criterion fails.
-
-    The submodule has dimension -2*alpha + 1, with basis z^{j0}, ...,
-    z^{j0 + n} where j0 = alpha - beta locates the kernel of the lowering
-    operator; the sl2 operators are e = rho(xi_1), h = 2 rho(xi_0),
-    f = -rho(xi_{-1}).
+    None.  It exists iff n = -2*alpha is a non-negative integer and
+    j0 = alpha - beta is an integer (given 2*alpha in Z, iff alpha + beta
+    is), and has basis z^{j0}, ..., z^{j0 + n}, with z^{j0} the kernel of
+    the lowering operator; e = rho(xi_1), h = 2 rho(xi_0), f = -rho(xi_{-1}).
     """
-    if not has_finite_submodule(spec):
-        return None
-    n = int(-2 * spec.alpha)
+    n = -2 * spec.alpha
     j0 = spec.alpha - spec.beta
-    if j0.denominator != 1:
-        raise RuntimeError(f"lowest exponent alpha - beta = {j0} of {spec!r} is not an integer")
-    j0 = int(j0)
-    exponents = [j0 + t for t in range(n + 1)]
-    a = [j + spec.alpha + spec.beta for j in exponents]
-    b = [spec.alpha - spec.beta - j for j in exponents]
-    if a.pop():
-        raise RuntimeError("raising operator escapes the submodule")
-    if b.pop(0):
-        raise RuntimeError("lowering operator escapes the submodule")
+    if n < 0 or n.denominator != 1 or j0.denominator != 1:
+        return None
+    n, j0 = int(n), int(j0)
+    exponents = list(range(j0, j0 + n + 1))
+    a = [j + spec.alpha + spec.beta for j in exponents[:-1]]
+    b = [spec.alpha - spec.beta - j for j in exponents[1:]]
     weights = [2 * weight_of(spec, j) for j in exponents]
     return FiniteSl2Module(exponents, weights, a, b)
 
@@ -221,38 +202,15 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
 def check_irreducible(module: FiniteSl2Module) -> bool:
     """True iff the module has no proper nonzero invariant subspace.
 
-    Uses the raising-chain criterion (valid because the weight spaces are
-    one dimensional): e must map each non-top weight space injectively to
-    the next.  Cross-checked for dim <= 5 by brute-force enumeration of
-    invariant coordinate subspaces (subspaces spanned by eigenvectors of
-    the diagonal operator h, which has distinct eigenvalues).
+    With distinct h eigenvalues the invariant subspaces are spans of basis
+    vectors (Humphreys 7.2), and a span is invariant iff no nonzero a[t]
+    leads out of it from x_t and no nonzero b[t] from x_{t+1}.  So the
+    module is irreducible iff its weights are distinct and every a[t] and
+    b[t] is nonzero: the chain is strongly connected.  The checked
+    constructor gives a[t] b[t] = (t+1)(n-t) != 0, so only a chain built
+    with `FiniteSl2Module.unchecked` can give False.
     """
-    dim = module.dim
-    if len(set(module.weights)) != dim:
-        # repeated weights: by complete reducibility the module splits
-        return False
-    chain_ok = all(module.a)
-    if dim <= 5 and chain_ok != _irreducible_brute_force(module):
-        raise RuntimeError(
-            f"raising-chain criterion ({chain_ok}) and brute force disagree on {module!r}"
-        )
-    return chain_ok
-
-
-def _irreducible_brute_force(module: FiniteSl2Module) -> bool:
-    """Enumerate all proper nonzero spans of h-eigenvectors and test
-    invariance under e and f.  Since h is diagonal with distinct entries,
-    every invariant subspace is of this form; on the chain, it is invariant
-    iff no nonzero a[t] leads out of it from x_t and no nonzero b[t] from
-    x_{t+1}."""
-    steps = [(t, t + 1) for t, v in enumerate(module.a) if v]
-    steps += [(t + 1, t) for t, v in enumerate(module.b) if v]
-    for size in range(1, module.dim):
-        for subset in combinations(range(module.dim), size):
-            inside = set(subset)
-            if all(dst in inside for src, dst in steps if src in inside):
-                return False
-    return True
+    return len(set(module.weights)) == module.dim and all(module.a) and all(module.b)
 
 
 def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_window: int = 3) -> bool:

@@ -11,6 +11,7 @@ key and add later ones to it: no `Fraction(0)` seed, one operation a term.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -38,14 +39,19 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _check_rank_arg(rank: int) -> None:
-    _check_size("rank", rank)
+_INT_STRING = re.compile(r"-?\d+")  # an exponent, as parsing._FACTOR spells it
 
 
 def _integer(e) -> int:
-    """An exponent entry: an int or an int string such as '3'.  A float, a
+    """An exponent entry: an int, or a string that spells one as the
+    polyvector grammar does, an optional '-' and digits such as '3' or '-3'
+    ('+', spaces or '_' separators raise ValueError).  A float, a
     Fraction or a bool raises TypeError instead of being truncated."""
-    if isinstance(e, str) or (isinstance(e, int) and not isinstance(e, bool)):
+    if isinstance(e, str):
+        if not _INT_STRING.fullmatch(e):
+            raise ValueError(f"exponent entry {e!r} is not an integer string like '3' or '-3'")
+        return int(e)
+    if isinstance(e, int) and not isinstance(e, bool):
         return int(e)
     raise TypeError(f"exponent entry {e!r} is not an integer; use an int or a string like '3'")
 
@@ -167,7 +173,7 @@ class LaurentPoly(SparseStore):
     __slots__ = ()
 
     def __init__(self, rank: int, terms=None):
-        _check_rank_arg(rank)
+        _check_size("rank", rank)
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = _exponent(exp, rank)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import _as_fraction, _check_rank_arg
+from .laurent import _as_fraction, _check_size
 
 
 def _require_vector_field(pv: PolyVector, what: str = "argument") -> None:
@@ -125,7 +125,7 @@ def verify_lie_embedding(rank: int) -> dict:
     """Check that restriction from P^r is a Lie homomorphism on all gl_{r+1}
     basis pairs, that scalars die, and that the image has dimension
     (r+1)^2 - 1.  Returns a report dict."""
-    _check_rank_arg(rank)
+    _check_size("rank", rank)
     size = rank + 1
     basis = [
         (i, j, GlMatrixElement.elementary(size, i, j))
@@ -160,7 +160,7 @@ def verify_lie_embedding(rank: int) -> dict:
 def root_system_report(rank: int) -> dict:
     """Sweep the sl_{r+1} basis image through root_grading and compare with
     the abstract type-A root set."""
-    _check_rank_arg(rank)
+    _check_size("rank", rank)
     size = rank + 1
     found = {}
     for i in range(size):

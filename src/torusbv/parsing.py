@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector
-from .laurent import LaurentPoly, SparseStore
+from .laurent import LaurentPoly, SparseStore, _check_size
 
 
 class ParseError(ValueError):
@@ -148,11 +148,13 @@ def _parse_term(raw: str, offset: int, rank: int):
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:
-    """Parse `text`; a ParseError's position is an index into `text`.
+    """Parse `text`; a ParseError's position is an index into `text`.  A
+    rank below 1 raises ValueError before the text is read.
 
     Coefficients are summed under the raw (exponent, wedge) keys of the
     terms, and one validating PolyVector sorts the wedges (with their
     Koszul signs), drops repeated generators and cancels to zero."""
+    _check_size("rank", rank)
     if text.strip() == "0":
         return PolyVector.zero(rank)
     terms = {}

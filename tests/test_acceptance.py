@@ -87,8 +87,7 @@ def test_criterion_6_rep_classification():
                 n = -two_alpha
                 ok &= module.dim == -2 * alpha + 1
                 ok &= module.h_spectrum() == [Fraction(v) for v in range(-n, n + 1, 2)]
-                if module.dim <= 5:
-                    ok &= check_irreducible(module)
+                ok &= check_irreducible(module)
     report(6, "finite submodule classification on the half-integer grid", ok)
 
 

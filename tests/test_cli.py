@@ -508,6 +508,10 @@ VACUOUS = [
     (["cocycle-check", "alpha=5", "--window", "0"], "window must be >= 1, got 0"),
     (["floer", "--n", "0"], "n must be >= 1, got 0"),
     (["floer", "--n", "-1"], "n must be >= 1, got -1"),
+    (["bracket", "t1", "t1", "--rank", "0"], "rank must be >= 1, got 0"),
+    (["wedge", "2", "3", "--rank", "0"], "rank must be >= 1, got 0"),
+    (["bv", "z", "--rank", "0"], "rank must be >= 1, got 0"),
+    (["bv", "z", "--rank", "-2"], "rank must be >= 1, got -2"),
 ]
 
 
@@ -540,6 +544,11 @@ def test_operand_starting_with_minus_needs_double_dash(capsys):
 def test_library_rejects_vacuous_rank_and_triples():
     with pytest.raises(ValueError, match="rank must be >= 1"):
         CE1Cochain(0, alpha=1)
+    # the rank is checked before the text is read, so it is not a ParseError
+    for text in ("z", "t1", "0", "q3"):
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$") as exc:
+            parse_polyvector(text, 0)
+        assert not isinstance(exc.value, ParseError)
     with pytest.raises(ValueError, match="triples must be >= 1, got 0"):
         suites.shift_suite(triples=0)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from torusbv.densityrep import (
     check_irreducible,
     classification_grid,
     extract_finite_sl2_submodule,
-    has_finite_submodule,
     rho_apply,
     shift_isomorphism_check,
     verify_lie_action,
@@ -56,12 +56,15 @@ def test_lie_action_holds_for_sampled_specs():
 
 
 def test_existence_criterion():
-    assert has_finite_submodule(DensityRepSpec(-1, -1))
-    assert has_finite_submodule(DensityRepSpec(0, 0))
-    assert has_finite_submodule(DensityRepSpec(Fraction(-1, 2), Fraction(1, 2)))
-    assert not has_finite_submodule(DensityRepSpec(Fraction(1, 2), Fraction(1, 2)))
-    assert not has_finite_submodule(DensityRepSpec(Fraction(-1, 2), 0))
-    assert not has_finite_submodule(DensityRepSpec(Fraction(-1, 3), Fraction(1, 3)))
+    def exists(alpha, beta):
+        return extract_finite_sl2_submodule(DensityRepSpec(alpha, beta)) is not None
+
+    assert exists(-1, -1)
+    assert exists(0, 0)
+    assert exists(Fraction(-1, 2), Fraction(1, 2))
+    assert not exists(Fraction(1, 2), Fraction(1, 2))
+    assert not exists(Fraction(-1, 2), 0)
+    assert not exists(Fraction(-1, 3), Fraction(1, 3))
 
 
 def test_extract_dim3_module():
@@ -172,19 +175,6 @@ def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
     assert not any(verify_lie_action(spec, -8, 8) for spec in specs)
 
 
-def test_irreducibility_cross_check_mismatch_names_the_module(monkeypatch):
-    module = extract_finite_sl2_submodule(DensityRepSpec(-1, -1))
-    monkeypatch.setattr(densityrep, "_irreducible_brute_force", lambda m: False)
-    with pytest.raises(RuntimeError, match=r"basis_exponents=\[0, 1, 2\]"):
-        check_irreducible(module)
-
-
-def test_non_integral_lowest_exponent_raises(monkeypatch):
-    monkeypatch.setattr(densityrep, "has_finite_submodule", lambda spec: True)
-    with pytest.raises(RuntimeError, match="not an integer"):
-        extract_finite_sl2_submodule(DensityRepSpec(Fraction(-1, 2), 0))
-
-
 def test_raising_chain_decides_irreducibility_above_dim_5():
     for two_alpha in range(-14, -9):
         alpha = Fraction(two_alpha, 2)
@@ -215,18 +205,45 @@ def test_classification_suite_output_is_the_same_under_python_O(suite):
     assert run("-O") == plain
 
 
-def test_irreducibility_cross_check_still_runs_under_python_O():
-    code = (
-        "import torusbv.densityrep as d\n"
-        "d._irreducible_brute_force = lambda m: False\n"
-        "m = d.extract_finite_sl2_submodule(d.DensityRepSpec(-1, -1))\n"
-        "try:\n"
-        "    d.check_irreducible(m)\n"
-        "except RuntimeError:\n"
-        "    print('raised')\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
-    assert proc.stdout == b"raised\n"
+def irreducible_brute_force(module):
+    """Enumerate all proper nonzero spans of h-eigenvectors and test their
+    invariance under e and f.  With distinct weights every invariant
+    subspace is of this form; on the chain a span is invariant iff no
+    nonzero a[t] leads out of it from x_t and no nonzero b[t] from x_{t+1}."""
+    steps = [(t, t + 1) for t, v in enumerate(module.a) if v]
+    steps += [(t + 1, t) for t, v in enumerate(module.b) if v]
+    for size in range(1, module.dim):
+        for subset in itertools.combinations(range(module.dim), size):
+            inside = set(subset)
+            if all(dst in inside for src, dst in steps if src in inside):
+                return False
+    return True
+
+
+def test_irreducibility_matches_brute_force_on_every_zero_pattern():
+    # V(n) with any of its 2n chain coefficients set to zero, n = 0..6
+    patterns = 0
+    for n in range(7):
+        full = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
+        for zeros in itertools.product((False, True), repeat=2 * n):
+            values = [Fraction(0) if z else v for z, v in zip(zeros, full.a + full.b)]
+            module = FiniteSl2Module.unchecked(full.basis_exponents, full.weights, values[:n], values[n:])
+            assert check_irreducible(module) is irreducible_brute_force(module)
+            assert check_irreducible(module) is not any(zeros)
+            patterns += 1
+    assert patterns == 5461
+
+
+def test_dim6_chain_with_one_zero_lowering_step_is_reducible():
+    # f x_2 = 0 while e keeps the chain connected upwards: the span of
+    # x_2, ..., x_5 is invariant under e, h and f
+    full = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-5, 2), Fraction(-5, 2)))
+    assert full.dim == 6 and all(full.a)
+    b = list(full.b)
+    b[1] = Fraction(0)
+    module = FiniteSl2Module.unchecked(full.basis_exponents, full.weights, full.a, b)
+    assert not check_irreducible(module)
+    assert not irreducible_brute_force(module)
 
 
 # The two-call form of the Lie-action check, kept as an oracle: both orders

@@ -174,6 +174,15 @@ def test_int_string_exponents_still_accepted():
         L(1, {("2.5",): 1})
 
 
+@pytest.mark.parametrize("text", ["1_0", " 1_0 ", "+3", " 3", "3 ", "- 3", "--3", "", "0x3"])
+def test_exponent_strings_outside_the_grammar_rejected(text):
+    # the polyvector grammar spells an exponent -?\d+, as z^3 or z^-3
+    with pytest.raises(ValueError, match="is not an integer string"):
+        L(1, {(text,): 1})
+    with pytest.raises(ValueError, match="is not an integer string"):
+        PolyVector(2, {((0, text), (1,)): 1})
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_sub_equals_add_of_negation(rank):
     rng = random.Random(400 + rank)
