@@ -53,7 +53,7 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
         raise ValueError("density representations are defined at rank 1")
     # j -> i + j is injective, so each key is hit once; _raw drops the zeros
     shift = spec.shift(i)
-    return LaurentPoly._raw(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
+    return LaurentPoly._raw(1, {(i + j,): (shift + j) * c for (j,), c in p.terms.items()})
 
 
 def weight_of(spec: DensityRepSpec, j: int) -> Fraction:
@@ -66,28 +66,31 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     on monomials z^j, lo <= j <= hi, for |n|, |m| <= bracket_window.
 
     Images are evaluated exactly on each monomial, so there are no
-    truncation edge effects.  For each z^j the images rho(xi_k) z^j,
-    |k| <= 2W with W = bracket_window, are computed once and serve as the
-    left sides and the inner factors.  Each composite rho(xi_n) rho(xi_m) z^j
-    is then computed once and serves both orders of the commutator, so a
-    monomial costs (4W+1) + (2W+1)^2 calls of rho_apply.  Only n < m is
-    compared: the (m, n) identity is the exact negation of the (n, m) one,
-    and n = m reads 0 == 0.
+    truncation edge effects.  Only n < m is compared: the (m, n) identity
+    is the exact negation of the (n, m) one, and n = m reads 0 == 0, so
+    the n = m composites are never built.  For each z^j the images
+    rho(xi_k) z^j are built once for k in the window and for every sum
+    n + m of a compared pair, which is |k| <= 2W - 1 with W =
+    bracket_window; they serve as the left sides and the inner factors.
+    Each composite rho(xi_n) rho(xi_m) z^j with n != m is built once, at
+    the comparison that reads it, and the check returns at the first
+    failure.  A monomial that passes costs (4W - 1) + 2W(2W + 1) calls of
+    rho_apply.
 
     An empty monomial range or a window below 1 would check nothing and
     raises ValueError.
     """
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
-    window = range(-bracket_window, bracket_window + 1)
-    reach = range(-2 * bracket_window, 2 * bracket_window + 1)
+    pairs = list(combinations(range(-bracket_window, bracket_window + 1), 2))
+    reach = range(1 - 2 * bracket_window, 2 * bracket_window)
     for j in range(lo, hi + 1):
         zj = LaurentPoly.monomial(1, (j,))
         image = {k: rho_apply(spec, k, zj) for k in reach}
-        twice = {(n, m): rho_apply(spec, n, image[m]) for n in window for m in window}
-        for n, m in combinations(window, 2):
+        for n, m in pairs:
             # [xi_n, xi_m] = (m - n) xi_{n+m}
-            if image[n + m].scale(m - n) != twice[n, m] - twice[m, n]:
+            commutator = rho_apply(spec, n, image[m]) - rho_apply(spec, m, image[n])
+            if image[n + m].scale(m - n) != commutator:
                 return False
     return True
 
@@ -230,10 +233,11 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(1, {(j + m,): c for (j,), c in p.terms.items()})
 
-    for i in range(-bracket_window, bracket_window + 1):
-        for j in range(lo, hi + 1):
-            zj = LaurentPoly.monomial(1, (j,))
-            if rho_apply(base, i, shift(zj)) != shift(rho_apply(shifted, i, zj)):
+    for j in range(lo, hi + 1):
+        zj = LaurentPoly.monomial(1, (j,))
+        shifted_zj = shift(zj)
+        for i in range(-bracket_window, bracket_window + 1):
+            if rho_apply(base, i, shifted_zj) != shift(rho_apply(shifted, i, zj)):
                 return False
     return True
 

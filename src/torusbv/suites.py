@@ -250,7 +250,13 @@ def cocycle_suite(rank: int = 1, window: int = 4, seed: int = DEFAULT_SEED) -> d
 
 def rep_classification_suite(grid: int = 8) -> dict:
     """The finite-submodule classification on the half-integer grid, with
-    dimension, spectrum, kernel, and irreducibility checks."""
+    dimension, spectrum, kernel, and irreducibility checks.
+
+    The `irreducibility` line restates a fact of the checked
+    `FiniteSl2Module` constructor rather than an independent test: every
+    module here comes from that constructor, whose [e, f] = h check forces
+    a[t] b[t] = (t+1)(n-t) != 0 on a chain of distinct weights, so
+    `check_irreducible` is True by construction."""
     _check_size("grid", grid)
     checks = []
     ok_exist = ok_dim = ok_spectrum = ok_irred = ok_kernels = True

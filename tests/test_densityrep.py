@@ -126,6 +126,19 @@ def test_shift_isomorphism():
     assert shift_isomorphism_check(0, 0, 0, -8, 8)
 
 
+def test_shift_check_catches_an_action_without_beta(monkeypatch):
+    # rho(xi_i) z^j = (j + alpha*i) z^{i+j} does not see beta, so shifting
+    # beta by m != 0 is no longer matched by shifting the exponent
+    def without_beta(spec, i, p):
+        return LaurentPoly(1, {(i + j,): (j + spec.alpha * i) * c for (j,), c in p.terms.items()})
+
+    monkeypatch.setattr(densityrep, "rho_apply", without_beta)
+    for m in (-5, -1, 1, 2, 5):
+        assert shift_isomorphism_check(-1, -1, m, -8, 8) is False
+        assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), m, -8, 8) is False
+    assert shift_isomorphism_check(-1, -1, 0, -8, 8) is True
+
+
 def test_fractional_shift_rejected():
     with pytest.raises(TypeError):
         shift_isomorphism_check(-1, -1, Fraction(1, 2), -8, 8)
@@ -332,9 +345,10 @@ def test_lie_action_check_catches_composite_only_faults(monkeypatch, mutant):
             assert check(spec, -3, 3, 2) is False
 
 
-@pytest.mark.parametrize("lo, hi, window, calls", [(-2, 2, 1, 70), (-8, 8, 3, 1054), (0, 0, 2, 34)])
+@pytest.mark.parametrize("lo, hi, window, calls", [(-2, 2, 1, 45), (-8, 8, 3, 901), (0, 0, 2, 27)])
 def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window, calls):
-    # (hi - lo + 1) * ((4W + 1) + (2W + 1)^2) calls, with W = window
+    # (hi - lo + 1) * ((4W - 1) + 2W(2W + 1)) calls, with W = window: the
+    # images at |k| <= 2W - 1 and the composites with n != m
     count = 0
 
     def counted(spec, i, p):
@@ -344,7 +358,54 @@ def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window
 
     monkeypatch.setattr(densityrep, "rho_apply", counted)
     assert verify_lie_action(DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), lo, hi, window)
-    assert count == calls == (hi - lo + 1) * ((4 * window + 1) + (2 * window + 1) ** 2)
+    assert count == calls == (hi - lo + 1) * (4 * window**2 + 6 * window - 1)
+
+
+def doubled_on_monomials_at(reach_edge):
+    """rho_apply, except that rho(xi_k) z^j is doubled for |k| = reach_edge
+    when its input is a monomial z^j with coefficient 1."""
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, p)
+        if abs(i) == reach_edge and set(p.terms.values()) == {1}:
+            out = out.scale(2)
+        return out
+
+    return rho
+
+
+def doubled_on_composites_of(pair):
+    """rho_apply, except that the composites rho(xi_n) rho(xi_m) z^j and
+    rho(xi_m) rho(xi_n) z^j of the one pair {n, m} are doubled.  Each result
+    remembers the index that made it, as in `wrong_for_one_order`."""
+    made_by = {}
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, p)
+        inner = made_by.get(id(p))
+        if inner is not None and {inner[1], i} == set(pair):
+            out = out.scale(2)
+        made_by[id(out)] = (out, i)
+        return out
+
+    return rho
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_lie_action_reach_covers_every_compared_sum(monkeypatch, window):
+    # The images stop at |k| = 2W - 1, the largest |n + m| over n < m in the
+    # window; a fault in an image there, or in a composite of the extreme
+    # pair (-W, W), must still be caught.
+    spec = DensityRepSpec(Fraction(-3, 2), Fraction(1, 2))
+    assert verify_lie_action(spec, -3, 3, window)
+    edge = doubled_on_monomials_at(2 * window - 1)
+    for i in range(-2 * window, 2 * window + 1):
+        for j in range(-3, 4):
+            right = rho_apply(spec, i, zpow(j))
+            assert edge(spec, i, zpow(j)) == (right.scale(2) if abs(i) == 2 * window - 1 else right)
+    for mutant in (edge, doubled_on_composites_of((-window, window))):
+        monkeypatch.setattr(densityrep, "rho_apply", mutant)
+        assert verify_lie_action(spec, -3, 3, window) is False
 
 
 def test_vacuous_lie_action_check_raises(monkeypatch):
