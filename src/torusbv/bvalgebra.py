@@ -106,14 +106,6 @@ class PolyVector(SparseStore):
 
     # -- grading ----------------------------------------------------------
 
-    def degrees(self):
-        return sorted({len(w) for (_, w) in self.terms})
-
-    def degree_part(self, k: int) -> "PolyVector":
-        return PolyVector._raw(
-            self.rank, {key: c for key, c in self.terms.items() if len(key[1]) == k}
-        )
-
     def degree0_to_laurent(self) -> LaurentPoly:
         """Extract the function part as a LaurentPoly; the element must be
         concentrated in cohomological degree 0."""
@@ -234,18 +226,36 @@ def bv_delta_divergence(a: PolyVector) -> PolyVector:
 
 
 def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
-    """[a, b] = Delta(a b) - Delta(a) b - (-1)^|a| a Delta(b) on homogeneous
-    a, extended bilinearly over the cohomological parts a_k and b_l.
+    """Schouten-Nijenhuis bracket, one pass over the term pairs.  On monomials
 
-    Delta is linear and the wedge bilinear, so the sum over the parts is
+        [z^n theta_S, z^m theta_T]
+            = z^{n+m} (iota_m(theta_S) theta_T + (-1)^|S| theta_S iota_n(theta_T)),
 
-        [a, b] = Delta(a b) - Delta(a) b - a~ Delta(b),
-
-    where a~ = sum_k (-1)^k a_k is the parity twist of a: three wedges and
-    three Deltas for any mix of degrees.
+    where iota_v contracts a wedge against the exponent vector v as
+    `bv_delta` does: the j-th index s_j (0-based) gives (-1)^j v_{s_j}.  This
+    is the bracket that Delta generates (Koszul, "Crochet de
+    Schouten-Nijenhuis et cohomologie", Asterisque 1985),
+    [a, b] = Delta(ab) - Delta(a) b - (-1)^|a| a Delta(b) on homogeneous a;
+    `verify bv-axioms` checks the two against each other.
     """
     a._check_rank(b)
-    twisted = PolyVector._raw(
-        a.rank, {key: -c if len(key[1]) % 2 else c for key, c in a.terms.items()}
-    )
-    return bv_delta(wedge(a, b)) - wedge(bv_delta(a), b) - wedge(twisted, bv_delta(b))
+    terms = {}
+    for (n, s), ca in a.terms.items():
+        for (m, t), cb in b.terms.items():
+            c = ca * cb
+            exp = tuple(x + y for x, y in zip(n, m))
+            # (left wedge, right wedge, exponent entry, sign parity) for each
+            # contraction: theta_S by m, then theta_T by n behind theta_S
+            parts = [(s[:j] + s[j + 1:], t, m[i - 1], j) for j, i in enumerate(s)]
+            parts += [(s, t[:j] + t[j + 1:], n[i - 1], len(s) + j) for j, i in enumerate(t)]
+            for left, right, v, parity in parts:
+                if v == 0:
+                    continue
+                w, sign = merge_wedges(left, right)
+                if sign == 0:
+                    continue
+                key = (exp, w)
+                coeff = c * (v if (sign > 0) == (parity % 2 == 0) else -v)
+                old = terms.get(key)
+                terms[key] = coeff if old is None else old + coeff
+    return PolyVector._raw(a.rank, terms)

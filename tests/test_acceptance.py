@@ -37,7 +37,11 @@ def report(number, label, ok):
 def test_criterion_1_bv_axioms():
     result = bv_axiom_suite(seed=DEFAULT_SEED, cases=200, ranks=(1, 2, 3))
     names = {c["name"] for c in result["checks"]}
-    ok = result["passed"] and "delta_contraction_equals_divergence" in names
+    ok = (
+        result["passed"]
+        and "delta_contraction_equals_divergence" in names
+        and "bracket_equals_bv_derived" in names
+    )
     report(1, "BV axiom suite, 200 seeded cases, ranks 1-3", ok)
 
 

@@ -1,5 +1,7 @@
+import inspect
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,23 @@ from torusbv.bvalgebra import (
 )
 from torusbv.laurent import LaurentPoly
 from torusbv.parsing import format_polyvector, parse_polyvector
-from torusbv.suites import random_homogeneous_polyvector, random_polyvector
+from torusbv import bvalgebra, suites
+from torusbv.suites import (
+    bv_axiom_suite,
+    bv_derived_bracket,
+    random_homogeneous_polyvector,
+    random_polyvector,
+)
+
+
+def degrees(p):
+    """The cohomological degrees in which p has terms, ascending."""
+    return sorted({len(w) for (_, w) in p.terms})
+
+
+def degree_part(p, k):
+    """The degree-k part of p."""
+    return PolyVector._raw(p.rank, {key: c for key, c in p.terms.items() if len(key[1]) == k})
 
 
 def test_normalize_wedge_sorts_with_sign():
@@ -52,10 +70,10 @@ def test_wedge_graded_commutativity_random():
         rank = rng.choice([1, 2, 3])
         a = random_polyvector(rng, rank)
         b = random_polyvector(rng, rank)
-        for ka in a.degrees():
-            pa = a.degree_part(ka)
-            for kb in b.degrees():
-                pb = b.degree_part(kb)
+        for ka in degrees(a):
+            pa = degree_part(a, ka)
+            for kb in degrees(b):
+                pb = degree_part(b, kb)
                 sign = -1 if (ka * kb) % 2 else 1
                 assert wedge(pa, pb) == wedge(pb, pa).scale(sign)
 
@@ -156,16 +174,16 @@ def test_graded_identities_random():
         x = random_polyvector(rng, rank)
         y = random_polyvector(rng, rank)
         z = random_polyvector(rng, rank)
-        for kx in x.degrees():
-            px = x.degree_part(kx)
-            for ky in y.degrees():
-                py = y.degree_part(ky)
+        for kx in degrees(x):
+            px = degree_part(x, kx)
+            for ky in degrees(y):
+                py = degree_part(y, ky)
                 # antisymmetry: [x,y] = (-1)^{|x||y|} [y,x]
                 assert gerstenhaber_bracket(px, py) == gerstenhaber_bracket(py, px).scale(
                     _sign(kx * ky)
                 )
-                for kz in z.degrees():
-                    pz = z.degree_part(kz)
+                for kz in degrees(z):
+                    pz = degree_part(z, kz)
                     jac = (
                         gerstenhaber_bracket(gerstenhaber_bracket(px, py), pz).scale(_sign(kx * kz))
                         + gerstenhaber_bracket(gerstenhaber_bracket(py, pz), px).scale(_sign(ky * kx))
@@ -187,8 +205,8 @@ def test_bv_generates_bracket_random():
         rank = rng.choice([1, 2, 3])
         a = random_polyvector(rng, rank)
         b = random_polyvector(rng, rank)
-        for ka in a.degrees():
-            pa = a.degree_part(ka)
+        for ka in degrees(a):
+            pa = degree_part(a, ka)
             direct = gerstenhaber_bracket(pa, b)
             built = (
                 bv_delta(wedge(pa, b))
@@ -208,10 +226,10 @@ def bracket_parts(a, b):
     parts (a_k, b_l), one summand per pair."""
     return [
         bv_delta(wedge(pa, pb)) - wedge(bv_delta(pa), pb) - wedge(pa, bv_delta(pb)).scale(_sign(ka))
-        for ka in a.degrees()
-        for pa in [a.degree_part(ka)]
-        for kb in b.degrees()
-        for pb in [b.degree_part(kb)]
+        for ka in degrees(a)
+        for pa in [degree_part(a, ka)]
+        for kb in degrees(b)
+        for pb in [degree_part(b, kb)]
     ]
 
 
@@ -229,7 +247,8 @@ def oracle_operand(rng, rank):
 
 
 def test_bracket_equals_sum_over_degree_pairs():
-    """The bilinear formula with the parity twist of `a` against the
+    """The one-pass bracket, and the bilinear Delta formula with the parity
+    twist of `a` that `verify bv-axioms` checks it against, each against the
     per-degree-pair formula, on 2200 seeded pairs at ranks 1-4."""
     rng = random.Random(11)
     mixed = cancelled = zero = 0
@@ -242,7 +261,8 @@ def test_bracket_equals_sum_over_degree_pairs():
             want = sum(parts, PolyVector.zero(rank))
             got = gerstenhaber_bracket(a, b)
             assert got == want, (rank, format_polyvector(a), format_polyvector(b))
-            mixed += len(a.degrees()) > 1 and len(b.degrees()) > 1
+            assert bv_derived_bracket(a, b) == want, (rank, format_polyvector(a), format_polyvector(b))
+            mixed += len(degrees(a)) > 1 and len(degrees(b)) > 1
             cancelled += sum(len(p.terms) for p in parts) > len(got.terms)
             zero += got.is_zero()
     assert mixed > 400 and cancelled > 150 and zero > 500
@@ -294,3 +314,64 @@ def test_every_stored_coefficient_is_a_nonzero_fraction():
             assert_exact(x)
         nonempty += all(results[i] for i in (8, 9, 10, 11, 13))
     assert nonempty > 50
+
+
+SIGN_PATH_COEFFS = (Fraction(-3, 2), Fraction(2), Fraction(5, 3), Fraction(-7), Fraction(1, 4))
+
+
+def sign_path_failures(bracket):
+    """`bracket` on c z^n theta_S and c' z^m theta_T against the Delta
+    formula of `bracket_parts`, for every pair of wedge sets (S, T) at ranks
+    1-4 (256 pairs at rank 4), three seeded exponent pairs each.  Entries lie
+    in [-2, 2], so about one in five is zero, and no coefficient is +-1.
+    Returns the failing inputs and the number of pairs in which a contracted
+    index meets a zero entry, and in which the bracket is nonzero."""
+    rng = random.Random(13)
+    failures = []
+    zero_entry = nonzero = 0
+    for rank in (1, 2, 3, 4):
+        sets = [w for k in range(rank + 1) for w in combinations(range(1, rank + 1), k)]
+        for s in sets:
+            for t in sets:
+                for _ in range(3):
+                    n = tuple(rng.randint(-2, 2) for _ in range(rank))
+                    m = tuple(rng.randint(-2, 2) for _ in range(rank))
+                    a = PolyVector.monomial(rank, n, s, rng.choice(SIGN_PATH_COEFFS))
+                    b = PolyVector.monomial(rank, m, t, rng.choice(SIGN_PATH_COEFFS))
+                    want = sum(bracket_parts(a, b), PolyVector.zero(rank))
+                    if bracket(a, b) != want:
+                        failures.append((rank, format_polyvector(a), format_polyvector(b)))
+                    zero_entry += 0 in [m[i - 1] for i in s] + [n[i - 1] for i in t]
+                    nonzero += bool(want)
+    return failures, zero_entry, nonzero
+
+
+def test_bracket_takes_every_sign_path():
+    failures, zero_entry, nonzero = sign_path_failures(gerstenhaber_bracket)
+    assert failures == []
+    assert zero_entry > 300 and nonzero > 600
+
+
+# each mutant is one edit of the kernel's source: (text, replacement)
+KERNEL_MUTANTS = {
+    "drops_sign_of_S": ("n[i - 1], len(s) + j)", "n[i - 1], j)"),
+    "contracts_S_by_n": ("t, m[i - 1], j)", "t, n[i - 1], j)"),
+}
+
+
+def planted_kernel(text, replacement):
+    source = inspect.getsource(bvalgebra.gerstenhaber_bracket)
+    assert source.count(text) == 1
+    namespace = dict(vars(bvalgebra))
+    exec(source.replace(text, replacement), namespace)
+    return namespace["gerstenhaber_bracket"]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+def test_kernel_mutant_fails_sign_paths_and_suite(name, monkeypatch):
+    mutant = planted_kernel(*KERNEL_MUTANTS[name])
+    failures, _, _ = sign_path_failures(mutant)
+    assert failures
+    monkeypatch.setattr(suites, "gerstenhaber_bracket", mutant)
+    verdicts = {c["name"]: c["ok"] for c in bv_axiom_suite()["checks"]}
+    assert verdicts["bracket_equals_bv_derived"] is False
