@@ -34,11 +34,6 @@ def normalize_wedge(indices):
     return tuple(idx), sign
 
 
-def merge_wedges(left, right):
-    """Concatenate two strictly increasing wedges; (merged, Koszul sign)."""
-    return normalize_wedge(tuple(left) + tuple(right))
-
-
 class PolyVector(SparseStore):
     """Sparse element of Laurent (x) Lambda*(theta), stored as
     {(exponent tuple, wedge tuple): Fraction} with no zero coefficients.
@@ -126,7 +121,7 @@ def wedge(a: PolyVector, b: PolyVector) -> PolyVector:
     terms = {}
     for (e1, w1), c1 in a.terms.items():
         for (e2, w2), c2 in b.terms.items():
-            w, sign = merge_wedges(w1, w2)
+            w, sign = normalize_wedge(w1 + w2)
             if sign == 0:
                 continue
             key = (tuple(x + y for x, y in zip(e1, e2)), w)
@@ -192,7 +187,7 @@ def _dlog_differential(form_terms, rank):
             n_i = exp[i - 1]
             if n_i == 0 or i in tlist:
                 continue
-            merged, sign = merge_wedges((i,), tlist)
+            merged, sign = normalize_wedge((i,) + tlist)
             key = (exp, merged)
             c = coeff * (n_i if sign > 0 else -n_i)
             old = out.get(key)
@@ -251,7 +246,7 @@ def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
             for left, right, v, parity in parts:
                 if v == 0:
                     continue
-                w, sign = merge_wedges(left, right)
+                w, sign = normalize_wedge(left + right)
                 if sign == 0:
                     continue
                 key = (exp, w)

@@ -134,14 +134,6 @@ class SparseStore:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def homogeneous_class(self):
-        """The common H1-grading (exponent vector) of all terms, or None if
-        mixed or zero."""
-        classes = {self._exp_wedge(key)[0] for key in self.terms}
-        if len(classes) == 1:
-            return next(iter(classes))
-        return None
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)

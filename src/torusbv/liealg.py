@@ -115,9 +115,10 @@ def root_grading(x: PolyVector) -> tuple:
     Zero and Cartan elements (class 0) map to the zero tuple."""
     if x.is_zero():
         return (0,) * (x.rank + 1)
-    cls = x.homogeneous_class()
-    if cls is None:
+    classes = {e for e, _ in x.terms}
+    if len(classes) != 1:
         raise ValueError("input is not homogeneous in the H1 grading")
+    (cls,) = classes
     return (-sum(cls),) + cls
 
 

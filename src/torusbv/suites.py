@@ -150,36 +150,39 @@ def bv_axiom_suite(seed: int = DEFAULT_SEED, cases: int = 200, ranks=(1, 2, 3), 
     return _finish("bv-axioms", checks, seed=seed, cases=cases)
 
 
-def witt_closed_form_suite() -> dict:
-    """The bracket against the closed forms (m-n) xi_{n+m} at rank 1 and
-    z^{n+m}(m_i theta_j - n_j theta_i) for ranks up to 3."""
-    checks = []
-    ok_rank1 = True
-    for n in range(-4, 5):
-        for m in range(-4, 5):
-            lhs = gerstenhaber_bracket(PolyVector.xi(1, (n,), 1), PolyVector.xi(1, (m,), 1))
-            rhs = PolyVector.xi(1, (n + m,), 1).scale(m - n)
-            ok_rank1 &= lhs == rhs
-    checks.append({"name": "rank1_bracket_closed_form", "ok": ok_rank1})
+def _witt_closed_form_holds(rank: int, window: int) -> bool:
+    """[z^n theta_i, z^m theta_j] = z^{n+m}(m_i theta_j - n_j theta_i) for
+    every n, m in [-window, window]^rank and every i, j.  The expected terms
+    come straight from the formula, with no library arithmetic; for i = j
+    the two terms merge, and zero terms are dropped.  Stops at the first
+    mismatch."""
+    indices = range(1, rank + 1)
+    exps = list(product(range(-window, window + 1), repeat=rank))
+    xi = {(n, i): PolyVector.xi(rank, n, i) for n in exps for i in indices}
+    for n in exps:
+        for m in exps:
+            s = tuple(x + y for x, y in zip(n, m))
+            for i in indices:
+                for j in indices:
+                    want = {(s, (j,)): m[i - 1]}
+                    want[s, (i,)] = want.get((s, (i,)), 0) - n[j - 1]
+                    want = {key: c for key, c in want.items() if c}
+                    if gerstenhaber_bracket(xi[n, i], xi[m, j]).terms != want:
+                        return False
+    return True
 
-    ok_multi = True
-    for rank in (1, 2, 3):
-        exps = list(product(range(-2, 3), repeat=rank))
-        sums = list(product(range(-4, 5), repeat=rank))
-        xi = {
-            (exp, i): PolyVector.xi(rank, exp, i)
-            for exp in exps + sums
-            for i in range(1, rank + 1)
-        }
-        for n in exps:
-            for m in exps:
-                s = tuple(x + y for x, y in zip(n, m))
-                for i in range(1, rank + 1):
-                    for j in range(1, rank + 1):
-                        lhs = gerstenhaber_bracket(xi[(n, i)], xi[(m, j)])
-                        rhs = xi[(s, j)].scale(m[i - 1]) - xi[(s, i)].scale(n[j - 1])
-                        ok_multi &= lhs == rhs
-    checks.append({"name": "vector_field_bracket_closed_form", "ok": ok_multi})
+
+def witt_closed_form_suite() -> dict:
+    """The bracket against its closed form z^{n+m}(m_i theta_j - n_j theta_i):
+    at rank 1 on window 4, where it reads (m-n) xi_{n+m}, and at ranks 1-3
+    on window 2."""
+    checks = [
+        {"name": "rank1_bracket_closed_form", "ok": _witt_closed_form_holds(1, 4)},
+        {
+            "name": "vector_field_bracket_closed_form",
+            "ok": all(_witt_closed_form_holds(rank, 2) for rank in (1, 2, 3)),
+        },
+    ]
     return _finish("witt-closed-form", checks)
 
 

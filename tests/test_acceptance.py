@@ -47,6 +47,8 @@ def test_criterion_1_bv_axioms():
 
 def test_criterion_2_witt_closed_forms():
     result = witt_closed_form_suite()
+    names = [c["name"] for c in result["checks"]]
+    assert names == ["rank1_bracket_closed_form", "vector_field_bracket_closed_form"]
     report(2, "Witt bracket closed forms, rank 1 window 4 and ranks <= 3 window 2",
            result["passed"])
 

@@ -13,7 +13,7 @@ from torusbv.bvalgebra import (
     normalize_wedge,
     wedge,
 )
-from torusbv.laurent import LaurentPoly
+from torusbv.laurent import LaurentPoly, SparseStore
 from torusbv.parsing import format_polyvector, parse_polyvector
 from torusbv import bvalgebra, suites
 from torusbv.suites import (
@@ -21,6 +21,7 @@ from torusbv.suites import (
     bv_derived_bracket,
     random_homogeneous_polyvector,
     random_polyvector,
+    witt_closed_form_suite,
 )
 
 
@@ -375,3 +376,15 @@ def test_kernel_mutant_fails_sign_paths_and_suite(name, monkeypatch):
     monkeypatch.setattr(suites, "gerstenhaber_bracket", mutant)
     verdicts = {c["name"]: c["ok"] for c in bv_axiom_suite()["checks"]}
     assert verdicts["bracket_equals_bv_derived"] is False
+    assert [c["ok"] for c in witt_closed_form_suite()["checks"]] == [False, False]
+
+
+def test_witt_closed_form_oracle_uses_no_library_arithmetic(monkeypatch):
+    """The expected side of the Witt check is built from the formula alone,
+    so the check still passes when the store's linear operations raise."""
+    def refuse(*args):
+        raise AssertionError("library arithmetic in the Witt oracle")
+
+    for name in ("scale", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(SparseStore, name, refuse)
+    assert suites._witt_closed_form_holds(3, 1)

@@ -9,7 +9,7 @@ reuse one argument parser, the mixed-degree pins before the bracket became
 one bilinear Delta formula over all degree parts; they still hold for the
 one-pass Schouten-Nijenhuis kernel.  The `verify bv-axioms` pins were
 re-taken when that suite gained its `bracket_equals_bv_derived` line.
-`verify witt-closed-form` is left out because it takes about 5 s; the
+`verify witt-closed-form` is left out because it takes about 2.5 s; the
 acceptance test for criterion 2 runs the same closed forms.
 A deliberate change to one of these outputs must update its pin here.
 """
