@@ -26,7 +26,7 @@ from .floermodel import (
     identify_with_density_model,
     solve_forced_action,
 )
-from .laurent import LaurentPoly, NotInvertibleError, RankMismatchError
+from .laurent import LaurentPoly, RankMismatchError
 from .liealg import (
     GlMatrixElement,
     Sl2Triple,
@@ -46,7 +46,6 @@ __all__ = [
     "FiniteSl2Module",
     "GlMatrixElement",
     "LaurentPoly",
-    "NotInvertibleError",
     "ParseError",
     "PolyVector",
     "RankMismatchError",

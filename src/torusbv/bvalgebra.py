@@ -9,8 +9,6 @@ divergence computation through logarithmic differential forms
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import LaurentPoly, SparseStore, _as_fraction, _check_size, _exponent
 
 
@@ -91,13 +89,6 @@ class PolyVector(SparseStore):
         if not 1 <= i <= rank:
             raise ValueError(f"theta index {i} out of range for rank {rank}")
         return cls.monomial(rank, tuple(exp), (i,))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return wedge(self, other)
-
-    __rmul__ = SparseStore.scale
 
     # -- grading ----------------------------------------------------------
 

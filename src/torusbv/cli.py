@@ -27,12 +27,20 @@ SCHEMA_VERSION = 1
 # set; --rank fills a `ranks` tuple for suites that sweep several ranks
 VERIFY_FLAGS = ("rank", "seed", "cases", "window", "grid", "max_n")
 
+# subcommand -> (help, operand names, name of its kernel among the imports above)
+_POLYVECTOR_COMMANDS = {
+    "bracket": ("Gerstenhaber bracket of two polyvectors", ("a", "b"), "gerstenhaber_bracket"),
+    "wedge": ("graded product of two polyvectors", ("a", "b"), "wedge"),
+    "bv": ("BV operator applied to a polyvector", ("a",), "bv_delta"),
+}
 
-def _envelope(command: str, rank, result) -> dict:
+
+def _envelope(args, result) -> dict:
+    # `rep` and `floer` take no --rank and work at rank 1
     return {
         "schema": SCHEMA_VERSION,
-        "command": command,
-        "rank": rank,
+        "command": args.command,
+        "rank": getattr(args, "rank", 1),
         "exact": True,
         "result": result,
     }
@@ -42,44 +50,27 @@ def _write_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(args, command: str, rank, result, text: str) -> None:
+def _emit(args, result, text: str) -> None:
     if args.json:
-        _write_json(_envelope(command, rank, result))
+        _write_json(_envelope(args, result))
     else:
         sys.stdout.write(text + "\n")
 
 
-def _emit_polyvector(args, command: str, result) -> None:
-    """Render `result` only in the form that was asked for."""
+def cmd_polyvector(args):
+    """Apply the command's kernel to the parsed operands and render the
+    result only in the form that was asked for."""
+    _, operands, kernel = _POLYVECTOR_COMMANDS[args.command]
+    # looked up on every call, so a tracer or test that rebinds the global is seen
+    result = globals()[kernel](*[parse_polyvector(getattr(args, o), args.rank) for o in operands])
     if args.json:
-        _write_json(_envelope(command, args.rank, result.to_json()))
+        _write_json(_envelope(args, result.to_json()))
     else:
         sys.stdout.write(format_polyvector(result) + "\n")
 
 
-def _binary_op(args, name, op):
-    a = parse_polyvector(args.a, args.rank)
-    b = parse_polyvector(args.b, args.rank)
-    _emit_polyvector(args, name, op(a, b))
-
-
-def cmd_bracket(args):
-    _binary_op(args, "bracket", gerstenhaber_bracket)
-
-
-def cmd_wedge(args):
-    _binary_op(args, "wedge", wedge)
-
-
-def cmd_bv(args):
-    _emit_polyvector(args, "bv", bv_delta(parse_polyvector(args.a, args.rank)))
-
-
 def cmd_roots(args):
     report = root_system_report(args.rank)
-    if args.json:
-        _emit(args, "roots", args.rank, report, "")
-        return
     lines = [
         f"A_{args.rank} root system on rank-{args.rank} torus",
         f"roots ({report['root_count']}): "
@@ -91,7 +82,7 @@ def cmd_roots(args):
         lines.append(f"  {name} -> {tuple(ambient)}")
     if args.rank <= 2:
         lines.extend(_ascii_root_diagram(report))
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, report, "\n".join(lines))
 
 
 def _ascii_root_diagram(report):
@@ -120,7 +111,7 @@ def cmd_cocycle_check(args):
     cochain = parse_cochain_spec(args.spec, args.rank)
     ok = is_cocycle_on_window(cochain, args.rank, args.window)
     result = {"spec": args.spec, "window": args.window, "is_cocycle": ok}
-    _emit(args, "cocycle-check", args.rank, result, f"is_cocycle: {ok}")
+    _emit(args, result, f"is_cocycle: {ok}")
     if not ok:
         raise SystemExit(1)
 
@@ -130,7 +121,7 @@ def cmd_rep(args):
     module = extract_finite_sl2_submodule(spec)
     if module is None:
         result = {"alpha": str(spec.alpha), "beta": str(spec.beta), "exists": False}
-        _emit(args, "rep", 1, result, "no finite sl2 submodule")
+        _emit(args, result, "no finite sl2 submodule")
         return
     result = {
         "alpha": str(spec.alpha),
@@ -149,7 +140,7 @@ def cmd_rep(args):
         f"basis z^{module.basis_exponents}, "
         f"h spectrum {result['h_spectrum']}"
     )
-    _emit(args, "rep", 1, result, text)
+    _emit(args, result, text)
 
 
 def cmd_floer(args):
@@ -161,7 +152,7 @@ def cmd_floer(args):
         f"unique orbit: {report['unique_up_to_rescaling']}, "
         f"matches density model: {report['matches_density_model']}"
     )
-    _emit(args, "floer", 1, report, text)
+    _emit(args, report, text)
 
 
 def cmd_verify(args):
@@ -180,15 +171,12 @@ def cmd_verify(args):
             option = "--" + flag.replace("_", "-")
             raise ValueError(f"suite {args.suite!r} takes no {option}")
     report = suite(**kwargs)
-    if args.json:
-        _emit(args, "verify", args.rank, report, "")
-    else:
-        lines = [f"suite {report['suite']}"]
-        for check in report["checks"]:
-            status = "PASS" if check["ok"] else "FAIL"
-            lines.append(f"  [{status}] {check['name']}")
-        lines.append("all passed" if report["passed"] else "FAILURES PRESENT")
-        sys.stdout.write("\n".join(lines) + "\n")
+    lines = [f"suite {report['suite']}"]
+    for check in report["checks"]:
+        status = "PASS" if check["ok"] else "FAIL"
+        lines.append(f"  [{status}] {check['name']}")
+    lines.append("all passed" if report["passed"] else "FAILURES PRESENT")
+    _emit(args, report, "\n".join(lines))
     if not report["passed"]:
         raise SystemExit(1)
 
@@ -200,22 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", help="Gerstenhaber bracket of two polyvectors")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--rank", type=int, default=1)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("wedge", help="graded product of two polyvectors")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--rank", type=int, default=1)
-    p.set_defaults(func=cmd_wedge)
-
-    p = sub.add_parser("bv", help="BV operator applied to a polyvector")
-    p.add_argument("a")
-    p.add_argument("--rank", type=int, default=1)
-    p.set_defaults(func=cmd_bv)
+    for name, (help_text, operands, _) in _POLYVECTOR_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
+        p.add_argument("--rank", type=int, default=1)
+        p.set_defaults(func=cmd_polyvector)
 
     p = sub.add_parser("roots", help="type-A root system report")
     p.add_argument("--rank", type=int, default=2)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import LaurentPoly, _as_fraction, _check_size
+from .laurent import LaurentPoly, RankMismatchError, _as_fraction, _check_size
 from .parsing import ParseError, parse_coefficient, parse_laurent
 
 
@@ -56,12 +56,12 @@ class CE1Cochain:
             raise ValueError(f"expected {rank} beta coefficients, got {len(betas)}")
         self.betas = [_as_fraction(b) for b in betas]
         if exact_part is not None and exact_part.rank != rank:
-            raise ValueError("exact part has wrong rank")
+            raise RankMismatchError(f"rank {exact_part.rank} exact part for rank {rank} cochain")
         self.exact_part = exact_part
 
     def evaluate(self, x: PolyVector) -> LaurentPoly:
         if x.rank != self.rank:
-            raise ValueError(f"rank {x.rank} argument for rank {self.rank} cochain")
+            raise RankMismatchError(f"rank {x.rank} argument for rank {self.rank} cochain")
         terms = {}
         for n, i, c in _vector_field_terms(x):
             v = self.alpha * n[i] + self.betas[i]

@@ -19,10 +19,6 @@ class RankMismatchError(ValueError):
     """Raised when combining elements of different ambient rank."""
 
 
-class NotInvertibleError(ValueError):
-    """Raised when inverting anything other than a single nonzero monomial."""
-
-
 def _as_fraction(c) -> Fraction:
     """Exact coefficient coercion; floats, complex numbers and bools are
     rejected because they carry no exact rational value."""
@@ -208,12 +204,3 @@ class LaurentPoly(SparseStore):
         return LaurentPoly._raw(self.rank, terms)
 
     __rmul__ = __mul__
-
-    def invert_monomial(self) -> "LaurentPoly":
-        """Inverse of a single-term polynomial c*z^n, namely (1/c)*z^-n."""
-        if len(self.terms) != 1:
-            raise NotInvertibleError(
-                f"only monomials are invertible in the Laurent ring; got {len(self.terms)} terms"
-            )
-        (exp, coeff), = self.terms.items()
-        return LaurentPoly.monomial(self.rank, tuple(-e for e in exp), Fraction(1) / coeff)

@@ -362,12 +362,30 @@ def test_verify_passes_only_the_flags_given(monkeypatch, capsys):
     assert calls == [{}, {"ranks": (2,), "window": 5}]
 
 
+# (argv, envelope rank): `rep` and `floer` take no --rank and work at rank 1;
+# `verify` without --rank leaves each suite its own ranks
+ENVELOPE_RANKS = [
+    (["bracket", "z1*t1", "t2", "--rank", "2"], 2),
+    (["wedge", "t1", "t3", "--rank", "3"], 3),
+    (["bv", "z1*t1"], 1),
+    (["roots", "--rank", "1"], 1),
+    (["cocycle-check", "alpha=1", "--rank", "2", "--window", "1"], 2),
+    (["rep", "--alpha", "0", "--beta", "0"], 1),
+    (["floer", "--n", "1"], 1),
+    (["verify", "floer", "--max-n", "1"], None),
+    (["verify", "embedding", "--rank", "1"], 1),
+]
+
+
 def test_verify_json_envelope_rank(capsys):
-    assert main(["verify", "floer", "--max-n", "1", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["rank"] is None
-    assert main(["verify", "embedding", "--rank", "1", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["rank"] == 1
+    assert {argv[0] for argv, _ in ENVELOPE_RANKS} == {
+        "bracket", "wedge", "bv", "roots", "cocycle-check", "rep", "floer", "verify"
+    }
+    for argv, rank in ENVELOPE_RANKS:
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["command"], payload["rank"]) == (argv[0], rank)
+    # the last case: `--rank 1` reaches the embedding suite as ranks=(1,)
     assert all(c["name"].startswith("rank1_") for c in payload["result"]["checks"])
 
 
@@ -397,6 +415,24 @@ def test_polyvector_commands_render_only_the_requested_form(json_mode, monkeypat
         assert main(argv + flags) == 0
     assert calls == ["json" if json_mode else "text"] * 3
     capsys.readouterr()
+
+
+def test_polyvector_commands_call_the_kernel_bound_at_call_time(monkeypatch, capsys):
+    # the benchmark's tracer counts kernel calls by rebinding these globals
+    calls = []
+
+    def spy(name, kernel):
+        def counted(*operands):
+            calls.append(name)
+            return kernel(*operands)
+        return counted
+
+    for name in ("gerstenhaber_bracket", "wedge", "bv_delta"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    for argv in (["bracket", "z1*t1", "t1"], ["wedge", "t1", "z1"], ["bv", "z1*t1"]):
+        assert main(argv) == 0
+    assert calls == ["gerstenhaber_bracket", "wedge", "bv_delta"]
+    assert capsys.readouterr().out == "-z1^1*t1\nz1^1*t1\nz1^1\n"
 
 
 # (argv, ParseError position): bad coefficients and polyvectors exit 2

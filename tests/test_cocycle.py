@@ -122,8 +122,11 @@ def test_parse_cochain_spec():
 def test_cochain_rank_validation():
     with pytest.raises(ValueError):
         CE1Cochain(2, betas=[1])
-    with pytest.raises(ValueError):
+    # the error module_action raises too; a ValueError, so the CLI exits 2
+    with pytest.raises(RankMismatchError, match="rank 2 argument for rank 1 cochain"):
         CE1Cochain(1, alpha=1).evaluate(PolyVector.xi(2, (0, 0), 1))
+    with pytest.raises(RankMismatchError, match="rank 1 exact part for rank 2 cochain"):
+        CE1Cochain(2, exact_part=LaurentPoly.one(1))
 
 
 def test_parse_cochain_spec_rank2():
@@ -151,8 +154,10 @@ def bracket_module_action(x, m):
 def bracket_cochain(psi, x):
     out = bv_delta(x).degree0_to_laurent().scale(psi.alpha)
     for i, beta in enumerate(psi.betas):
-        z_i = LaurentPoly.monomial(psi.rank, [int(j == i) for j in range(psi.rank)])
-        out = out + (z_i.invert_monomial() * bracket_module_action(x, z_i)).scale(beta)
+        unit = [int(j == i) for j in range(psi.rank)]
+        z_i = LaurentPoly.monomial(psi.rank, unit)
+        z_i_inverse = LaurentPoly.monomial(psi.rank, [-u for u in unit])
+        out = out + (z_i_inverse * bracket_module_action(x, z_i)).scale(beta)
     if psi.exact_part is not None:
         out = out + bracket_module_action(x, psi.exact_part)
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torusbv.bvalgebra import PolyVector
-from torusbv.laurent import LaurentPoly, NotInvertibleError, RankMismatchError
+from torusbv.laurent import LaurentPoly, RankMismatchError
 from torusbv.parsing import format_polyvector
 from torusbv.suites import random_polyvector
 
@@ -51,22 +51,6 @@ def test_mul_schoolbook():
     p = L(1, {(1,): 1, (0,): 1})
     q = L(1, {(1,): 1, (0,): -1})
     assert p * q == L(1, {(2,): 1, (0,): -1})
-
-
-def test_invert_monomial():
-    p = L(2, {(1, 1): 2})
-    inv = p.invert_monomial()
-    assert inv == L(2, {(-1, -1): Fraction(1, 2)})
-    assert p * inv == LaurentPoly.one(2)
-
-
-def test_invert_unit():
-    assert LaurentPoly.one(1).invert_monomial() == LaurentPoly.one(1)
-
-
-def test_invert_non_monomial_rejected():
-    with pytest.raises(NotInvertibleError):
-        L(1, {(1,): 1, (0,): 1}).invert_monomial()
 
 
 def test_rank_mismatch():

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "FiniteSl2Module",
     "GlMatrixElement",
     "LaurentPoly",
-    "NotInvertibleError",
     "ParseError",
     "PolyVector",
     "RankMismatchError",
