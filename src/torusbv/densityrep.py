@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .laurent import LaurentPoly, _as_fraction, _check_size
+from .laurent import LaurentPoly, _as_fraction, _check_int, _check_size
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DensityRepSpec:
@@ -48,16 +49,31 @@ class DensityRepSpec:
 
 
 def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
-    """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}."""
+    """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}.
+
+    With the memoised shift s = alpha*i + beta = s_n/s_d and a coefficient
+    c = c_n/c_d, each output coefficient is the one Fraction
+
+        Fraction((s_n + j*s_d) * c_n, s_d * c_d),
+
+    which the constructor puts in lowest terms.  A non-integer or bool
+    index i raises TypeError."""
+    _check_int("Witt index", i)
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
     # j -> i + j is injective, so each key is hit once; _raw drops the zeros
     shift = spec.shift(i)
-    return LaurentPoly._raw(1, {(i + j,): (shift + j) * c for (j,), c in p.terms.items()})
+    s_n, s_d = shift.numerator, shift.denominator
+    return LaurentPoly._raw(1, {
+        (i + j,): Fraction((s_n + j * s_d) * c.numerator, s_d * c.denominator)
+        for (j,), c in p.terms.items()
+    })
 
 
 def weight_of(spec: DensityRepSpec, j: int) -> Fraction:
-    """xi_0 eigenvalue of z^j, namely j + beta."""
+    """xi_0 eigenvalue of z^j, namely j + beta.  A non-integer or bool
+    exponent j raises TypeError."""
+    _check_int("exponent", j)
     return j + spec.beta
 
 
@@ -82,15 +98,18 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     """
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
-    pairs = list(combinations(range(-bracket_window, bracket_window + 1), 2))
+    # [xi_n, xi_m] = (m - n) xi_{n+m}
+    pairs = [
+        (n, m, Fraction(m - n))
+        for n, m in combinations(range(-bracket_window, bracket_window + 1), 2)
+    ]
     reach = range(1 - 2 * bracket_window, 2 * bracket_window)
     for j in range(lo, hi + 1):
-        zj = LaurentPoly.monomial(1, (j,))
+        zj = LaurentPoly._raw(1, {(j,): _ONE})
         image = {k: rho_apply(spec, k, zj) for k in reach}
-        for n, m in pairs:
-            # [xi_n, xi_m] = (m - n) xi_{n+m}
+        for n, m, factor in pairs:
             commutator = rho_apply(spec, n, image[m]) - rho_apply(spec, m, image[n])
-            if image[n + m].scale(m - n) != commutator:
+            if image[n + m].scale(factor) != commutator:
                 return False
     return True
 
@@ -223,18 +242,17 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     A bool shift raises TypeError; an empty monomial range or a window below
     1 raises ValueError.
     """
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise TypeError(f"shift must be an integer, got {m!r}")
+    _check_int("shift", m)
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
     base = DensityRepSpec(alpha, beta)
     shifted = DensityRepSpec(alpha, _as_fraction(beta) + m)
 
     def shift(p: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(1, {(j + m,): c for (j,), c in p.terms.items()})
+        return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
     for j in range(lo, hi + 1):
-        zj = LaurentPoly.monomial(1, (j,))
+        zj = LaurentPoly._raw(1, {(j,): _ONE})
         shifted_zj = shift(zj)
         for i in range(-bracket_window, bracket_window + 1):
             if rho_apply(base, i, shifted_zj) != shift(rho_apply(shifted, i, zj)):

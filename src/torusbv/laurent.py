@@ -29,8 +29,16 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
+def _check_int(name: str, value) -> None:
+    """An integer argument: a bool, a float or a Fraction raises TypeError
+    instead of being used as a number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_size(name: str, value: int) -> None:
     """A rank, window or case count below 1 would make a check vacuous."""
+    _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 

@@ -5,6 +5,8 @@ fields from projective space, and the type-A root grading.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import _as_fraction, _check_size
@@ -87,6 +89,18 @@ class GlMatrixElement:
         return GlMatrixElement(self.size, out)
 
 
+@cache
+def _chart(rank: int):
+    """The chart of restrict_from_projective at one rank, as tuples: the
+    exponents e_0, ..., e_r and, for each j, the (k, sign) terms of
+    theta~_j.  One entry per rank, of (r + 1) r + 4r small ints."""
+    e = ((0,) * rank,) + tuple(tuple(int(a == b) for b in range(rank)) for a in range(rank))
+    theta_tilde = (tuple((k, -1) for k in range(1, rank + 1)),) + tuple(
+        ((j, 1),) for j in range(1, rank + 1)
+    )
+    return e, theta_tilde
+
+
 def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
     """Restriction of the linear vector field sum m_ij Z_i D_j from P^r to the
     open torus, written in the theta presentation.  Kernel = scalar matrices.
@@ -96,8 +110,7 @@ def restrict_from_projective(m: GlMatrixElement) -> PolyVector:
     theta~_0 = -(theta_1 + ... + theta_r): D_j = z_j^{-1} theta_j, and the
     Euler relation Z_0 D_0 + ... + Z_r D_r = 0 gives D_0 = -sum_k theta_k."""
     rank = m.size - 1
-    e = [(0,) * rank] + [tuple(int(a == b) for b in range(rank)) for a in range(rank)]
-    theta_tilde = [[(k, -1) for k in range(1, rank + 1)]] + [[(j, 1)] for j in range(1, rank + 1)]
+    e, theta_tilde = _chart(rank)
     terms = {}
     for (i, j), c in m.entries.items():
         exp = tuple(a - b for a, b in zip(e[i], e[j]))

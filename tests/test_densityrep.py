@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -157,23 +159,54 @@ def test_weight_spaces_one_dimensional():
 
 
 def test_rho_apply_on_multi_term_inputs_term_by_term():
+    # every output term is one Fraction in lowest terms, equal to the
+    # two-operation formula (j + alpha*i + beta) * c; a term whose
+    # multiplier vanishes is dropped
     rng = random.Random(5)
-    for _ in range(200):
-        spec = DensityRepSpec(Fraction(rng.randint(-6, 6), 2), Fraction(rng.randint(-6, 6), 2))
+    dropped = negative = 0
+    for _ in range(300):
+        spec = DensityRepSpec(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 7)), Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+        )
+        i = rng.randint(-4, 4)
         terms = {
-            (rng.randint(-6, 6),): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            (rng.randint(-6, 6),): Fraction(rng.randint(-5, 5), rng.randint(1, 7))
             for _ in range(rng.randint(1, 6))
         }
+        shift = spec.alpha * i + spec.beta
+        if shift.denominator == 1:
+            terms[(-int(shift),)] = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 7))
         p = LaurentPoly(1, terms)
-        i = rng.randint(-4, 4)
         got = rho_apply(spec, i, p)
         expected = {}
         for (j,), c in p.terms.items():
             value = (j + spec.alpha * i + spec.beta) * c
             if value:
                 expected[(i + j,)] = value
+            else:
+                assert (i + j,) not in got.terms
+                dropped += 1
         assert got.terms == expected
+        for c in got.terms.values():
+            assert type(c) is Fraction
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+            negative += c < 0
         assert got == LaurentPoly(1, expected)
+    assert dropped > 50 and negative > 300
+
+
+@pytest.mark.parametrize("index", [Fraction(1, 2), 0.5, True, 1.0, Fraction(1)],
+                         ids=["fraction", "float", "bool", "integral_float", "integral_fraction"])
+def test_non_integer_index_rejected(index):
+    # rho_apply skips key validation, so each was stored as an exponent
+    # such as (5/2,) or (2.5,) before; True passed as 1.  The index 1 is
+    # memoised first, so an equal-hashing index cannot reach the memo.
+    spec = DensityRepSpec(Fraction(-1, 2), 0)
+    assert rho_apply(spec, 1, zpow(2)) == zpow(3, Fraction(3, 2))
+    with pytest.raises(TypeError, match=rf"^Witt index must be an integer, got {re.escape(repr(index))}$"):
+        rho_apply(spec, index, zpow(2))
+    with pytest.raises(TypeError, match=rf"^exponent must be an integer, got {re.escape(repr(index))}$"):
+        weight_of(spec, index)
 
 
 def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):

@@ -151,6 +151,25 @@ def test_non_integer_exponents_and_wedge_indices_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly(2.0, {(1, 2): 3}),
+        lambda: LaurentPoly(True, {(1,): 3}),
+        lambda: LaurentPoly(Fraction(1), {}),
+        lambda: PolyVector(True, {((1,), (1,)): 1}),
+        lambda: PolyVector(2.0, {}),
+        lambda: LaurentPoly.zero(True),
+    ],
+    ids=["float_laurent", "bool_laurent", "fraction_laurent", "bool_polyvector",
+         "float_polyvector", "bool_zero"],
+)
+def test_non_int_ranks_rejected(build):
+    # each stored its rank as given before: a bool rank 1 equalled rank 1
+    with pytest.raises(TypeError, match=r"^rank must be an integer, got "):
+        build()
+
+
 def test_int_string_exponents_still_accepted():
     assert L(2, {("3", "-1"): 2}) == L(2, {(3, -1): 2})
     assert PolyVector(1, {(("-2",), (1,)): 1}) == PolyVector.monomial(1, (-2,), (1,))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,36 @@ def test_restrict_closed_form_matches_four_case_oracle():
         assert all(type(c) is Fraction and c for c in got.terms.values())
         zero_results += got.is_zero()
     assert zero_results > 50
+
+
+def _ints_and_tuples_only(x):
+    return type(x) is int or (type(x) is tuple and all(map(_ints_and_tuples_only, x)))
+
+
+def test_restrict_chart_cache_is_per_rank_and_holds_tuples_only():
+    # from a cold cache, calls at ranks 1-5 in a seeded order: each result
+    # must use the chart of its own rank, whatever rank came just before
+    liealg._chart.cache_clear()
+    rng = random.Random(37)
+    ranks = [rng.randint(1, 5) for _ in range(120)]
+    assert {(a, b) for a, b in zip(ranks, ranks[1:]) if a != b} >= {(1, 5), (5, 1), (2, 3), (3, 2)}
+    for rank in ranks:
+        size = rank + 1
+        m = GlMatrixElement(size, random_entries(rng, size, rng.choice((0.0, 0.5))))
+        assert restrict_from_projective(m) == restrict_oracle(m)
+    assert liealg._chart.cache_info().currsize == 5
+    for rank in range(1, 6):
+        e, theta_tilde = liealg._chart(rank)
+        assert _ints_and_tuples_only(e) and _ints_and_tuples_only(theta_tilde)
+        assert len(e) == len(theta_tilde) == rank + 1
+
+
+def test_sizes_must_be_non_bool_ints():
+    for rank in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match=rf"^rank must be an integer, got {re.escape(repr(rank))}$"):
+            verify_lie_embedding(rank)
+        with pytest.raises(TypeError, match=rf"^rank must be an integer, got {re.escape(repr(rank))}$"):
+            root_system_report(rank)
 
 
 def test_vector_field_arguments_accepted_and_rejected():
