@@ -239,8 +239,8 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     """Verify that z^j -> z^{j+m} intertwines rho_{alpha, beta+m} with
     rho_{alpha, beta}: rho_{alpha,beta}(xi_i) o shift = shift o
     rho_{alpha,beta+m}(xi_i) on all window monomials, |i| <= bracket_window.
-    A bool shift raises TypeError; an empty monomial range or a window below
-    1 raises ValueError.
+    A non-integer or bool shift raises TypeError; an empty monomial range or
+    a window below 1 raises ValueError.
     """
     _check_int("shift", m)
     _check_size("hi - lo + 1", hi - lo + 1)

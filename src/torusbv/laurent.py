@@ -37,7 +37,8 @@ def _check_int(name: str, value) -> None:
 
 
 def _check_size(name: str, value: int) -> None:
-    """A rank, window or case count below 1 would make a check vacuous."""
+    """A rank, window or case count: a bool or non-int raises TypeError, and
+    a value below 1, which would make a check vacuous, ValueError."""
     _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
