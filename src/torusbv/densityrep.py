@@ -93,24 +93,47 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     failure.  A monomial that passes costs (4W - 1) + 2W(2W + 1) calls of
     rho_apply.
 
+    Each comparison a - b == k c, with a and b the two composites, c the
+    image rho(xi_{n+m}) z^j and k = m - n, is decided without building a
+    sum or a Fraction: a, b and c must share type and rank, and at every
+    key any of them holds, with a missing coefficient read as 0, the
+    numerators and denominators of x = a[key], y = b[key], z = c[key]
+    satisfy (x_n y_d - y_n x_d) z_d == k z_n x_d y_d.
+
     An empty monomial range or a window below 1 would check nothing and
     raises ValueError.
     """
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
     # [xi_n, xi_m] = (m - n) xi_{n+m}
-    pairs = [
-        (n, m, Fraction(m - n))
-        for n, m in combinations(range(-bracket_window, bracket_window + 1), 2)
-    ]
+    pairs = list(combinations(range(-bracket_window, bracket_window + 1), 2))
     reach = range(1 - 2 * bracket_window, 2 * bracket_window)
     for j in range(lo, hi + 1):
         zj = LaurentPoly._raw(1, {(j,): _ONE})
         image = {k: rho_apply(spec, k, zj) for k in reach}
-        for n, m, factor in pairs:
-            commutator = rho_apply(spec, n, image[m]) - rho_apply(spec, m, image[n])
-            if image[n + m].scale(factor) != commutator:
+        for n, m in pairs:
+            if not _is_scaled_difference(
+                rho_apply(spec, n, image[m]), rho_apply(spec, m, image[n]), image[n + m], m - n
+            ):
                 return False
+    return True
+
+
+def _is_scaled_difference(a, b, c, k: int) -> bool:
+    """a - b == k*c for sparse stores a, b, c and an int k, decided on the
+    numerators and denominators of the coefficients.  Stores of different
+    types or ranks are never equal; no store holds a zero, so two maps are
+    equal iff they agree at every key either holds."""
+    if not (type(a) is type(b) is type(c) and a.rank == b.rank == c.rank):
+        return False
+    at, bt, ct = a.terms, b.terms, c.terms
+    for key in at.keys() | bt.keys() | ct.keys():
+        x = at.get(key, _ZERO)
+        y = bt.get(key, _ZERO)
+        z = ct.get(key, _ZERO)
+        x_d, y_d = x.denominator, y.denominator
+        if (x.numerator * y_d - y.numerator * x_d) * z.denominator != k * z.numerator * x_d * y_d:
+            return False
     return True
 
 
@@ -208,16 +231,22 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
     j0 = alpha - beta is an integer (given 2*alpha in Z, iff alpha + beta
     is), and has basis z^{j0}, ..., z^{j0 + n}, with z^{j0} the kernel of
     the lowering operator; e = rho(xi_1), h = 2 rho(xi_0), f = -rho(xi_{-1}).
+
+    The chain is built from integers: with s = alpha + beta = -n - j0,
+    e z^j = (j + s) z^{j+1}, f z^j = (j0 - j) z^{j-1} and h z^j =
+    (2j + s - j0) z^j, so a[t] = j + s, b[t] = j0 - j and the weights are
+    ints, which the checked FiniteSl2Module constructor makes Fractions.
     """
     n = -2 * spec.alpha
     j0 = spec.alpha - spec.beta
     if n < 0 or n.denominator != 1 or j0.denominator != 1:
         return None
     n, j0 = int(n), int(j0)
-    exponents = list(range(j0, j0 + n + 1))
-    a = [j + spec.alpha + spec.beta for j in exponents[:-1]]
-    b = [spec.alpha - spec.beta - j for j in exponents[1:]]
-    weights = [2 * weight_of(spec, j) for j in exponents]
+    s = -n - j0  # alpha + beta = 2*alpha - (alpha - beta)
+    exponents = range(j0, j0 + n + 1)
+    a = [j + s for j in exponents[:-1]]
+    b = [j0 - j for j in exponents[1:]]
+    weights = [2 * j + s - j0 for j in exponents]
     return FiniteSl2Module(exponents, weights, a, b)
 
 

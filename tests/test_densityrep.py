@@ -21,7 +21,7 @@ from torusbv.densityrep import (
     weight_of,
 )
 from torusbv.floermodel import solve_forced_action
-from torusbv.laurent import LaurentPoly
+from torusbv.laurent import LaurentPoly, SparseStore
 
 
 def zpow(n, coeff=1):
@@ -236,7 +236,7 @@ def test_raising_chain_decides_irreducibility_above_dim_5():
     assert not check_irreducible(module)
 
 
-@pytest.mark.parametrize("suite", ["rep-classification", "floer"])
+@pytest.mark.parametrize("suite", ["rep-classification", "floer", "rep-action"])
 def test_classification_suite_output_is_the_same_under_python_O(suite):
     # the sl2-module invariants are ValueErrors, not asserts, so -O keeps them
     def run(*flags):
@@ -394,6 +394,100 @@ def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window
     assert count == calls == (hi - lo + 1) * (4 * window**2 + 6 * window - 1)
 
 
+def test_lie_action_check_uses_no_store_arithmetic(monkeypatch):
+    # the comparison reads coefficients only; the two-call oracle above
+    # keeps its a + (-b) store arithmetic, so the two share no comparison code
+    def refuse(*args):
+        raise AssertionError("store arithmetic in the Lie-action check")
+
+    for name in ("scale", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(SparseStore, name, refuse)
+    assert all(verify_lie_action(spec, -2, 2, 1) is True for spec in rep_theory_grid_specs())
+
+
+STRAY = (10**6,)  # a key no right image or composite in these windows holds
+
+
+def with_stray_term(side):
+    """rho_apply, plus the term z^(10^6) on one side of each comparison:
+    on every image rho(xi_k) z^j ("image"), or on a composite
+    rho(xi_n) rho(xi_m) z^j only when the outer index n is above ("above")
+    or below ("below") the inner one m, so only one of the two composites
+    of a pair holds the stray key.  Results remember the index that made
+    them, as in `wrong_for_one_order`."""
+    made_by = {}
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, p)
+        inner = made_by.get(id(p))
+        if inner is None:
+            stray = side == "image"
+        else:
+            stray = side == ("above" if i > inner[1] else "below" if i < inner[1] else None)
+        if stray:
+            out = LaurentPoly._raw(1, {**out.terms, STRAY: Fraction(1)})
+        made_by[id(out)] = (out, i)
+        return out
+
+    return rho
+
+
+@pytest.mark.parametrize("side", ["image", "above", "below"])
+def test_lie_action_check_catches_a_term_under_a_key_one_side_holds(monkeypatch, side):
+    specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
+    for spec in specs:
+        assert verify_lie_action(spec, -3, 3, 2) is True
+    for spec in specs:
+        for check in (verify_lie_action, two_call_lie_action):
+            monkeypatch.setattr(densityrep, "rho_apply", with_stray_term(side))
+            assert check(spec, -3, 3, 2) is False
+
+
+class Lookalike(LaurentPoly):
+    """Another store type with the same terms as a LaurentPoly."""
+
+    __slots__ = ()
+
+
+def in_another_rank_or_type(kind, side):
+    """rho_apply, except that on one side of the comparisons, the images
+    rho(xi_k) z^j ("image") or the composites ("composite"), every result
+    is a `Lookalike` with the same terms ("type"), or every zero result is
+    the zero of rank 2 ("rank").  An input is read by its terms alone, so
+    the wrong images still make the right composites."""
+    made_by = {}
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, LaurentPoly._raw(1, p.terms))
+        if (id(p) in made_by) == (side == "composite"):
+            if kind == "type":
+                out = Lookalike._raw(1, out.terms)
+            elif not out:
+                out = LaurentPoly.zero(2)
+        made_by[id(out)] = out
+        return out
+
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["rank", "type"])
+@pytest.mark.parametrize("side", ["image", "composite"])
+def test_lie_action_check_rejects_results_of_another_rank_or_type(monkeypatch, kind, side):
+    # the wrong results hold the right terms; a composite of another rank
+    # or type made the store subtraction raise RankMismatchError or
+    # TypeError, and a wrong image compared unequal
+    specs = [DensityRepSpec(-1, -1), DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), DensityRepSpec(0, 0)]
+    for spec in specs:
+        rho = in_another_rank_or_type(kind, side)
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                assert rho(spec, i, zpow(j)).terms == rho_apply(spec, i, zpow(j)).terms
+        monkeypatch.setattr(densityrep, "rho_apply", in_another_rank_or_type(kind, side))
+        assert verify_lie_action(spec, -3, 3, 2) is False
+        monkeypatch.undo()
+        assert verify_lie_action(spec, -3, 3, 2) is True
+
+
 def doubled_on_monomials_at(reach_edge):
     """rho_apply, except that rho(xi_k) z^j is doubled for |k| = reach_edge
     when its input is a monomial z^j with coefficient 1."""
@@ -503,6 +597,30 @@ def test_dense_views_are_built_fresh_and_cannot_be_set():
     for name in ("e", "h", "f", "dim"):
         with pytest.raises(AttributeError):
             setattr(module, name, None)
+
+
+def test_extracted_chain_is_rho_on_every_basis_vector():
+    # e = rho(xi_1), h = 2 rho(xi_0) and f = -rho(xi_{-1}) read off
+    # rho_apply on each z^j of the basis, so the integer chain is checked
+    # against the action; the rep-theory grid with beta shifted by each
+    # integer in [-3, 3], which keeps existence and dimension
+    modules = 0
+    for beta_shift in range(-3, 4):
+        for grid_spec in rep_theory_grid_specs():
+            spec = DensityRepSpec(grid_spec.alpha, grid_spec.beta + beta_shift)
+            module = extract_finite_sl2_submodule(spec)
+            if module is None:
+                continue
+            modules += 1
+            basis = module.basis_exponents
+            for t, j in enumerate(basis):
+                up = zpow(basis[t + 1], module.a[t]) if t + 1 < module.dim else LaurentPoly.zero(1)
+                down = zpow(basis[t - 1], module.b[t - 1]) if t > 0 else LaurentPoly.zero(1)
+                assert rho_apply(spec, 1, zpow(j)) == up
+                assert rho_apply(spec, 0, zpow(j)).scale(2) == zpow(j, module.weights[t])
+                assert rho_apply(spec, -1, zpow(j)).scale(-1) == down
+            assert all(type(v) is Fraction for v in module.weights + module.a + module.b)
+    assert modules == 7 * 77
 
 
 def test_chain_modules_satisfy_the_dense_sl2_relations():
