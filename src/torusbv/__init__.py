@@ -18,7 +18,6 @@ from .densityrep import (
     rho_apply,
     shift_isomorphism_check,
     verify_lie_action,
-    weight_of,
 )
 from .floermodel import (
     ChordGenerator,
@@ -72,6 +71,5 @@ __all__ = [
     "verify_lie_action",
     "verify_lie_embedding",
     "wedge",
-    "weight_of",
     "witt_bracket",
 ]

@@ -128,7 +128,7 @@ def cmd_rep(args):
         "beta": str(spec.beta),
         "exists": True,
         "dim": module.dim,
-        "h_spectrum": [int(v) for v in module.h_spectrum()],
+        "h_spectrum": module.h_spectrum(),
         "basis": module.basis_exponents,
         "irreducible": check_irreducible(module),
     }

@@ -70,13 +70,6 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     })
 
 
-def weight_of(spec: DensityRepSpec, j: int) -> Fraction:
-    """xi_0 eigenvalue of z^j, namely j + beta.  A non-integer or bool
-    exponent j raises TypeError."""
-    _check_int("exponent", j)
-    return j + spec.beta
-
-
 def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: int = 3) -> bool:
     """Check rho([xi_n, xi_m]) = rho(xi_n) rho(xi_m) - rho(xi_m) rho(xi_n)
     on monomials z^j, lo <= j <= hi, for |n|, |m| <= bracket_window.
@@ -145,7 +138,9 @@ class FiniteSl2Module:
 
     Such a module is fully described by its weights and one raising and one
     lowering coefficient per step (Humphreys, Introduction to Lie Algebras
-    and Representation Theory, 7.2).  The sl2 relations are checked on the
+    and Representation Theory, 7.2).  Every weight and step coefficient is
+    a Python int: the checked constructor raises TypeError on a bool, a
+    float, a Fraction or a string.  The sl2 relations are checked on the
     chain: [h, e] = 2e and [h, f] = -2f say the weights are -n, -n+2, ..., n
     in chain order, and [e, f] = h says a[t-1] b[t-1] - a[t] b[t] =
     weights[t].  The dense matrices `e`, `h`, `f` are built on demand."""
@@ -158,9 +153,10 @@ class FiniteSl2Module:
                 f"{d} basis vectors need {d} weights and {d - 1} values each of a and b, "
                 f"got {len(self.weights)}, {len(self.a)} and {len(self.b)}"
             )
-        if any(w.denominator != 1 for w in self.weights):
-            raise ValueError("h eigenvalues must be integers")
-        if self.weights != [Fraction(2 * t - d + 1) for t in range(d)]:
+        for name, values in (("h weight", self.weights), ("a", self.a), ("b", self.b)):
+            for v in values:
+                _check_int(name, v)
+        if self.weights != list(range(1 - d, d, 2)):
             raise ValueError("h weights must be -n, -n+2, ..., n in chain order")
         products = self._step_products()
         if any(products[t] - products[t + 1] != w for t, w in enumerate(self.weights)):
@@ -168,9 +164,9 @@ class FiniteSl2Module:
 
     def _set_chain(self, basis_exponents, weights, a, b):
         self.basis_exponents = list(basis_exponents)
-        self.weights = [_as_fraction(v) for v in weights]
-        self.a = [_as_fraction(v) for v in a]
-        self.b = [_as_fraction(v) for v in b]
+        self.weights = list(weights)
+        self.a = list(a)
+        self.b = list(b)
 
     @classmethod
     def unchecked(cls, basis_exponents, weights, a, b) -> "FiniteSl2Module":
@@ -183,14 +179,13 @@ class FiniteSl2Module:
     def __repr__(self):
         return (
             f"FiniteSl2Module(basis_exponents={self.basis_exponents}, "
-            f"weights={[str(v) for v in self.weights]}, "
-            f"a={[str(v) for v in self.a]}, b={[str(v) for v in self.b]})"
+            f"weights={self.weights}, a={self.a}, b={self.b})"
         )
 
     def _step_products(self):
         """[0, a[0] b[0], ..., a[d-2] b[d-2], 0]: ef x_t and fe x_t are
         entries t and t + 1 times x_t."""
-        return [_ZERO, *(x * y for x, y in zip(self.a, self.b)), _ZERO]
+        return [0, *(x * y for x, y in zip(self.a, self.b)), 0]
 
     @property
     def dim(self) -> int:
@@ -210,7 +205,7 @@ class FiniteSl2Module:
 
     def _dense(self, values, row, col):
         """A new dense matrix with values[t] at (t + row, t + col)."""
-        m = [[_ZERO] * self.dim for _ in range(self.dim)]
+        m = [[0] * self.dim for _ in range(self.dim)]
         for t, v in enumerate(values):
             m[t + row][t + col] = v
         return m
@@ -222,7 +217,7 @@ class FiniteSl2Module:
         """The value of ef + fe + h^2/2 on each basis vector, which it maps
         to a multiple of itself on any chain."""
         products = self._step_products()
-        return [products[t] + products[t + 1] + w * w / 2 for t, w in enumerate(self.weights)]
+        return [products[t] + products[t + 1] + Fraction(w * w, 2) for t, w in enumerate(self.weights)]
 
 
 def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None:
@@ -232,10 +227,10 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
     is), and has basis z^{j0}, ..., z^{j0 + n}, with z^{j0} the kernel of
     the lowering operator; e = rho(xi_1), h = 2 rho(xi_0), f = -rho(xi_{-1}).
 
-    The chain is built from integers: with s = alpha + beta = -n - j0,
-    e z^j = (j + s) z^{j+1}, f z^j = (j0 - j) z^{j-1} and h z^j =
-    (2j + s - j0) z^j, so a[t] = j + s, b[t] = j0 - j and the weights are
-    ints, which the checked FiniteSl2Module constructor makes Fractions.
+    The chain is integers, as FiniteSl2Module stores it: with s = alpha +
+    beta = -n - j0, e z^j = (j + s) z^{j+1}, f z^j = (j0 - j) z^{j-1} and
+    h z^j = (2j + s - j0) z^j, so a[t] = j + s, b[t] = j0 - j and the
+    weights are ints.
     """
     n = -2 * spec.alpha
     j0 = spec.alpha - spec.beta

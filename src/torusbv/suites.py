@@ -292,7 +292,7 @@ def rep_classification_suite(grid: int = 8) -> dict:
         if module is not None:
             n = int(-2 * alpha)
             ok_dim &= module.dim == n + 1
-            ok_spectrum &= module.h_spectrum() == [Fraction(-n + 2 * t) for t in range(n + 1)]
+            ok_spectrum &= module.h_spectrum() == list(range(-n, n + 1, 2))
             ok_irred &= check_irreducible(module)
             # raising kernel at weight -alpha, lowering kernel at weight alpha
             top = module.basis_exponents[-1]

@@ -55,12 +55,17 @@ MIXED_DEGREE = [
 COCYCLE_CHECKS = ['cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2']
 # sl2 modules beyond the README sizes, pinned before the density and Floer
 # models shared one weight-chain module type: an 8-dimensional submodule
-# with a negative lowest exponent, a point with no submodule, and V(8)
+# with a negative lowest exponent, a point with no submodule, and V(8);
+# V(12) and the Floer suite up to it were pinned while the chain entries
+# were still stored as Fractions
 SL2_MODULES = [
     "rep --alpha=-7/2 --beta=5/2",
     "rep --alpha=-7/2 --beta=5/2 --json",
     "rep --alpha=1/2 --beta=0 --json",
     "floer --n 8 --json",
+    "floer --n 12",
+    "floer --n 12 --json",
+    "verify floer --max-n 12 --json",
 ]
 # the sl_{r+1} layer at ranks beside the README's, pinned before its
 # gl_{r+1} elements were stored as sparse entries
@@ -129,6 +134,9 @@ PINS = {
     'rep --alpha=-7/2 --beta=5/2 --json': (0, '04027d2dafb7e140252e9e5812134584c3b5fb08804d7d0ce74c92c31bdcd311'),
     'rep --alpha=1/2 --beta=0 --json': (0, 'a4fb1dba353a055dbb93e8a8533143705110f5a1870318a10e5c06625f707c4f'),
     'floer --n 8 --json': (0, 'b8581a34498673c0f3de82af6875c8c55247c6f78ef7a368705daa0f9753b229'),
+    'floer --n 12': (0, '04567e17c06a498cee36d53be4eda5ccfb2fd38b172c9751ce5a2b9da42df1ff'),
+    'floer --n 12 --json': (0, '2c365798b034dcaf4c44435d653107384ed11f4aa36936c2d30846e8f93849b3'),
+    'verify floer --max-n 12 --json': (0, '3aa248b58004e12fe33d806b6f1b28c3ff19bce1edd4639d6ed8f6acf1bf0dde'),
     'roots --rank 1': (0, '0ac9ae09cee5b724df12cf118e8a2245f617eb838b0867c7d3b9224106467ed8'),
     'roots --rank 1 --json': (0, 'f849f343e64f1bb31e05719e1010a0b59772847bd0381ca06238036cd1f93d35'),
     'roots --rank 3': (0, '76792f6fcfd6939cb5e5333defee81d9be7c9ca6fc033b48c0bb5a9d6c4f5ff7'),

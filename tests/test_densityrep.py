@@ -18,7 +18,6 @@ from torusbv.densityrep import (
     rho_apply,
     shift_isomorphism_check,
     verify_lie_action,
-    weight_of,
 )
 from torusbv.floermodel import solve_forced_action
 from torusbv.laurent import LaurentPoly, SparseStore
@@ -44,12 +43,6 @@ def test_rho_kills_tuned_monomials():
 def test_rho_requires_rank1():
     with pytest.raises(ValueError):
         rho_apply(DensityRepSpec(0, 0), 1, LaurentPoly(2, {(1, 0): 1}))
-
-
-def test_weight_values():
-    assert weight_of(DensityRepSpec(0, -1), 2) == 1
-    assert weight_of(DensityRepSpec(0, 0), 0) == 0
-    assert weight_of(DensityRepSpec(Fraction(1, 2), Fraction(3, 2)), 1) == Fraction(5, 2)
 
 
 def test_lie_action_holds_for_sampled_specs():
@@ -152,8 +145,9 @@ def test_weight_spaces_one_dimensional():
     seen = set()
     for j in range(-8, 9):
         image = rho_apply(spec, 0, zpow(j))
-        assert set(image.terms) <= {(j,)}
-        weight = weight_of(spec, j)
+        assert set(image.terms) == {(j,)}
+        weight = image.terms[(j,)]
+        assert weight == j + spec.beta
         assert weight not in seen
         seen.add(weight)
 
@@ -205,8 +199,6 @@ def test_non_integer_index_rejected(index):
     assert rho_apply(spec, 1, zpow(2)) == zpow(3, Fraction(3, 2))
     with pytest.raises(TypeError, match=rf"^Witt index must be an integer, got {re.escape(repr(index))}$"):
         rho_apply(spec, index, zpow(2))
-    with pytest.raises(TypeError, match=rf"^exponent must be an integer, got {re.escape(repr(index))}$"):
-        weight_of(spec, index)
 
 
 def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
@@ -571,18 +563,56 @@ def test_spec_shift_is_memoized_and_parameters_are_read_only():
     ([0, 1], [-1, 1], [1, 1], [1], r"^2 basis vectors need 2 weights and 1 values each of a and b, got 2, 2 and 1$"),
     ([0, 1, 2], [-1, 1], [1], [1], r"^3 basis vectors need 3 weights and 2 values each of a and b, got 2, 1 and 1$"),
     ([], [], [], [], r"^0 basis vectors need 0 weights and -1 values each of a and b, got 0, 0 and 0$"),
-    ([0, 1], [Fraction(-1, 2), Fraction(1, 2)], [1], [1], r"^h eigenvalues must be integers$"),
     # [e, f] = h holds here, but the weights run downwards along the chain
     ([0, 1], [1, -1], [1], [-1], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
     ([0, 1, 2], [-2, 0, 4], [2, 1], [1, 2], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
     ([0, 1], [-1, 1], [1], [2], r"^\[e, f\] != h$"),
     ([0, 1, 2], [-2, 0, 2], [2, 1], [1, 1], r"^\[e, f\] != h$"),
-], ids=["long_a", "short_weights", "empty", "half_integer", "descending", "gap", "ef_scalar", "ef_middle"])
+], ids=["long_a", "short_weights", "empty", "descending", "gap", "ef_scalar", "ef_middle"])
 def test_chain_invariants_raise_value_error(basis, weights, a, b, message):
     with pytest.raises(ValueError, match=message):
         FiniteSl2Module(basis, weights, a, b)
     # the same chain is accepted, unchecked, as a fixture
     assert FiniteSl2Module.unchecked(basis, weights, a, b).a == a
+
+
+def _one_entry_not_int(field, bad):
+    """V(2), or V(1) for True, which stands for 1, with bad in place of the
+    first entry of `field` equal to it, so that only its type is wrong."""
+    chain = {"weights": [-1, 1], "a": [1], "b": [1]} if bad is True else {
+        "weights": [-2, 0, 2], "a": [2, 1], "b": [1, 2]}
+    values = chain[field]
+    values[values.index(int(bad))] = bad
+    return chain
+
+
+@pytest.mark.parametrize("field, chain, bad", [
+    pytest.param("weights", {"weights": [Fraction(-1, 2), Fraction(1, 2)], "a": [1], "b": [1]}, Fraction(-1, 2),
+                 id="half_integer"),
+    *(
+        pytest.param(field, _one_entry_not_int(field, bad), bad, id=f"{field}_{kind}")
+        for field in ("weights", "a", "b")
+        for kind, bad in [("fraction", Fraction(2)), ("float", 2.0), ("bool", True), ("string", "2")]
+    ),
+])
+def test_chain_entries_must_be_ints(field, chain, bad):
+    name = "h weight" if field == "weights" else field
+    basis = range(len(chain["weights"]))
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        FiniteSl2Module(basis, **chain)
+    # the same chain is accepted, unchecked, as a fixture
+    assert getattr(FiniteSl2Module.unchecked(basis, **chain), field) == chain[field]
+
+
+def test_repr_evaluates_back_to_the_same_chain():
+    density = extract_finite_sl2_submodule(DensityRepSpec(-1, 0))
+    assert repr(density) == (
+        "FiniteSl2Module(basis_exponents=[-1, 0, 1], weights=[-2, 0, 2], a=[-2, -1], b=[-1, -2])"
+    )
+    for module in [density, *solve_forced_action(4)]:
+        copy = eval(repr(module), {"FiniteSl2Module": FiniteSl2Module})
+        assert (copy.basis_exponents, copy.weights, copy.a, copy.b) == (
+            module.basis_exponents, module.weights, module.a, module.b)
 
 
 def test_dense_views_are_built_fresh_and_cannot_be_set():
@@ -619,7 +649,7 @@ def test_extracted_chain_is_rho_on_every_basis_vector():
                 assert rho_apply(spec, 1, zpow(j)) == up
                 assert rho_apply(spec, 0, zpow(j)).scale(2) == zpow(j, module.weights[t])
                 assert rho_apply(spec, -1, zpow(j)).scale(-1) == down
-            assert all(type(v) is Fraction for v in module.weights + module.a + module.b)
+            assert all(type(v) is int for v in module.weights + module.a + module.b)
     assert modules == 7 * 77
 
 
@@ -646,7 +676,7 @@ def test_chain_modules_satisfy_the_dense_sl2_relations():
         assert commutator(h, f) == [[-2 * x for x in row] for row in f]
         assert commutator(e, f) == h
         ef, fe, hh = product(e, f), product(f, e), product(h, h)
-        casimir = [[x + y + z / 2 for x, y, z in zip(*rows)] for rows in zip(ef, fe, hh)]
+        casimir = [[x + y + Fraction(z, 2) for x, y, z in zip(*rows)] for rows in zip(ef, fe, hh)]
         values = module.casimir()
         for i, row in enumerate(casimir):
             assert row == [values[i] if j == i else 0 for j in range(module.dim)]

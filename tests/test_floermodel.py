@@ -101,6 +101,14 @@ def test_forced_action_unique_and_irreducible(n):
     assert casimir_scalar(action) == Fraction(n * (n + 2), 2)
 
 
+def test_forced_chains_hold_ints():
+    # the canonical chain a[k] = n - k, b[k] = k + 1, all ints
+    for n in range(1, 13):
+        (action,) = solve_forced_action(n)
+        assert all(type(v) is int for v in action.weights + action.a + action.b)
+        assert action.b == [k + 1 for k in range(n)]
+
+
 def test_forced_action_stability():
     # e kills the top grading and f kills the bottom one.
     for n in range(1, 7):

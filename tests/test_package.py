@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "verify_lie_action",
     "verify_lie_embedding",
     "wedge",
-    "weight_of",
     "witt_bracket",
 ]
 
