@@ -9,7 +9,7 @@ divergence computation through logarithmic differential forms
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, SparseStore, _as_fraction, _check_size, _exponent
+from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _exponent
 
 
 def normalize_wedge(indices):
@@ -34,7 +34,7 @@ def normalize_wedge(indices):
 
 class PolyVector(SparseStore):
     """Sparse element of Laurent (x) Lambda*(theta), stored as
-    {(exponent tuple, wedge tuple): Fraction} with no zero coefficients.
+    {(exponent tuple, wedge tuple): nonzero int, or Fraction if not integral}.
 
     Wedge tuples are strictly increasing subsets of {1, ..., rank}.
     """
@@ -54,11 +54,11 @@ class PolyVector(SparseStore):
                 continue
             if wedge and not (1 <= wedge[0] and wedge[-1] <= rank):
                 raise ValueError(f"wedge indices {wedge} out of range for rank {rank}")
-            coeff = _as_fraction(coeff) if sign > 0 else -_as_fraction(coeff)
+            coeff = _as_coefficient(coeff) if sign > 0 else -_as_coefficient(coeff)
             if coeff:
                 key = (exp, wedge)
                 old = clean.get(key)
-                clean[key] = coeff if old is None else old + coeff
+                clean[key] = coeff if old is None else _as_coefficient(old + coeff)
         self.rank = rank
         self.terms = {k: c for k, c in clean.items() if c}
 
@@ -74,7 +74,7 @@ class PolyVector(SparseStore):
 
     @classmethod
     def monomial(cls, rank: int, exp, wedge=(), coeff=1) -> "PolyVector":
-        return cls(rank, {(tuple(exp), tuple(wedge)): _as_fraction(coeff)})
+        return cls(rank, {(tuple(exp), tuple(wedge)): _as_coefficient(coeff)})
 
     @classmethod
     def theta(cls, rank: int, i: int) -> "PolyVector":
@@ -144,7 +144,7 @@ def bv_delta(a: PolyVector) -> PolyVector:
 # ---------------------------------------------------------------------------
 # Divergence model of the BV operator, via logarithmic differential forms.
 #
-# A logarithmic form is stored as {(exp, sorted dlog-index tuple): Fraction},
+# A logarithmic form is stored as {(exp, sorted dlog-index tuple): coefficient},
 # a combination of z^n dlog z_{t1} ^ ... ^ dlog z_{tm}.  With the volume form
 # Omega = dlog z_1 ^ ... ^ dlog z_r we contract, apply d, contract back, and
 # multiply the degree-k input by (-1)^(k+1).

@@ -9,11 +9,10 @@ arbitrary coboundary part.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import product
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import LaurentPoly, RankMismatchError, _as_fraction, _check_size
+from .laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size
 from .parsing import ParseError, parse_coefficient, parse_laurent
 
 
@@ -50,11 +49,11 @@ class CE1Cochain:
     def __init__(self, rank: int, alpha=0, betas=None, exact_part: LaurentPoly | None = None):
         _check_size("rank", rank)
         self.rank = rank
-        self.alpha = _as_fraction(alpha)
+        self.alpha = _as_coefficient(alpha)
         betas = list(betas) if betas is not None else [0] * rank
         if len(betas) != rank:
             raise ValueError(f"expected {rank} beta coefficients, got {len(betas)}")
-        self.betas = [_as_fraction(b) for b in betas]
+        self.betas = [_as_coefficient(b) for b in betas]
         if exact_part is not None and exact_part.rank != rank:
             raise RankMismatchError(f"rank {exact_part.rank} exact part for rank {rank} cochain")
         self.exact_part = exact_part
@@ -109,8 +108,8 @@ _FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])")
 def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`.
     Malformed text raises ParseError at its index in `spec`."""
-    alpha = Fraction(0)
-    betas = [Fraction(0)] * rank
+    alpha = 0
+    betas = [0] * rank
     exact = None
     seen = set()
     start = 0

@@ -12,10 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .laurent import LaurentPoly, _as_fraction, _check_int, _check_size
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .laurent import LaurentPoly, _as_coefficient, _check_int, _check_size
 
 
 class DensityRepSpec:
@@ -25,19 +22,19 @@ class DensityRepSpec:
     __slots__ = ("_alpha", "_beta", "_shifts")
 
     def __init__(self, alpha, beta):
-        self._alpha = _as_fraction(alpha)
-        self._beta = _as_fraction(beta)
+        self._alpha = _as_coefficient(alpha)
+        self._beta = _as_coefficient(beta)
         self._shifts = {}
 
     @property
-    def alpha(self) -> Fraction:
+    def alpha(self) -> int | Fraction:
         return self._alpha
 
     @property
-    def beta(self) -> Fraction:
+    def beta(self) -> int | Fraction:
         return self._beta
 
-    def shift(self, i: int) -> Fraction:
+    def shift(self, i: int) -> int | Fraction:
         """alpha*i + beta, computed at most once per i."""
         s = self._shifts.get(i)
         if s is None:
@@ -102,7 +99,7 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     pairs = list(combinations(range(-bracket_window, bracket_window + 1), 2))
     reach = range(1 - 2 * bracket_window, 2 * bracket_window)
     for j in range(lo, hi + 1):
-        zj = LaurentPoly._raw(1, {(j,): _ONE})
+        zj = LaurentPoly._raw(1, {(j,): 1})
         image = {k: rho_apply(spec, k, zj) for k in reach}
         for n, m in pairs:
             if not _is_scaled_difference(
@@ -121,9 +118,9 @@ def _is_scaled_difference(a, b, c, k: int) -> bool:
         return False
     at, bt, ct = a.terms, b.terms, c.terms
     for key in at.keys() | bt.keys() | ct.keys():
-        x = at.get(key, _ZERO)
-        y = bt.get(key, _ZERO)
-        z = ct.get(key, _ZERO)
+        x = at.get(key, 0)
+        y = bt.get(key, 0)
+        z = ct.get(key, 0)
         x_d, y_d = x.denominator, y.denominator
         if (x.numerator * y_d - y.numerator * x_d) * z.denominator != k * z.numerator * x_d * y_d:
             return False
@@ -270,13 +267,13 @@ def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_windo
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
     base = DensityRepSpec(alpha, beta)
-    shifted = DensityRepSpec(alpha, _as_fraction(beta) + m)
+    shifted = DensityRepSpec(alpha, _as_coefficient(beta) + m)
 
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
     for j in range(lo, hi + 1):
-        zj = LaurentPoly._raw(1, {(j,): _ONE})
+        zj = LaurentPoly._raw(1, {(j,): 1})
         shifted_zj = shift(zj)
         for i in range(-bracket_window, bracket_window + 1):
             if rho_apply(base, i, shifted_zj) != shift(rho_apply(shifted, i, zj)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule
 from .laurent import _check_size
@@ -52,14 +53,14 @@ def end_action(j: int, g: ChordGenerator, n: int):
         if not on_plus_end or k < 0:
             raise ValueError(f"xi_{j} end action is only defined on v_+ generators")
         if k == 0:
-            return Fraction(0), None
-        return Fraction(k), ChordGenerator("proper_plus", n + k + j)
+            return 0, None
+        return k, ChordGenerator("proper_plus", n + k + j)
     on_minus_end = g.kind == "proper_minus" or (g.kind == "intersection" and g.grading_index == 0)
     if not on_minus_end or k > 0:
         raise ValueError(f"xi_{j} end action is only defined on v_- generators")
     if k == 0:
-        return Fraction(0), None
-    return Fraction(k), ChordGenerator("proper_minus", k + j)
+        return 0, None
+    return k, ChordGenerator("proper_minus", k + j)
 
 
 def solve_forced_action(n: int):
@@ -81,23 +82,27 @@ def solve_forced_action(n: int):
     c_n = 0.
 
     Returns the single orbit in canonical form a_k = n - k (so b follows as
-    b_{k+1} = c_k // a_k = k + 1), as a one-element list holding the weight
+    b_{k+1} = c_k / a_k = k + 1), as a one-element list holding the weight
     chain with a[k] = a_k and b[k] = b_{k+1}; the list form is what the
-    benchmark's reference check reads.  The chain's [e, f] = h check, not
-    the floor division, guarantees the result: it compares every product
-    a_k b_{k+1} with the forced (k+1)(n-k) and raises ValueError on a
-    mismatch.
+    benchmark's reference check reads.  Each division must be exact, or
+    ValueError is raised; the chain's [e, f] = h check then compares every
+    product a_k b_{k+1} with the forced (k+1)(n-k) and raises ValueError on
+    a mismatch.
     """
     _check_size("n", n)
-    # forward-substitute the telescoping products c_k = a_k b_{k+1}
-    c = []
-    prev = 0  # c_{-1}
-    for k in range(n):
-        prev -= 2 * k - n
-        c.append(prev)
     a = [n - k for k in range(n)]
-    b = [c[k] // a[k] for k in range(n)]
+    b = []
+    for k, (c_k, a_k) in enumerate(zip(_telescoped_products(n), a)):
+        b_k, remainder = divmod(c_k, a_k)
+        if remainder:
+            raise ValueError(f"c_{k} = {c_k} is not a multiple of a_{k} = {a_k}")
+        b.append(b_k)
     return [FiniteSl2Module(range(n + 1), [2 * k - n for k in range(n + 1)], a, b)]
+
+
+def _telescoped_products(n: int) -> list:
+    """c_0, ..., c_{n-1} from c_{k-1} - c_k = 2k - n and c_{-1} = 0."""
+    return list(accumulate(n - 2 * k for k in range(n)))
 
 
 def casimir_scalar(module: FiniteSl2Module):

@@ -2,11 +2,12 @@
 term store they share with polyvector fields.
 
 A polynomial of rank r is a finitely supported map from exponent vectors
-in Z^r to nonzero Fractions.  All arithmetic is exact; no zero coefficient
-is ever stored, so equality is structural.
+in Z^r to nonzero rationals, each an int when it is integral and a Fraction
+otherwise (`_as_coefficient`).  All arithmetic is exact; no zero
+coefficient is ever stored, so equality is structural.
 
-Sparse sums here and in `bvalgebra` store the first Fraction written to a
-key and add later ones to it: no `Fraction(0)` seed, one operation a term.
+Sparse sums here and in `bvalgebra` store the first coefficient written to
+a key and add later ones to it: no zero seed, one operation a term.
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ class RankMismatchError(ValueError):
     """Raised when combining elements of different ambient rank."""
 
 
-def _as_fraction(c) -> Fraction:
-    """Exact coefficient coercion; floats, complex numbers and bools are
-    rejected because they carry no exact rational value."""
-    if isinstance(c, Fraction):
+def _as_coefficient(c) -> int | Fraction:
+    """The canonical coefficient: an int when `c` is integral, else a
+    Fraction (a string goes through Fraction); bools, floats and complex
+    numbers carry no exact rational value and raise TypeError.  Kernels take
+    both: an int has `numerator` and `denominator` like the equal Fraction."""
+    if type(c) is int:
         return c
     if isinstance(c, (bool, float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string like '1/10'")
-    return Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _check_int(name: str, value) -> None:
@@ -73,14 +78,14 @@ def _exponent(exp, rank: int) -> tuple:
 
 
 class SparseStore:
-    """A finitely supported map {canonical key: nonzero Fraction} of a fixed
-    rank: the storage, linear structure, equality and printing shared by
-    LaurentPoly and PolyVector.
+    """A finitely supported map {canonical key: nonzero int or Fraction} of
+    a fixed rank: the storage, linear structure, equality and printing
+    shared by LaurentPoly and PolyVector.
 
-    Each subclass validates its own key layout in `__init__` and says how a
-    key splits into (exponent, wedge) in `_exp_wedge`.  Results of the
-    linear operations keep the class of the left operand, and elements of
-    different classes are never equal.
+    Each subclass validates its own key layout and coefficients in
+    `__init__` and says how a key splits into (exponent, wedge) in
+    `_exp_wedge`.  Results of the linear operations keep the class of the
+    left operand, and elements of different classes are never equal.
     """
 
     __slots__ = ("rank", "terms")
@@ -88,7 +93,7 @@ class SparseStore:
     @classmethod
     def _raw(cls, rank: int, terms: dict):
         """Internal fast path: keys already canonical, coefficients already
-        Fractions; only zero filtering is performed."""
+        ints or Fractions, kept as they are; only zero filtering is done."""
         obj = object.__new__(cls)
         obj.rank = rank
         obj.terms = {k: c for k, c in terms.items() if c}
@@ -128,7 +133,7 @@ class SparseStore:
         return self._raw(self.rank, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = _as_fraction(c)
+        c = _as_coefficient(c)
         return self._raw(self.rank, {k: c * v for k, v in self.terms.items()})
 
     # -- queries ----------------------------------------------------------
@@ -163,7 +168,7 @@ class SparseStore:
 class LaurentPoly(SparseStore):
     """Sparse Laurent polynomial K[z1^±1, ..., zr^±1] with K = Q.
 
-    Terms are stored as {exponent tuple: Fraction}, keys sorted
+    Terms are stored as {exponent tuple: int or Fraction}, keys sorted
     lexicographically for deterministic iteration and printing.
     """
 
@@ -174,10 +179,10 @@ class LaurentPoly(SparseStore):
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = _exponent(exp, rank)
-            coeff = _as_fraction(coeff)
+            coeff = _as_coefficient(coeff)
             if coeff:
                 old = clean.get(exp)
-                clean[exp] = coeff if old is None else old + coeff
+                clean[exp] = coeff if old is None else _as_coefficient(old + coeff)
         self.rank = rank
         self.terms = {e: c for e, c in clean.items() if c}
 
@@ -193,7 +198,7 @@ class LaurentPoly(SparseStore):
 
     @classmethod
     def monomial(cls, rank: int, exp, coeff=1) -> "LaurentPoly":
-        return cls(rank, {tuple(exp): _as_fraction(coeff)})
+        return cls(rank, {tuple(exp): _as_coefficient(coeff)})
 
     # -- ring structure --------------------------------------------------
 

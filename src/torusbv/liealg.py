@@ -9,7 +9,7 @@ from functools import cache
 
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import _as_fraction, _check_size
+from .laurent import _as_coefficient, _check_size
 
 
 def _require_vector_field(pv: PolyVector, what: str = "argument") -> None:
@@ -56,7 +56,8 @@ def cartan_subalgebra(rank: int):
 class GlMatrixElement:
     """A rational (r+1) x (r+1) matrix acting as the linear vector field
     sum_ij m[i][j] Z_i D_j on the ambient affine space of P^r, stored as
-    its nonzero entries {(i, j): Fraction}, 0 <= i, j < size."""
+    its nonzero entries {(i, j): int or Fraction}, 0 <= i, j < size, each
+    an int when it is integral."""
 
     def __init__(self, size: int, entries):
         if size < 2:
@@ -65,7 +66,7 @@ class GlMatrixElement:
         for (i, j), v in entries.items():
             if not (0 <= i < size and 0 <= j < size):
                 raise IndexError(f"({i}, {j}) is not an entry of a {size}x{size} matrix")
-            v = _as_fraction(v)
+            v = _as_coefficient(v)
             if v:
                 clean[i, j] = v
         self.size = size

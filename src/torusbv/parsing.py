@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector
-from .laurent import LaurentPoly, SparseStore, _check_size
+from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size
 
 
 class ParseError(ValueError):
@@ -32,18 +32,18 @@ _FACTOR = re.compile(
 )
 
 
-def parse_coefficient(text: str, position: int = 0) -> Fraction:
-    """The exact rational that `text` spells as a polyvector coefficient
-    (`-3/2`, `4`), or a ParseError at `position`, the index of `text` in the
-    input it was taken from.  Decimals, exponents and `_` digit separators
-    are rejected, as they are in a polyvector."""
+def parse_coefficient(text: str, position: int = 0) -> int | Fraction:
+    """The coefficient that `text` spells as in a polyvector (`-3/2`, `4`),
+    an int when it is integral, or a ParseError at `position`, the index of
+    `text` in the input it was taken from.  Decimals, exponents and `_`
+    digit separators are rejected, as they are in a polyvector."""
     m = _FACTOR.fullmatch(text.strip())
     if not m or m.lastgroup not in ("num", "den"):
         raise ParseError(f"not a rational number: {text!r}", position)
     den = int(m["den"] or 1)
     if not den:
         raise ParseError(f"zero denominator in {text!r}", position)
-    return Fraction(int(m["num"]), den)
+    return _as_coefficient(Fraction(int(m["num"]), den))
 
 
 def _split_terms(text: str):
@@ -96,7 +96,7 @@ def _factor_position(raw: str, offset: int, factor: str) -> int:
 def _parse_term(raw: str, offset: int, rank: int):
     """Parse one product of factors; returns (coeff, exp tuple, wedge tuple).
     Numbers are multiplied as integer numerators and denominators, so the
-    term builds one Fraction."""
+    term builds at most one Fraction."""
     term = raw.strip()
     num = den = 1
     while term and term[0] in "+-":
@@ -144,7 +144,7 @@ def _parse_term(raw: str, offset: int, rank: int):
         else:
             message = f"unrecognized factor {factor!r}" if factor else "empty factor"
             raise ParseError(message, _factor_position(raw, offset, factor))
-    return Fraction(num, den), tuple(exp), tuple(wedge)
+    return _as_coefficient(num if den == 1 else Fraction(num, den)), tuple(exp), tuple(wedge)
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:

@@ -359,7 +359,7 @@ def floer_suite(max_n: int = 6) -> dict:
     def apply_two(j_outer, j_inner, gen):
         c_inner, g_inner = end_action(j_inner, gen, n)
         if g_inner is None:
-            return Fraction(0), None
+            return 0, None
         c_outer, g_outer = end_action(j_outer, g_inner, n)
         return c_inner * c_outer, g_outer
 

@@ -269,8 +269,19 @@ def test_bracket_equals_sum_over_degree_pairs():
     assert mixed > 400 and cancelled > 150 and zero > 500
 
 
+def assert_canonical(x):
+    """A constructor's or the parser's store: each coefficient a nonzero
+    int, or a Fraction whose denominator is not 1."""
+    assert all(
+        (type(c) is int or type(c) is Fraction and c.denominator != 1) and c != 0
+        for c in x.terms.values()
+    ), x.terms
+
+
 def assert_exact(x):
-    assert all(type(c) is Fraction and c != 0 for c in x.terms.values()), x.terms
+    """A kernel's store, built through `_raw`: each coefficient a nonzero
+    int or Fraction, never a float or a bool."""
+    assert all(type(c) in (int, Fraction) and c != 0 for c in x.terms.values()), x.terms
 
 
 def integer_polyvector(rng, rank):
@@ -288,9 +299,11 @@ def integer_polyvector(rng, rank):
     return PolyVector(rank, terms)
 
 
-def test_every_stored_coefficient_is_a_nonzero_fraction():
-    """Sparse sums store the first coefficient written to a key, so an int
-    or a zero could slip through where no Fraction(0) seeds the sum."""
+def test_every_stored_coefficient_is_a_nonzero_exact_rational():
+    """Sparse sums store the first coefficient written to a key, so a zero
+    could slip through where no 0 seeds the sum; constructors and the parser
+    also keep the canonical form where the terms they merge sum to an
+    integer."""
     rng = random.Random(12)
     nonempty = 0
     for _ in range(400):
@@ -305,15 +318,16 @@ def test_every_stored_coefficient_is_a_nonzero_fraction():
         # at rank >= 2, Delta(z^e (e_r theta_1 - e_1 theta_r)) cancels to 0
         e = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rank))
         free = PolyVector(rank, {(e, (1,)): e[-1], (e, (rank,)): -e[0]}) + a
-        results = [
-            a, b, a + b, a - b, a - a, a.scale(2), a.scale(-1), a.scale(Fraction(1, 2)),
-            wedge(a, b), bv_delta(free), bv_delta_divergence(free), gerstenhaber_bracket(a, b),
-            gerstenhaber_bracket(a, a), parse_polyvector(text, rank),
-            p, q, p + q, p - q, p.scale(-3), p * q, q * q,
-        ]
-        for x in results:
+        parsed = parse_polyvector(text, rank)
+        kernels = [wedge(a, b), bv_delta(free), bv_delta_divergence(free), gerstenhaber_bracket(a, b)]
+        for x in (a, b, parsed, p, q):
+            assert_canonical(x)
+        for x in kernels + [
+            a + b, a - b, a - a, a.scale(2), a.scale(-1), a.scale(Fraction(1, 2)),
+            gerstenhaber_bracket(a, a), p + q, p - q, p.scale(-3), p * q, q * q,
+        ]:
             assert_exact(x)
-        nonempty += all(results[i] for i in (8, 9, 10, 11, 13))
+        nonempty += all(kernels) and bool(parsed)
     assert nonempty > 50
 
 

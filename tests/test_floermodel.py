@@ -119,6 +119,24 @@ def test_forced_action_stability():
         assert all(f[i][0] == 0 for i in range(dim))
 
 
+@pytest.mark.parametrize("shifted", ["first", "middle"])
+def test_off_by_one_telescoped_product_raises(monkeypatch, shifted):
+    # c_0 + 1 (n >= 2) and c_{n//2} + 1 (n >= 3) still floor-divide to the
+    # right b, since a_k > 1 there; the remainder must stop them
+    true_products = floermodel._telescoped_products
+    for n in range(2 if shifted == "first" else 3, 12):
+        k = 0 if shifted == "first" else n // 2
+        c = true_products(n)
+        assert c == [(j + 1) * (n - j) for j in range(n)]
+        c[k] += 1
+        assert n - k > 1 and c[k] // (n - k) == k + 1
+        monkeypatch.setattr(floermodel, "_telescoped_products", lambda n, c=c: c)
+        with pytest.raises(ValueError, match=f"c_{k} = {c[k]} is not a multiple of a_{k} = {n - k}"):
+            solve_forced_action(n)
+        monkeypatch.setattr(floermodel, "_telescoped_products", true_products)
+        assert solve_forced_action(n)[0].b == [j + 1 for j in range(n)]
+
+
 def test_solver_rejects_bad_n():
     with pytest.raises(ValueError):
         solve_forced_action(0)

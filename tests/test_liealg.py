@@ -189,11 +189,14 @@ def random_entries(rng, size, zero_share):
 
 
 def assert_sparse(m):
-    assert all(type(v) is Fraction and v for v in m.entries.values())
+    assert all(
+        (type(v) is int or type(v) is Fraction and v.denominator != 1) and v
+        for v in m.entries.values()
+    )
     assert all(0 <= i < m.size and 0 <= j < m.size for i, j in m.entries)
 
 
-def test_entries_are_the_nonzero_fractions():
+def test_entries_are_the_nonzero_canonical_coefficients():
     m = GlMatrixElement(3, {(0, 1): "1/2", (1, 0): Fraction(0), (1, 2): -3, (2, 2): 0})
     assert m.size == 3
     assert m.entries == {(0, 1): Fraction(1, 2), (1, 2): Fraction(-3)}
@@ -305,7 +308,7 @@ def test_restrict_closed_form_matches_four_case_oracle():
     for m in matrices:
         got = restrict_from_projective(m)
         assert got == restrict_oracle(m)
-        assert all(type(c) is Fraction and c for c in got.terms.values())
+        assert all(type(c) in (int, Fraction) and c for c in got.terms.values())
         zero_results += got.is_zero()
     assert zero_results > 50
 

@@ -81,3 +81,32 @@ def test_rank_with_tuple_keys_and_no_shared_basis():
     assert matrix.rank([a, b, c]) == 2
     assert matrix.rank([a, b, c, {((0, 1), ()): Fraction(1, 2)}]) == 3
     assert matrix.rank([a, b]) == 2 and matrix.rank([a]) == 1
+
+
+def test_rank_of_int_rows_is_exact():
+    # row 3 = 7 row 1 + 5 row 2; scaling a pivot row by `/` on two ints
+    # gives floats, and the third row then fails to cancel exactly
+    rows = [{0: 3, 1: 4, 2: -8}, {0: -1, 1: 7, 2: 6}, {0: 16, 1: 63, 2: -26}]
+    assert matrix.rank(rows) == 2
+    assert matrix.rank(rows[:2]) == 2
+    pivots = matrix._pivot_rows(rows)
+    assert [col for col, _ in pivots] == [0, 1]
+    for _, pivot_row in pivots:
+        assert all(type(v) in (int, Fraction) for v in pivot_row.values()), pivot_row
+
+
+def test_pivot_entries_are_exact_on_mixed_rows():
+    rng = random.Random(16)
+    for _ in range(200):
+        rows = [
+            {j: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+             for j in range(rng.randint(1, 5))}
+            for _ in range(rng.randint(1, 5))
+        ]
+        pivots = matrix._pivot_rows(rows)
+        assert len(pivots) == matrix.rank(rows) == dense_rank(
+            [[Fraction(row.get(j, 0)) for j in range(5)] for row in rows]
+        )
+        for col, pivot_row in pivots:
+            assert pivot_row[col] == 1
+            assert all(type(v) in (int, Fraction) and v for v in pivot_row.values()), pivot_row
