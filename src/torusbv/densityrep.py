@@ -35,10 +35,11 @@ class DensityRepSpec:
         return self._beta
 
     def shift(self, i: int) -> int | Fraction:
-        """alpha*i + beta, computed at most once per i."""
+        """alpha*i + beta in canonical form (`_as_coefficient`), computed
+        at most once per i."""
         s = self._shifts.get(i)
         if s is None:
-            s = self._shifts[i] = self._alpha * i + self._beta
+            s = self._shifts[i] = _as_coefficient(self._alpha * i + self._beta)
         return s
 
     def __repr__(self):
@@ -49,22 +50,25 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}.
 
     With the memoised shift s = alpha*i + beta = s_n/s_d and a coefficient
-    c = c_n/c_d, each output coefficient is the one Fraction
+    c = c_n/c_d, each output coefficient is the canonical form of n/d with
 
-        Fraction((s_n + j*s_d) * c_n, s_d * c_d),
+        n = (s_n + j*s_d) * c_n,   d = s_d * c_d:
 
-    which the constructor puts in lowest terms.  A non-integer or bool
-    index i raises TypeError."""
-    _check_int("Witt index", i)
+    the int n // d when d divides n, else Fraction(n, d) in lowest terms.
+    So an integral term is an int, whatever the spec.  A non-integer or bool index i raises TypeError."""
+    if type(i) is not int:
+        _check_int("Witt index", i)
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
     # j -> i + j is injective, so each key is hit once; _raw drops the zeros
     shift = spec.shift(i)
     s_n, s_d = shift.numerator, shift.denominator
-    return LaurentPoly._raw(1, {
-        (i + j,): Fraction((s_n + j * s_d) * c.numerator, s_d * c.denominator)
-        for (j,), c in p.terms.items()
-    })
+    terms = {}
+    for (j,), c in p.terms.items():
+        n = (s_n + j * s_d) * c.numerator
+        d = s_d * c.denominator
+        terms[(i + j,)] = n // d if n % d == 0 else Fraction(n, d)
+    return LaurentPoly._raw(1, terms)
 
 
 def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: int = 3) -> bool:
@@ -212,9 +216,13 @@ class FiniteSl2Module:
 
     def casimir(self):
         """The value of ef + fe + h^2/2 on each basis vector, which it maps
-        to a multiple of itself on any chain."""
+        to a multiple of itself on any chain, each an int where it is
+        integral and a Fraction otherwise."""
         products = self._step_products()
-        return [products[t] + products[t + 1] + Fraction(w * w, 2) for t, w in enumerate(self.weights)]
+        return [
+            _as_coefficient(products[t] + products[t + 1] + Fraction(w * w, 2))
+            for t, w in enumerate(self.weights)
+        ]
 
 
 def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None:

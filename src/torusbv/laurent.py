@@ -93,10 +93,14 @@ class SparseStore:
     @classmethod
     def _raw(cls, rank: int, terms: dict):
         """Internal fast path: keys already canonical, coefficients already
-        ints or Fractions, kept as they are; only zero filtering is done."""
+        ints or Fractions, kept as they are; only zero filtering is done.
+
+        The store owns `terms`: a dict with no zero value is kept as given,
+        not copied, so callers hand it a fresh dict that nothing else
+        holds.  Only a dict holding a zero is copied, without the zeros."""
         obj = object.__new__(cls)
         obj.rank = rank
-        obj.terms = {k: c for k, c in terms.items() if c}
+        obj.terms = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
         return obj
 
     @classmethod

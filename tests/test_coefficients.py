@@ -1,6 +1,7 @@
 """The coefficient rule: a coefficient is an int when it is integral and a
 Fraction otherwise.  Constructors and the parser store that canonical form;
-the kernels, which build through `_raw`, keep int inputs int."""
+the kernels, which build through `_raw`, keep int inputs int, and the
+density action `rho_apply` gives the canonical form on every spec."""
 
 import random
 from decimal import Decimal
@@ -10,7 +11,7 @@ import pytest
 
 from torusbv.bvalgebra import PolyVector, bv_delta, bv_delta_divergence, gerstenhaber_bracket, wedge
 from torusbv.cocycle import CE1Cochain, module_action, parse_cochain_spec
-from torusbv.densityrep import DensityRepSpec
+from torusbv.densityrep import DensityRepSpec, extract_finite_sl2_submodule, rho_apply
 from torusbv.laurent import LaurentPoly, _as_coefficient
 from torusbv.liealg import GlMatrixElement, restrict_from_projective
 from torusbv.parsing import parse_coefficient, parse_polyvector
@@ -130,3 +131,51 @@ def test_non_integral_inputs_give_exact_fractions():
     assert products == [3, 1] and all(type(c) in (int, Fraction) for c in products)
     got = restrict_from_projective(GlMatrixElement(2, {(1, 0): Fraction(3, 2)}))
     assert got.terms == {((1,), (1,)): Fraction(-3, 2)}
+
+
+def test_density_path_on_int_specs_holds_ints():
+    """The density action and its composites on int specs and int monomials
+    hold ints only, as the kernels do."""
+    got = rho_apply(DensityRepSpec(0, 0), 1, LaurentPoly.monomial(1, (2,)))
+    assert got.terms == {(3,): 2} and type(got.terms[3,]) is int
+    rng = random.Random(22)
+    composites = 0
+    for _ in range(100):
+        spec = DensityRepSpec(rng.randint(-4, 4), rng.randint(-4, 4))
+        zj = LaurentPoly.monomial(1, (rng.randint(-5, 5),), rng.choice((-3, -1, 1, 2)))
+        n, m = rng.randint(-3, 3), rng.randint(-3, 3)
+        inner = rho_apply(spec, m, zj)
+        composite = rho_apply(spec, n, inner)
+        for result in (inner, composite):
+            assert all(type(c) is int for c in result.terms.values()), (spec, n, m, result.terms)
+        composites += bool(composite)
+    assert composites > 50
+
+
+def test_density_path_on_half_integral_specs_is_canonical():
+    rng = random.Random(23)
+    ints = fractions = 0
+    for _ in range(100):
+        spec = DensityRepSpec(Fraction(rng.randint(-8, 4), 2), Fraction(rng.randint(-8, 8), 2))
+        p = LaurentPoly(1, {
+            (rng.randint(-5, 5),): Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+            for _ in range(rng.randint(1, 4))
+        })
+        n, m = rng.randint(-3, 3), rng.randint(-3, 3)
+        for result in (rho_apply(spec, m, p), rho_apply(spec, n, rho_apply(spec, m, p))):
+            assert all(map(canonical, result.terms.values())), (spec, n, m, result.terms)
+            ints += sum(type(c) is int for c in result.terms.values())
+            fractions += sum(type(c) is Fraction for c in result.terms.values())
+    assert ints > 100 and fractions > 100, (ints, fractions)
+
+
+def test_density_shift_and_casimir_are_canonical():
+    half = Fraction(1, 2)
+    spec = DensityRepSpec(half, half)
+    assert [(spec.shift(i), type(spec.shift(i))) for i in (1, 2, -1, 0)] == [
+        (1, int), (Fraction(3, 2), Fraction), (0, int), (half, Fraction)
+    ]
+    casimir = extract_finite_sl2_submodule(DensityRepSpec(-1, -1)).casimir()
+    assert casimir == [4] * 3 and all(type(c) is int for c in casimir)
+    casimir = extract_finite_sl2_submodule(DensityRepSpec(-half, -half)).casimir()
+    assert casimir == [Fraction(3, 2)] * 2 and all(type(c) is Fraction for c in casimir)

@@ -153,9 +153,9 @@ def test_weight_spaces_one_dimensional():
 
 
 def test_rho_apply_on_multi_term_inputs_term_by_term():
-    # every output term is one Fraction in lowest terms, equal to the
-    # two-operation formula (j + alpha*i + beta) * c; a term whose
-    # multiplier vanishes is dropped
+    # every output term is canonical, a nonzero int or a Fraction in lowest
+    # terms whose denominator is not 1, equal to the two-operation formula
+    # (j + alpha*i + beta) * c; a term whose multiplier vanishes is dropped
     rng = random.Random(5)
     dropped = negative = 0
     for _ in range(300):
@@ -182,8 +182,11 @@ def test_rho_apply_on_multi_term_inputs_term_by_term():
                 dropped += 1
         assert got.terms == expected
         for c in got.terms.values():
-            assert type(c) is Fraction
-            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+            if type(c) is int:
+                assert c != 0
+            else:
+                assert type(c) is Fraction and c.denominator > 1
+                assert math.gcd(c.numerator, c.denominator) == 1
             negative += c < 0
         assert got == LaurentPoly(1, expected)
     assert dropped > 50 and negative > 300
@@ -199,6 +202,15 @@ def test_non_integer_index_rejected(index):
     assert rho_apply(spec, 1, zpow(2)) == zpow(3, Fraction(3, 2))
     with pytest.raises(TypeError, match=rf"^Witt index must be an integer, got {re.escape(repr(index))}$"):
         rho_apply(spec, index, zpow(2))
+
+
+def test_int_subclass_index_accepted():
+    class Index(int):
+        pass
+
+    spec = DensityRepSpec(Fraction(-1, 2), 0)
+    got = rho_apply(spec, Index(1), zpow(2))
+    assert got == zpow(3, Fraction(3, 2)) and [type(j) for (j,) in got.terms] == [int]
 
 
 def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
@@ -450,10 +462,10 @@ def in_another_rank_or_type(kind, side):
     made_by = {}
 
     def rho(spec, i, p):
-        out = rho_apply(spec, i, LaurentPoly._raw(1, p.terms))
+        out = rho_apply(spec, i, LaurentPoly._raw(1, dict(p.terms)))
         if (id(p) in made_by) == (side == "composite"):
             if kind == "type":
-                out = Lookalike._raw(1, out.terms)
+                out = Lookalike._raw(1, dict(out.terms))
             elif not out:
                 out = LaurentPoly.zero(2)
         made_by[id(out)] = out

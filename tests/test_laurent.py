@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv.bvalgebra import PolyVector
+from torusbv.bvalgebra import PolyVector, bv_delta, bv_delta_divergence, gerstenhaber_bracket, wedge
+from torusbv.cocycle import module_action
+from torusbv.densityrep import DensityRepSpec, rho_apply
 from torusbv.laurent import LaurentPoly, RankMismatchError
 from torusbv.parsing import format_polyvector
 from torusbv.suites import random_polyvector
@@ -119,6 +121,38 @@ def test_shared_store_keeps_class():
     assert LaurentPoly.zero(1) != PolyVector.zero(1)
     with pytest.raises(TypeError):
         p + PolyVector(2, {(e, ()): c for e, c in p.terms.items()})
+
+
+def test_raw_owns_a_dict_without_zeros_and_copies_one_with():
+    terms = {(1,): 2, (-1,): Fraction(1, 3)}
+    assert LaurentPoly._raw(1, terms).terms is terms
+    with_zero = {(1,): 2, (0,): 0, (-1,): Fraction(1, 3)}
+    store = LaurentPoly._raw(1, with_zero)
+    assert store.terms == {(1,): 2, (-1,): Fraction(1, 3)} and store.terms is not with_zero
+    assert with_zero == {(1,): 2, (0,): 0, (-1,): Fraction(1, 3)}
+    empty = {}
+    assert PolyVector._raw(2, empty).terms is empty
+
+
+def test_results_never_share_an_operands_terms():
+    # _raw keeps the dict it is given, so each operation must hand it one of
+    # its own, also where the result equals an operand (x + 0, 1 * x)
+    rng = random.Random(3)
+    for _ in range(30):
+        rank = rng.randint(1, 2)
+        a, b = random_polyvector(rng, rank), random_polyvector(rng, rank)
+        x = PolyVector.xi(rank, tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(1, rank))
+        p, q = random_laurent(rng, rank), random_laurent(rng, rank)
+        z = random_laurent(rng, 1)
+        cases = [
+            (p + q, p, q), (p + LaurentPoly.zero(rank), p), (p - q, p, q), (-p, p),
+            (p.scale(1), p), (a + b, a, b), (a - b, a, b), (-a, a), (a.scale(1), a),
+            (wedge(a, b), a, b), (wedge(a, PolyVector.one(rank)), a),
+            (gerstenhaber_bracket(a, b), a, b), (bv_delta(a), a), (bv_delta_divergence(a), a),
+            (module_action(x, p), x, p), (rho_apply(DensityRepSpec(0, 1), 0, z), z),
+        ]
+        for result, *operands in cases:
+            assert all(result.terms is not o.terms for o in operands), (result, operands)
 
 
 def test_inexact_coefficients_rejected():
