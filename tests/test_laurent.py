@@ -130,8 +130,6 @@ def test_raw_owns_a_dict_without_zeros_and_copies_one_with():
     store = LaurentPoly._raw(1, with_zero)
     assert store.terms == {(1,): 2, (-1,): Fraction(1, 3)} and store.terms is not with_zero
     assert with_zero == {(1,): 2, (0,): 0, (-1,): Fraction(1, 3)}
-    empty = {}
-    assert PolyVector._raw(2, empty).terms is empty
 
 
 def test_results_never_share_an_operands_terms():
