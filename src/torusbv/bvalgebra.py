@@ -9,6 +9,8 @@ divergence computation through logarithmic differential forms
 
 from __future__ import annotations
 
+from functools import cache
+
 from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _exponent
 
 
@@ -106,13 +108,22 @@ class PolyVector(SparseStore):
         ]
 
 
+@cache
+def _wedge_table(w1, w2):
+    """(S u T, Koszul sign) of theta_S ^ theta_T for two canonical wedge
+    tuples, sign 0 when they meet; `normalize_wedge` once per pair, keyed
+    only by the two tuples."""
+    return normalize_wedge(w1 + w2)
+
+
 def wedge(a: PolyVector, b: PolyVector) -> PolyVector:
-    """Graded-commutative product: (z^n, S)(z^m, T) = sign * (z^{n+m}, S u T)."""
+    """Graded-commutative product: (z^n, S)(z^m, T) = sign * (z^{n+m}, S u T),
+    with (S u T, sign) read from `_wedge_table`."""
     a._check_rank(b)
     terms = {}
     for (e1, w1), c1 in a.terms.items():
         for (e2, w2), c2 in b.terms.items():
-            w, sign = normalize_wedge(w1 + w2)
+            w, sign = _wedge_table(w1, w2)
             if sign == 0:
                 continue
             key = (tuple(x + y for x, y in zip(e1, e2)), w)
@@ -211,6 +222,32 @@ def bv_delta_divergence(a: PolyVector) -> PolyVector:
     return PolyVector._raw(rank, terms)
 
 
+@cache
+def _schouten_table(s, t):
+    """The exterior-algebra half of [z^n theta_S, z^m theta_T] for two
+    canonical wedge tuples S and T: one entry (W, by_m, i, sign) per
+    contraction whose merged wedge W is nonzero, in the order theta_S by m,
+    then theta_T by n.  The term it gives is sign * v z^{n+m} theta_W with
+    v = m[i] when by_m, else n[i]; sign folds the Koszul sign of
+    `normalize_wedge` into the parity (-1)^j of the j-th index of S, or
+    (-1)^{|S|+j} of the j-th index of T.
+
+    The key is only the pair (S, T), never an exponent or a coefficient,
+    and its indices are absolute, so one entry serves every rank that holds
+    both wedges: at most 4^rank entries for the highest rank bracketed,
+    and the cache has no size option."""
+    table = []
+    for j, i in enumerate(s):
+        w, sign = normalize_wedge(s[:j] + s[j + 1:] + t)
+        if sign:
+            table.append((w, True, i - 1, -sign if j % 2 else sign))
+    for j, i in enumerate(t):
+        w, sign = normalize_wedge(s + t[:j] + t[j + 1:])
+        if sign:
+            table.append((w, False, i - 1, -sign if (len(s) + j) % 2 else sign))
+    return tuple(table)
+
+
 def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
     """Schouten-Nijenhuis bracket, one pass over the term pairs.  On monomials
 
@@ -223,25 +260,28 @@ def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
     Schouten-Nijenhuis et cohomologie", Asterisque 1985),
     [a, b] = Delta(ab) - Delta(a) b - (-1)^|a| a Delta(b) on homogeneous a;
     `verify bv-axioms` checks the two against each other.
+
+    The wedges, indices and signs of each term pair come from
+    `_schouten_table`, keyed only by the canonical wedge pair (S, T); a pair
+    with an empty table is skipped before its coefficient product and
+    exponent sum are built, and an entry whose exponent entry v is 0 adds
+    nothing.  Each coefficient is c * (+-v), the int multiplier on the right.
     """
     a._check_rank(b)
     terms = {}
     for (n, s), ca in a.terms.items():
         for (m, t), cb in b.terms.items():
+            table = _schouten_table(s, t)
+            if not table:
+                continue
             c = ca * cb
             exp = tuple(x + y for x, y in zip(n, m))
-            # (left wedge, right wedge, exponent entry, sign parity) for each
-            # contraction: theta_S by m, then theta_T by n behind theta_S
-            parts = [(s[:j] + s[j + 1:], t, m[i - 1], j) for j, i in enumerate(s)]
-            parts += [(s, t[:j] + t[j + 1:], n[i - 1], len(s) + j) for j, i in enumerate(t)]
-            for left, right, v, parity in parts:
+            for w, by_m, i, sign in table:
+                v = m[i] if by_m else n[i]
                 if v == 0:
                     continue
-                w, sign = normalize_wedge(left + right)
-                if sign == 0:
-                    continue
                 key = (exp, w)
-                coeff = c * (v if (sign > 0) == (parity % 2 == 0) else -v)
+                coeff = c * (v if sign > 0 else -v)
                 old = terms.get(key)
                 terms[key] = coeff if old is None else old + coeff
     return PolyVector._raw(a.rank, terms)

@@ -49,8 +49,9 @@ class DensityRepSpec:
 def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}.
 
-    With the memoised shift s = alpha*i + beta = s_n/s_d and a coefficient
-    c = c_n/c_d, each output coefficient is the canonical form of n/d with
+    With the memoised shift s = alpha*i + beta = s_n/s_d (read from the
+    memo of `spec.shift`) and a coefficient c = c_n/c_d, each output
+    coefficient is the canonical form of n/d with
 
         n = (s_n + j*s_d) * c_n,   d = s_d * c_d:
 
@@ -60,9 +61,12 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
         _check_int("Witt index", i)
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
-    # j -> i + j is injective, so each key is hit once; _raw drops the zeros
-    shift = spec.shift(i)
+    # the memo read without a method call; `shift` fills it on a miss
+    shift = spec._shifts.get(i)
+    if shift is None:
+        shift = spec.shift(i)
     s_n, s_d = shift.numerator, shift.denominator
+    # j -> i + j is injective, so each key is hit once; _raw drops the zeros
     terms = {}
     for (j,), c in p.terms.items():
         n = (s_n + j * s_d) * c.numerator

@@ -138,7 +138,7 @@ class SparseStore:
 
     def scale(self, c):
         c = _as_coefficient(c)
-        return self._raw(self.rank, {k: c * v for k, v in self.terms.items()})
+        return self._raw(self.rank, {k: v * c for k, v in self.terms.items()})
 
     # -- queries ----------------------------------------------------------
 

@@ -86,7 +86,7 @@ class GlMatrixElement:
             for (i, j), x in a.entries.items():
                 for (k, l), y in b.entries.items():
                     if j == k:
-                        out[i, l] = out.get((i, l), 0) + sign * x * y
+                        out[i, l] = out.get((i, l), 0) + x * y * sign
         return GlMatrixElement(self.size, out)
 
 

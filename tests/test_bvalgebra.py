@@ -367,22 +367,123 @@ def test_bracket_takes_every_sign_path():
     assert zero_entry > 300 and nonzero > 600
 
 
-# each mutant is one edit of the kernel's source: (text, replacement)
+def wedge_sets(rank):
+    """Every wedge set of {1, ..., rank}, as a canonical tuple."""
+    return [w for k in range(rank + 1) for w in combinations(range(1, rank + 1), k)]
+
+
+def brute_schouten_table(s, t):
+    """The table `_schouten_table(s, t)` should hold, by removing each letter
+    of the word s + t in turn: the p-th letter has parity p, is contracted
+    by m when it lies in s, and the rest of the word is sorted by
+    `normalize_wedge`."""
+    word = s + t
+    entries = []
+    for p, i in enumerate(word):
+        w, sign = normalize_wedge(word[:p] + word[p + 1:])
+        if sign:
+            entries.append((w, p < len(s), i - 1, sign * _sign(p)))
+    return tuple(entries)
+
+
+def test_schouten_table_matches_brute_force():
+    """Every pair of wedge sets at ranks 1-5 (1024 pairs)."""
+    sets = wedge_sets(5)
+    empty = 0
+    for s in sets:
+        for t in sets:
+            table = bvalgebra._schouten_table(s, t)
+            assert table == brute_schouten_table(s, t), (s, t)
+            empty += not table
+    # empty exactly when S and T meet in two or more indices, or both are empty
+    assert empty == sum(len(set(s) & set(t)) >= 2 or not s + t for s in sets for t in sets)
+
+
+def test_tables_are_keyed_by_absolute_indices():
+    """One entry per wedge pair serves operands of rank 2 and of rank 4."""
+    pairs = [
+        (PolyVector.monomial(2, (1, 2), (1,), 3), PolyVector.monomial(2, (2, -1), (2,), Fraction(1, 2))),
+        (
+            PolyVector.monomial(4, (1, 2, 0, -1), (1,), 3),
+            PolyVector.monomial(4, (2, -1, 1, 1), (2,), Fraction(1, 2)),
+        ),
+    ]
+    brackets = [sum(bracket_parts(x, y), PolyVector.zero(x.rank)) for x, y in pairs]
+    products = [PolyVector.monomial(2, (3, 1), (1, 2), Fraction(3, 2)),
+                PolyVector.monomial(4, (3, 1, 1, 0), (1, 2), Fraction(3, 2))]
+    for table in (bvalgebra._schouten_table, bvalgebra._wedge_table):
+        table.cache_clear()
+    for (x, y), bracket, product in zip(pairs, brackets, products):
+        assert gerstenhaber_bracket(x, y) == bracket
+        assert wedge(x, y) == product
+    for table in (bvalgebra._schouten_table, bvalgebra._wedge_table):
+        info = table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1), table
+
+
+def wedge_failures(wedge):
+    """`wedge` against a reference built monomial by monomial through the
+    validating constructor, which sorts S + T with its own sign: on
+    c z^n theta_S and c' z^m theta_T for every pair of wedge sets (S, T) at
+    ranks 1-4, and at each rank on two operands that hold every wedge set."""
+    rng = random.Random(14)
+    failures = []
+    for rank in (1, 2, 3, 4):
+        sets = wedge_sets(rank)
+
+        def operand(wedges):
+            return {
+                (tuple(rng.randint(-2, 2) for _ in range(rank)), w): rng.choice(SIGN_PATH_COEFFS)
+                for w in wedges
+            }
+
+        pairs = [(operand([s]), operand([t])) for s in sets for t in sets]
+        pairs.append((operand(sets), operand(sets)))
+        for a, b in pairs:
+            want = PolyVector.zero(rank)
+            for (n, s), ca in a.items():
+                for (m, t), cb in b.items():
+                    want += PolyVector(rank, {(tuple(x + y for x, y in zip(n, m)), s + t): ca * cb})
+            if wedge(PolyVector(rank, a), PolyVector(rank, b)) != want:
+                failures.append((rank, a, b))
+    return failures
+
+
+def test_wedge_matches_constructor_reference():
+    assert wedge_failures(wedge) == []
+
+
+# each mutant is one edit of a kernel table's source: (table, text, replacement)
 KERNEL_MUTANTS = {
-    "drops_sign_of_S": ("n[i - 1], len(s) + j)", "n[i - 1], j)"),
-    "contracts_S_by_n": ("t, m[i - 1], j)", "t, n[i - 1], j)"),
+    "drops_sign_of_S": ("_schouten_table", "(len(s) + j) % 2", "j % 2"),
+    "contracts_S_by_n": ("_schouten_table", "(w, True, i - 1,", "(w, False, i - 1,"),
+    "flips_wedge_sign": (
+        "_wedge_table",
+        "return normalize_wedge(w1 + w2)",
+        "w, sign = normalize_wedge(w1 + w2)\n    return w, -sign",
+    ),
 }
+KERNEL_OF = {"_schouten_table": "gerstenhaber_bracket", "_wedge_table": "wedge"}
 
 
-def planted_kernel(text, replacement):
-    source = inspect.getsource(bvalgebra.gerstenhaber_bracket)
+def planted_kernel(table, text, replacement):
+    """The kernel that reads `table`, with one edit planted in the table's
+    source.  Table and kernel are exec'd into one namespace, so the planted
+    kernel reads the planted table, through a cache of its own."""
+    source = inspect.getsource(getattr(bvalgebra, table))
     assert source.count(text) == 1
+    kernel = KERNEL_OF[table]
     namespace = dict(vars(bvalgebra))
     exec(source.replace(text, replacement), namespace)
-    return namespace["gerstenhaber_bracket"]
+    exec(inspect.getsource(getattr(bvalgebra, kernel)), namespace)
+    assert namespace[table] is not getattr(bvalgebra, table)
+    assert namespace[table].cache_info().currsize == 0
+    return namespace[kernel]
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_MUTANTS))
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (table, _, _) in KERNEL_MUTANTS.items() if table == "_schouten_table")
+)
 def test_kernel_mutant_fails_sign_paths_and_suite(name, monkeypatch):
     mutant = planted_kernel(*KERNEL_MUTANTS[name])
     failures, _, _ = sign_path_failures(mutant)
@@ -391,6 +492,14 @@ def test_kernel_mutant_fails_sign_paths_and_suite(name, monkeypatch):
     verdicts = {c["name"]: c["ok"] for c in bv_axiom_suite()["checks"]}
     assert verdicts["bracket_equals_bv_derived"] is False
     assert [c["ok"] for c in witt_closed_form_suite()["checks"]] == [False, False]
+
+
+def test_wedge_table_mutant_fails_reference_and_suite(monkeypatch):
+    mutant = planted_kernel(*KERNEL_MUTANTS["flips_wedge_sign"])
+    assert wedge_failures(mutant)
+    monkeypatch.setattr(suites, "wedge", mutant)
+    verdicts = {c["name"]: c["ok"] for c in bv_axiom_suite()["checks"]}
+    assert verdicts["bracket_equals_bv_derived"] is False
 
 
 def test_witt_closed_form_oracle_uses_no_library_arithmetic(monkeypatch):
