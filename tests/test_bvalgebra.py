@@ -345,7 +345,7 @@ def sign_path_failures(bracket):
     failures = []
     zero_entry = nonzero = 0
     for rank in (1, 2, 3, 4):
-        sets = [w for k in range(rank + 1) for w in combinations(range(1, rank + 1), k)]
+        sets = wedge_sets(rank)
         for s in sets:
             for t in sets:
                 for _ in range(3):
