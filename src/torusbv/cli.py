@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .bvalgebra import bv_delta, gerstenhaber_bracket, wedge
 from .cocycle import is_cocycle_on_window, parse_cochain_spec
@@ -46,8 +46,58 @@ def _envelope(args, result) -> dict:
     }
 
 
+def _json_text(value, newline: str, out: list) -> None:
+    """Append to `out` the pieces of the text that `json.dumps(value,
+    indent=2, sort_keys=True)` gives, for a value nested at the indent that
+    `newline` ("\\n" and two spaces a level) ends with.  Only str keys, and
+    no float: every result is exact, so any other type raises TypeError."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _json_string(key) + ": ")
+            _json_text(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _json_text(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write `payload` as `json.dumps(payload, indent=2, sort_keys=True)`
+    would, byte for byte, and a newline, in one write.  With an indent the
+    stdlib leaves its C encoder for a slower pure-Python one; this writer
+    keeps the C string escaping and builds the rest in one list."""
+    out = []
+    _json_text(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _emit(args, result, text: str) -> None:

@@ -49,7 +49,7 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-_INT_STRING = re.compile(r"-?\d+")  # an exponent, as parsing._FACTOR spells it
+_INT_STRING = re.compile(r"-?\d+", re.ASCII)  # an exponent, as parsing._FACTOR spells it
 
 
 def _integer(e) -> int:

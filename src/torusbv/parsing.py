@@ -28,7 +28,8 @@ _FACTOR = re.compile(
     r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
     r"|z(?P<var>\d+)(?:\^(?P<var_power>-?\d+))?"  # z2, z2^-3
     r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
-    r"|[tθ](?P<theta>\d+)"  # t1, θ1
+    r"|[tθ](?P<theta>\d+)",  # t1, θ1
+    re.ASCII,  # digits are 0-9 only; the literal `θ` still matches
 )
 
 
@@ -46,32 +47,35 @@ def parse_coefficient(text: str, position: int = 0) -> int | Fraction:
     return _as_coefficient(Fraction(int(m["num"]), den))
 
 
+# the only characters at which the term split can change state
+_SPLIT_MARK = re.compile(r"[()+-]")
+
+
 def _split_terms(text: str):
     """Split on top-level +/- (not inside parentheses), keeping signs; a
     run of signs such as `- -` stays with the term that follows it."""
     terms = []
     depth = 0
-    current = ""
     start = 0
-    for pos, ch in enumerate(text):
+    for m in _SPLIT_MARK.finditer(text):
+        ch = m.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced ')'", pos)
-        elif ch in "+-" and depth == 0 and current.strip():
-            # exponent minus signs always follow '^' or ',' or '('
-            prev = current.rstrip()[-1:]
-            if prev not in "^,*(+-":
-                terms.append((current, start))
-                current = ""
+                raise ParseError("unbalanced ')'", m.start())
+        elif not depth:
+            # exponent minus signs always follow '^' or ',' or '('; a sign
+            # with nothing but spaces before it in its term starts no term
+            pos = m.start()
+            if text[start:pos].rstrip()[-1:] not in "^,*(+-":
+                terms.append((text[start:pos], start))
                 start = pos
-        current += ch
-    if depth != 0:
+    if depth:
         raise ParseError("unbalanced '('", len(text))
-    if current.strip():
-        terms.append((current, start))
+    if text[start:].strip():
+        terms.append((text[start:], start))
     elif not terms:
         raise ParseError("empty input", 0)
     return terms

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import random
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
+from test_cli_golden import run_in_process
 
 from torusbv import cli, suites
 from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
@@ -182,6 +186,73 @@ def test_one_pass_parse_equals_monomial_fold():
     assert zero > 50 and repeated > 50
     for text, rank in (("t2*t1 + t1*t2", 2), ("t1*t1", 1), ("z^(1,-2)*t2*t1", 2), ("0", 3)):
         assert parse_polyvector(text, rank) == fold_parse(text, rank)
+
+
+def char_split(text):
+    """The former term splitter: one step per character, the current term
+    rebuilt as a string."""
+    terms = []
+    depth = 0
+    current = ""
+    start = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced ')'", pos)
+        elif ch in "+-" and depth == 0 and current.strip():
+            prev = current.rstrip()[-1:]
+            if prev not in "^,*(+-":
+                terms.append((current, start))
+                current = ""
+                start = pos
+        current += ch
+    if depth != 0:
+        raise ParseError("unbalanced '('", len(text))
+    if current.strip():
+        terms.append((current, start))
+    elif not terms:
+        raise ParseError("empty input", 0)
+    return terms
+
+
+def split_outcome(split, text):
+    try:
+        return split(text)
+    except ParseError as err:
+        return err.message, err.position
+
+
+SPLIT_PIECES = ["t1", "z", "z2^-3", "z^(1,-2)", "z^(-1, 2)", "3/2", "*", " ", "  ", "+", "-",
+                "+ -", "--", "- -", "(", ")", "^", ",", "\t"]
+
+
+def random_split_text(rng):
+    """A term text from `random_text`, or loose pieces, with spaces, sign
+    runs and stray parentheses put in at random places."""
+    if rng.random() < 0.5:
+        text = random_text(rng, rng.randint(1, 3)).replace("z^(", rng.choice(["z^(", "z^( "]))
+    else:
+        text = "".join(rng.choices(SPLIT_PIECES, k=rng.randint(0, 10)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(["(", ")", " ", "- ", "+-"]) + text[at:]
+    return text
+
+
+def test_split_terms_equals_the_character_loop():
+    rng = random.Random(24)
+    seen = {}
+    for _ in range(500):
+        text = random_split_text(rng)
+        got = split_outcome(_split_terms, text)
+        assert got == split_outcome(char_split, text), repr(text)
+        kind = got[0] if isinstance(got, tuple) else "terms" if len(got) == 1 else "split"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"split", "terms", "unbalanced ')'", "unbalanced '('", "empty input"}
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("text", ["", " ", "\t\n "])
@@ -389,6 +460,81 @@ def test_verify_json_envelope_rank(capsys):
     assert all(c["name"].startswith("rank1_") for c in payload["result"]["checks"])
 
 
+def written_json(payload):
+    """What `cli._write_json` writes for `payload`, and in how many writes."""
+    writes = []
+    out = io.StringIO()
+    out.write = writes.append
+    with contextlib.redirect_stdout(out):
+        cli._write_json(payload)
+    return "".join(writes), len(writes)
+
+
+def dumps_oracle(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_payload(monkeypatch):
+    payloads = []
+    real = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda payload: payloads.append(payload) or real(payload))
+    json_commands = [c for c in GOLDEN_COMMANDS if "--json" in c.split()]
+    for command in json_commands:
+        run_in_process(command)
+    assert len(payloads) == len(json_commands)
+    monkeypatch.undo()
+    for payload in payloads:
+        assert written_json(payload) == (dumps_oracle(payload), 1)
+
+
+JSON_STRINGS = ["", "a", "θ1", 'say "x"', "back\\slash", "two\nlines", "\x01", "tab\t", "z1^-2*t1", "/", "∂é"]
+
+
+def random_json(rng, depth=0):
+    """A payload of the types the writer takes: nested dicts, lists and
+    tuples (empty ones too), ints up to 30 digits, True, False, None and
+    strings that need escaping."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(JSON_STRINGS) + rng.choice(JSON_STRINGS)
+    if kind == 1:
+        return rng.choice([0, 1, -1, rng.randint(-10**30, 10**30), -(10**29)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return rng.choice(JSON_STRINGS)
+    items = [random_json(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 4]))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {rng.choice(JSON_STRINGS) + str(rng.randint(0, 9)): item for item in items}
+
+
+def test_json_writer_matches_json_dumps_on_seeded_payloads():
+    rng = random.Random(2024)
+    texts = []
+    for _ in range(300):
+        payload = {"schema": 1, "result": random_json(rng)}
+        text, writes = written_json(payload)
+        assert (text, writes) == (dumps_oracle(payload), 1)
+        texts.append(text)
+    joined = "".join(texts)
+    for piece in ("{}", "[]", "true", "false", "null", "\\u03b8", '\\"', "\\\\", "\\n", "\\u0001"):
+        assert piece in joined, piece
+    assert any(len(line.strip(" -,")) == 30 and line.strip(" -,").isdigit() for line in joined.splitlines())
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"a": 1.5}, {"a": [2.0]}, {"a": Fraction(1, 2)}, {"a": (1, Fraction(3))}, {1: "a"}, {"a": {None: 0}}],
+    ids=["float", "float_in_list", "fraction", "fraction_in_tuple", "int_key", "none_key"],
+)
+def test_json_writer_rejects_floats_fractions_and_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        written_json(payload)
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     built = []
     real = cli.build_parser
@@ -459,6 +605,11 @@ BAD_INPUT = [
     (["rep", "--alpha=0", "--beta=1_000"], 0),
     (["cocycle-check", "alpha=1e2"], 6),
     (["cocycle-check", "beta=[1, 0.5]", "--rank", "2"], 9),
+    # digits are ASCII 0-9: Arabic-Indic and fullwidth digits are not numbers
+    (["bv", "2*z*t\u0661"], 4),
+    (["rep", "--alpha=\u0661/\u0662", "--beta=0"], 0),
+    (["cocycle-check", "alpha=\uff13"], 6),
+    (["bracket", "t1", "z^(1,\u0662)*t1", "--rank", "2"], 0),
 ]
 
 

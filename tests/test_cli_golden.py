@@ -2,9 +2,9 @@
 
 Each README example, each `verify` suite at its default seed, each
 mixed-degree `bracket`/`wedge`/`bv` command, the rank-2 `cocycle-check` and
-the `LIE_EMBEDDING` commands below, in text and `--json`, and each
-`rep`/`floer` command of `SL2_MODULES`, has a pinned exit code and sha256
-of stdout.  The README and suite pins were taken before `main` began to
+the `LIE_EMBEDDING` commands below, in text and `--json`, each
+`rep`/`floer` command of `SL2_MODULES` and each `ERROR_ENVELOPES` command
+has a pinned exit code and sha256 of stdout.  The README and suite pins were taken before `main` began to
 reuse one argument parser, the mixed-degree pins before the bracket became
 one bilinear Delta formula over all degree parts; they still hold for the
 one-pass Schouten-Nijenhuis kernel.  The `verify bv-axioms` pins were
@@ -70,13 +70,16 @@ SL2_MODULES = [
 # the sl_{r+1} layer at ranks beside the README's, pinned before its
 # gl_{r+1} elements were stored as sparse entries
 LIE_EMBEDDING = ["roots --rank 1", "roots --rank 3", "verify embedding --rank 4"]
+# JSON error envelopes (exit 2), one with an integer position and one with
+# `"position": null`, pinned before the CLI wrote JSON without `json.dumps`
+ERROR_ENVELOPES = ["rep --alpha=1/0 --beta=0 --json", "verify rep-action --rank 2 --json"]
 COMMANDS = [
     c + mode
     for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS + LIE_EMBEDDING
     for mode in ("", " --json")
 ] + [
     f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
-] + SL2_MODULES
+] + SL2_MODULES + ERROR_ENVELOPES
 
 # command line after `torusbv` -> (exit code, sha256 of stdout)
 PINS = {
@@ -143,6 +146,8 @@ PINS = {
     'roots --rank 3 --json': (0, '72cda333d5567a3c7c01af9a259f2c343769dcd856909ce882e2b4719dc6822d'),
     'verify embedding --rank 4': (0, 'e47fac42ffb326ad65bcadd3c6a5d9c5948328eeba0af5bbbf8dec8fbd2c92c9'),
     'verify embedding --rank 4 --json': (0, '526ea0510ed4c72d5e7d436bd7271682df67129111617da58e7470ad49a2a066'),
+    'rep --alpha=1/0 --beta=0 --json': (2, '4353ebcecc178594a514a1b6717b07b1edf7006924d33095772eb4143fb5a780'),
+    'verify rep-action --rank 2 --json': (2, 'e4e535b49981bd75d100be9bc9ad4b4e3d18cd165d819781c2e857f8bc4b9de8'),
 }
 
 USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2

@@ -209,7 +209,9 @@ def test_int_string_exponents_still_accepted():
         L(1, {("2.5",): 1})
 
 
-@pytest.mark.parametrize("text", ["1_0", " 1_0 ", "+3", " 3", "3 ", "- 3", "--3", "", "0x3"])
+@pytest.mark.parametrize(
+    "text", ["1_0", " 1_0 ", "+3", " 3", "3 ", "- 3", "--3", "", "0x3", "\u0663", "-\uff13"]
+)
 def test_exponent_strings_outside_the_grammar_rejected(text):
     # the polyvector grammar spells an exponent -?\d+, as z^3 or z^-3
     with pytest.raises(ValueError, match="is not an integer string"):
