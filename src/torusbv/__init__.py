@@ -20,19 +20,15 @@ from .densityrep import (
     verify_lie_action,
 )
 from .floermodel import (
-    ChordGenerator,
-    end_action,
     identify_with_density_model,
     solve_forced_action,
 )
 from .laurent import LaurentPoly, RankMismatchError
 from .liealg import (
     GlMatrixElement,
-    Sl2Triple,
     cartan_subalgebra,
     restrict_from_projective,
     root_grading,
-    standard_sl2,
     verify_lie_embedding,
     witt_bracket,
 )
@@ -40,7 +36,6 @@ from .parsing import ParseError, format_polyvector, parse_laurent, parse_polyvec
 
 __all__ = [
     "CE1Cochain",
-    "ChordGenerator",
     "DensityRepSpec",
     "FiniteSl2Module",
     "GlMatrixElement",
@@ -48,13 +43,11 @@ __all__ = [
     "ParseError",
     "PolyVector",
     "RankMismatchError",
-    "Sl2Triple",
     "bv_delta",
     "bv_delta_divergence",
     "cartan_subalgebra",
     "ce_differential_check",
     "check_irreducible",
-    "end_action",
     "extract_finite_sl2_submodule",
     "format_polyvector",
     "gerstenhaber_bracket",
@@ -67,7 +60,6 @@ __all__ = [
     "root_grading",
     "shift_isomorphism_check",
     "solve_forced_action",
-    "standard_sl2",
     "verify_lie_action",
     "verify_lie_embedding",
     "wedge",

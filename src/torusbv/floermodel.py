@@ -1,66 +1,21 @@
 """Combinatorial model of the degree-zero wrapped complex between a
 Lagrangian and its n-th twist on the cylinder.
 
-The generators are intersection generators (grading indices 0..n) plus
-proper chords winding around either end.  Only the structural constraints
-with a geometric proof are hard-coded: the grading operator h = 2k - n on
-intersection generator k, the end-actions k * v_{+-, k+j}, and the
-highest/lowest weight kernels.  The interior raising/lowering coefficients
-are *derived* by solving the resulting polynomial system, which has a
-single solution up to rescaling the basis.
+The end action xi_j v_k = k v_{k+j} on chords winding around either end is
+rho_{0,0} on the winding label k, with v_{+,k} at grading index n + k and
+v_{-,k} at index k; it is proved only for j > 0, k >= 0 (plus end) and
+j < 0, k <= 0 (minus end).  On the intersection generators 0..n, h = 2k - n
+and the highest/lowest weight kernels are proved; the raising/lowering
+coefficients are *derived*, unique up to rescaling the basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule
 from .laurent import _check_size
-
-
-@dataclass(frozen=True)
-class ChordGenerator:
-    kind: str  # intersection | proper_plus | proper_minus
-    grading_index: int
-
-    def __post_init__(self):
-        if self.kind not in ("intersection", "proper_plus", "proper_minus"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def winding(self, n: int) -> int:
-        """The winding label k: v_{+,k} has grading index n + k, v_{-,k}
-        has grading index k, and intersection endpoints are k = 0."""
-        if self.kind == "proper_minus" or (self.kind == "intersection" and self.grading_index == 0):
-            return self.grading_index
-        return self.grading_index - n
-
-
-def end_action(j: int, g: ChordGenerator, n: int):
-    """Action of xi_j on an end generator: k * v_{+-, k+j}.
-
-    Defined only in the proved regimes: j > 0 on the plus end (v_{+,k},
-    k >= 0) and j < 0 on the minus end (v_{-,k}, k <= 0).  Returns a
-    (coefficient, generator) pair; the generator is None when the
-    coefficient vanishes.
-    """
-    if j == 0:
-        raise ValueError("j must be nonzero; xi_0 acts diagonally")
-    k = g.winding(n)
-    if j > 0:
-        on_plus_end = g.kind == "proper_plus" or (g.kind == "intersection" and g.grading_index == n)
-        if not on_plus_end or k < 0:
-            raise ValueError(f"xi_{j} end action is only defined on v_+ generators")
-        if k == 0:
-            return 0, None
-        return k, ChordGenerator("proper_plus", n + k + j)
-    on_minus_end = g.kind == "proper_minus" or (g.kind == "intersection" and g.grading_index == 0)
-    if not on_minus_end or k > 0:
-        raise ValueError(f"xi_{j} end action is only defined on v_- generators")
-    if k == 0:
-        return 0, None
-    return k, ChordGenerator("proper_minus", k + j)
 
 
 def solve_forced_action(n: int):

@@ -20,16 +20,31 @@ class RankMismatchError(ValueError):
     """Raised when combining elements of different ambient rank."""
 
 
+# A coefficient ('3', '-1/2', '+6/3') and an exponent entry as the polyvector
+# grammar spells them; parsing._FACTOR starts with the `_RATIONAL` alternative.
+_RATIONAL = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
+_RATIONAL_STRING = re.compile(_RATIONAL, re.ASCII)
+_INT_STRING = re.compile(r"-?\d+", re.ASCII)
+
+
 def _as_coefficient(c) -> int | Fraction:
     """The canonical coefficient: an int when `c` is integral, else a
-    Fraction (a string goes through Fraction); bools, floats and complex
+    Fraction.  A string not spelt as `_RATIONAL` (spaces around it allowed)
+    with a nonzero denominator raises ValueError; bools, floats and complex
     numbers carry no exact rational value and raise TypeError.  Kernels take
     both: an int has `numerator` and `denominator` like the equal Fraction."""
     if type(c) is int:
         return c
     if isinstance(c, (bool, float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string like '1/10'")
-    if not isinstance(c, Fraction):
+    if isinstance(c, str):
+        m = _RATIONAL_STRING.fullmatch(c.strip())
+        if not m:
+            raise ValueError(f"not a rational number: {c!r}")
+        if m["den"] and not int(m["den"]):
+            raise ValueError(f"zero denominator in {c!r}")
+        c = Fraction(int(m["num"]), int(m["den"] or 1))
+    elif not isinstance(c, Fraction):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -47,9 +62,6 @@ def _check_size(name: str, value: int) -> None:
     _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-_INT_STRING = re.compile(r"-?\d+", re.ASCII)  # an exponent, as parsing._FACTOR spells it
 
 
 def _integer(e) -> int:

@@ -24,30 +24,6 @@ def witt_bracket(x: PolyVector, y: PolyVector) -> PolyVector:
     return gerstenhaber_bracket(x, y)
 
 
-class Sl2Triple:
-    """An (e, h, f) triple; the defining relations are checked on construction."""
-
-    def __init__(self, e: PolyVector, h: PolyVector, f: PolyVector):
-        if witt_bracket(h, e) != e.scale(2):
-            raise ValueError("[h, e] != 2e")
-        if witt_bracket(h, f) != f.scale(-2):
-            raise ValueError("[h, f] != -2f")
-        if witt_bracket(e, f) != h:
-            raise ValueError("[e, f] != h")
-        self.e = e
-        self.h = h
-        self.f = f
-
-
-def standard_sl2() -> Sl2Triple:
-    """The rank-1 triple e = xi_1, h = 2 xi_0, f = -xi_{-1}."""
-    return Sl2Triple(
-        PolyVector.xi(1, (1,), 1),
-        PolyVector.xi(1, (0,), 1).scale(2),
-        PolyVector.xi(1, (-1,), 1).scale(-1),
-    )
-
-
 def cartan_subalgebra(rank: int):
     """The abelian subalgebra [theta_1, ..., theta_r]."""
     return [PolyVector.theta(rank, i) for i in range(1, rank + 1)]

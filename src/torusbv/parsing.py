@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector
-from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size
+from .laurent import _RATIONAL, LaurentPoly, SparseStore, _as_coefficient, _check_size
 
 
 class ParseError(ValueError):
@@ -24,8 +24,8 @@ class ParseError(ValueError):
 # two alternatives match the same text, and the last group that took part
 # (`lastgroup`) names the kind; a bare `z` takes part in none.
 _FACTOR = re.compile(
-    r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"  # 3, -1/2
-    r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
+    _RATIONAL  # 3, -1/2
+    + r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
     r"|z(?P<var>\d+)(?:\^(?P<var_power>-?\d+))?"  # z2, z2^-3
     r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
     r"|[tθ](?P<theta>\d+)",  # t1, θ1
@@ -35,16 +35,12 @@ _FACTOR = re.compile(
 
 def parse_coefficient(text: str, position: int = 0) -> int | Fraction:
     """The coefficient that `text` spells as in a polyvector (`-3/2`, `4`),
-    an int when it is integral, or a ParseError at `position`, the index of
-    `text` in the input it was taken from.  Decimals, exponents and `_`
-    digit separators are rejected, as they are in a polyvector."""
-    m = _FACTOR.fullmatch(text.strip())
-    if not m or m.lastgroup not in ("num", "den"):
-        raise ParseError(f"not a rational number: {text!r}", position)
-    den = int(m["den"] or 1)
-    if not den:
-        raise ParseError(f"zero denominator in {text!r}", position)
-    return _as_coefficient(Fraction(int(m["num"]), den))
+    an int when it is integral (`_as_coefficient`), or a ParseError at
+    `position`, the index of `text` in the input it was taken from."""
+    try:
+        return _as_coefficient(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), position) from None
 
 
 # the only characters at which the term split can change state

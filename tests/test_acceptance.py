@@ -11,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from torusbv.bvalgebra import PolyVector
 from torusbv.densityrep import (
     DensityRepSpec,
     check_irreducible,
@@ -18,7 +19,7 @@ from torusbv.densityrep import (
     shift_isomorphism_check,
 )
 from torusbv.floermodel import casimir_scalar, identify_with_density_model, solve_forced_action
-from torusbv.liealg import standard_sl2, verify_lie_embedding, root_system_report, witt_bracket
+from torusbv.liealg import verify_lie_embedding, root_system_report, witt_bracket
 from torusbv.parsing import format_polyvector, parse_polyvector
 from torusbv.suites import (
     DEFAULT_SEED,
@@ -54,11 +55,13 @@ def test_criterion_2_witt_closed_forms():
 
 
 def test_criterion_3_sl2_triple():
-    triple = standard_sl2()
+    e = PolyVector.xi(1, (1,), 1)
+    h = PolyVector.xi(1, (0,), 1).scale(2)
+    f = PolyVector.xi(1, (-1,), 1).scale(-1)
     ok = (
-        witt_bracket(triple.h, triple.e) == triple.e.scale(2)
-        and witt_bracket(triple.h, triple.f) == triple.f.scale(-2)
-        and witt_bracket(triple.e, triple.f) == triple.h
+        witt_bracket(h, e) == e.scale(2)
+        and witt_bracket(h, f) == f.scale(-2)
+        and witt_bracket(e, f) == h
     )
     report(3, "sl2 triple relations", ok)
 

@@ -14,7 +14,7 @@ from torusbv.cocycle import CE1Cochain, module_action, parse_cochain_spec
 from torusbv.densityrep import DensityRepSpec, extract_finite_sl2_submodule, rho_apply
 from torusbv.laurent import LaurentPoly, _as_coefficient
 from torusbv.liealg import GlMatrixElement, restrict_from_projective
-from torusbv.parsing import parse_coefficient, parse_polyvector
+from torusbv.parsing import ParseError, parse_coefficient, parse_polyvector
 
 
 def canonical(c):
@@ -63,6 +63,30 @@ def test_constructors_and_parser_store_the_canonical_form():
     cochain = parse_cochain_spec("alpha=2/2,beta=[-1/2,4/1]", 2)
     assert (type(cochain.alpha), [type(b) for b in cochain.betas]) == (int, [Fraction, int])
     assert [type(parse_coefficient(t)) for t in ("6/3", "-1/2", "0")] == [int, Fraction, int]
+
+
+STRING_CONSTRUCTORS = {
+    "LaurentPoly": lambda c: LaurentPoly(1, {(3,): c}).terms[3,],
+    "PolyVector": lambda c: PolyVector(1, {((3,), (1,)): c}).terms[(3,), (1,)],
+    "GlMatrixElement": lambda c: GlMatrixElement(2, {(0, 1): c}).entries[0, 1],
+    "DensityRepSpec": lambda c: DensityRepSpec(c, 0).alpha,
+}
+
+
+@pytest.mark.parametrize("build", STRING_CONSTRUCTORS.values(), ids=STRING_CONSTRUCTORS.keys())
+def test_string_coefficients_follow_the_coefficient_grammar(build):
+    """A string coefficient is read as the polyvector grammar reads one: ASCII
+    digits, an optional sign and an optional denominator, nothing else."""
+    for text, want in [("1/3", Fraction(1, 3)), ("6/3", 2), ("-3", -3), ("+3", 3), (" -1/2 ", Fraction(-1, 2))]:
+        got = build(text)
+        assert got == want and canonical(got), text
+    # Arabic-Indic digits, a decimal, an exponent, a digit separator, a zero
+    # denominator, and texts the parser reads only inside a product
+    for text in ("\u0661/\u0662", "0.5", "1e2", "1_000", "1/0", "", "1/-2", "- 3", "3/2/1", "inf", "z"):
+        with pytest.raises(ValueError):
+            build(text)
+        with pytest.raises(ParseError):
+            parse_coefficient(text)
 
 
 def int_polyvector(rng, rank, degrees=(0, 1, 2)):

@@ -2,77 +2,74 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import floermodel
-from torusbv.densityrep import FiniteSl2Module
+from torusbv import floermodel, suites
+from torusbv.densityrep import DensityRepSpec, FiniteSl2Module, rho_apply
 from torusbv.floermodel import (
-    ChordGenerator,
     casimir_scalar,
-    end_action,
     floer_report,
     identify_with_density_model,
     solve_forced_action,
 )
+from torusbv.laurent import LaurentPoly
+
+ENDS = DensityRepSpec(0, 0)
 
 
-def test_generator_kind_validation():
-    with pytest.raises(ValueError):
-        ChordGenerator("mystery", 0)
+def z(k):
+    return LaurentPoly.monomial(1, (k,))
 
 
 def test_end_action_highest_weight_kernels():
     # xi_1 kills v_{+,0} (top intersection point) and xi_{-1} kills v_{-,0}.
-    v_plus = ChordGenerator("intersection", 3)
-    v_minus = ChordGenerator("intersection", 0)
-    assert end_action(1, v_plus, 3) == (0, None)
-    assert end_action(-1, v_minus, 3) == (0, None)
+    assert rho_apply(ENDS, 1, z(0)).is_zero()
+    assert rho_apply(ENDS, -1, z(0)).is_zero()
 
 
 def test_end_action_on_proper_chords():
-    coeff, out = end_action(2, ChordGenerator("proper_plus", 3 + 3), 3)
-    assert coeff == 3
-    assert out == ChordGenerator("proper_plus", 3 + 5)
-
-    coeff, out = end_action(-1, ChordGenerator("proper_minus", -2), 3)
-    assert coeff == -2
-    assert out == ChordGenerator("proper_minus", -3)
-
-
-def test_end_action_out_of_regime_rejected():
-    with pytest.raises(ValueError):
-        end_action(1, ChordGenerator("proper_minus", -1), 3)
-    with pytest.raises(ValueError):
-        end_action(-1, ChordGenerator("proper_plus", 4), 3)
-    with pytest.raises(ValueError):
-        end_action(0, ChordGenerator("proper_plus", 4), 3)
-    with pytest.raises(ValueError):
-        end_action(1, ChordGenerator("intersection", 1), 3)
+    # xi_j v_k = k v_{k+j} on both ends, in the regimes the geometry proves
+    for js, ks in ((range(1, 5), range(0, 7)), (range(-4, 0), range(-6, 1))):
+        for j in js:
+            for k in ks:
+                assert rho_apply(ENDS, j, z(k)) == LaurentPoly.monomial(1, (k + j,), k), (j, k)
 
 
 def test_end_action_bracket_consistency():
-    # [xi_j, xi_j'] = (j' - j) xi_{j+j'} on the plus-end closed form.
-    n = 2
+    # [xi_j, xi_j'] = (j' - j) xi_{j+j'} on both ends, by LaurentPoly arithmetic
+    for js, ks in ((range(1, 4), range(0, 6)), (range(-3, 0), range(-5, 1))):
+        for j in js:
+            for jp in js:
+                for k in ks:
+                    lhs = rho_apply(ENDS, j, rho_apply(ENDS, jp, z(k))) - rho_apply(
+                        ENDS, jp, rho_apply(ENDS, j, z(k))
+                    )
+                    assert lhs == rho_apply(ENDS, j + jp, z(k)).scale(jp - j), (j, jp, k)
 
-    def apply_xi(j, state):
-        out = {}
-        for g, coeff in state.items():
-            c, image = end_action(j, g, n)
-            if image is not None:
-                out[image] = out.get(image, Fraction(0)) + c * coeff
-        return {g: c for g, c in out.items() if c}
 
-    for j in range(1, 4):
-        for jp in range(1, 4):
-            for k in range(0, 6):
-                start = {ChordGenerator("proper_plus", n + k) if k else ChordGenerator("intersection", n): Fraction(1)}
-                lhs = apply_xi(j, apply_xi(jp, start))
-                rhs = apply_xi(jp, apply_xi(j, start))
-                merged = dict(lhs)
-                for g, c in rhs.items():
-                    merged[g] = merged.get(g, Fraction(0)) - c
-                merged = {g: c for g, c in merged.items() if c}
-                expected = apply_xi(j + jp, start)
-                expected = {g: (jp - j) * c for g, c in expected.items() if (jp - j) * c}
-                assert merged == expected
+def _end_action_with(coefficient):
+    """An end action xi_j z^k = coefficient(k) z^{k+j} in place of
+    suites.rho_apply."""
+
+    def action(spec, j, p):
+        return LaurentPoly(1, {(k + j,): c * coefficient(k) for (k,), c in p.terms.items()})
+
+    return action
+
+
+@pytest.mark.parametrize(
+    "coefficient, ok",
+    [(lambda k: k * k, False), (lambda k: k if k >= 0 else k * k, False), (lambda k: k + 1, True)],
+    ids=["k_squared", "k_squared_on_minus_end", "beta_shift"],
+)
+def test_end_action_bracket_consistency_can_fail(monkeypatch, coefficient, ok):
+    """The coefficient k^2 in place of k is no Lie action, and the suite line
+    must fail on it, also where only the minus end (k < 0) is wrong; the
+    beta-shift k + 1 is rho_{0,1}, a genuine action, and must still pass."""
+    assert suites.floer_suite(2)["passed"]
+    monkeypatch.setattr(suites, "rho_apply", _end_action_with(coefficient))
+    report = suites.floer_suite(2)
+    (line,) = [c for c in report["checks"] if c["name"] == "end_action_bracket_consistency"]
+    assert line["ok"] is ok
+    assert report["passed"] is ok
 
 
 def test_forced_action_n1():

@@ -8,12 +8,10 @@ from torusbv import liealg
 from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.liealg import (
     GlMatrixElement,
-    Sl2Triple,
     cartan_subalgebra,
     restrict_from_projective,
     root_grading,
     root_system_report,
-    standard_sl2,
     verify_lie_embedding,
     witt_bracket,
 )
@@ -32,25 +30,6 @@ def test_witt_bracket_closed_form_rank1():
 def test_witt_bracket_rejects_mixed_degree():
     with pytest.raises(ValueError):
         witt_bracket(xi(1), PolyVector.one(1))
-
-
-def test_sl2_triple_relations():
-    triple = standard_sl2()
-    assert witt_bracket(triple.h, triple.e) == triple.e.scale(2)
-    assert witt_bracket(triple.h, triple.f) == triple.f.scale(-2)
-    assert witt_bracket(triple.e, triple.f) == triple.h
-
-
-def test_sl2_triple_components():
-    triple = standard_sl2()
-    assert triple.e == xi(1)
-    assert triple.h == xi(0).scale(2)
-    assert triple.f == xi(-1).scale(-1)
-
-
-def test_sl2_triple_rejects_bad_relations():
-    with pytest.raises(ValueError):
-        Sl2Triple(xi(1), xi(0), xi(-1))
 
 
 def test_cartan_is_abelian():
