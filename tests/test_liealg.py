@@ -32,6 +32,13 @@ def test_witt_bracket_rejects_mixed_degree():
         witt_bracket(xi(1), PolyVector.one(1))
 
 
+def test_sl2_triple_relations():
+    e, h, f = xi(1), xi(0).scale(2), xi(-1).scale(-1)
+    assert witt_bracket(h, e) == e.scale(2)
+    assert witt_bracket(h, f) == f.scale(-2)
+    assert witt_bracket(e, f) == h
+
+
 def test_cartan_is_abelian():
     for rank in (1, 2, 3):
         basis = cartan_subalgebra(rank)
