@@ -10,6 +10,7 @@ divergence computation through logarithmic differential forms
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _exponent
 
@@ -71,10 +72,6 @@ class PolyVector(SparseStore):
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def one(cls, rank: int) -> "PolyVector":
-        return cls.monomial(rank, (0,) * rank, ())
-
-    @classmethod
     def monomial(cls, rank: int, exp, wedge=(), coeff=1) -> "PolyVector":
         return cls(rank, {(tuple(exp), tuple(wedge)): _as_coefficient(coeff)})
 
@@ -126,7 +123,7 @@ def wedge(a: PolyVector, b: PolyVector) -> PolyVector:
             w, sign = _wedge_table(w1, w2)
             if sign == 0:
                 continue
-            key = (tuple(x + y for x, y in zip(e1, e2)), w)
+            key = (tuple(map(add, e1, e2)), w)
             c = c1 * c2
             old = terms.get(key)
             if old is None:
@@ -275,7 +272,7 @@ def gerstenhaber_bracket(a: PolyVector, b: PolyVector) -> PolyVector:
             if not table:
                 continue
             c = ca * cb
-            exp = tuple(x + y for x, y in zip(n, m))
+            exp = tuple(map(add, n, m))
             for w, by_m, i, sign in table:
                 v = m[i] if by_m else n[i]
                 if v == 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from operator import add
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size
@@ -26,18 +27,26 @@ def _vector_field_terms(x: PolyVector):
             raise ValueError(f"expected a vector field, got a degree-{len(w)} term")
 
 
-def module_action(x: PolyVector, m: LaurentPoly) -> LaurentPoly:
-    """Vector fields act on functions as derivations, x.m = [x, m]:
-    z^n theta_i . z^k = k_i z^{n+k}, in one pass over the term pairs."""
-    x._check_rank(m)
-    terms = {}
+def _act_into(terms: dict, x: PolyVector, m: LaurentPoly, sign: int) -> None:
+    """Add sign * (x.m) into `terms`, the term dict of a Laurent polynomial
+    of the rank of x and m: z^n theta_i . z^k = k_i z^{n+k}, in one pass
+    over the term pairs.  Zero sums stay in `terms` for `_raw` to drop."""
     for n, i, c in _vector_field_terms(x):
+        if sign < 0:
+            c = -c
         for k, d in m.terms.items():
             if k[i]:
-                e = tuple(a + b for a, b in zip(n, k))
+                e = tuple(map(add, n, k))
                 v = c * d * k[i]
                 old = terms.get(e)
                 terms[e] = v if old is None else old + v
+
+
+def module_action(x: PolyVector, m: LaurentPoly) -> LaurentPoly:
+    """Vector fields act on functions as derivations, x.m = [x, m]."""
+    x._check_rank(m)
+    terms = {}
+    _act_into(terms, x, m, 1)
     return LaurentPoly._raw(x.rank, terms)
 
 
@@ -68,17 +77,31 @@ class CE1Cochain:
                 v *= c
                 old = terms.get(n)
                 terms[n] = v if old is None else old + v
-        out = LaurentPoly._raw(self.rank, terms)
-        return out if self.exact_part is None else out + module_action(x, self.exact_part)
+        if self.exact_part is not None:
+            _act_into(terms, x, self.exact_part, 1)
+        return LaurentPoly._raw(self.rank, terms)
 
     __call__ = evaluate
+
+
+def _ce_residual(cochain, x: PolyVector, psi_x: LaurentPoly, y: PolyVector, psi_y: LaurentPoly) -> dict:
+    """The term dict of psi([x,y]) - x.psi(y) + y.psi(x), given psi(x) and
+    psi(y): one dict seeded with the terms of psi([x,y]), which the two
+    actions add into.  It may hold zeros; `_raw` drops them."""
+    value = cochain(gerstenhaber_bracket(x, y))
+    x._check_rank(psi_y)
+    value._check_rank(x)
+    y._check_rank(psi_x)
+    terms = dict(value.terms)
+    _act_into(terms, x, psi_y, -1)
+    _act_into(terms, y, psi_x, 1)
+    return terms
 
 
 def ce_differential_check(cochain, x: PolyVector, y: PolyVector) -> LaurentPoly:
     """psi([x,y]) - x.psi(y) + y.psi(x); zero iff the cocycle condition holds
     on the pair.  `cochain` is any callable from vector fields to Laurent."""
-    bracket = gerstenhaber_bracket(x, y)
-    return cochain(bracket) - module_action(x, cochain(y)) + module_action(y, cochain(x))
+    return LaurentPoly._raw(x.rank, _ce_residual(cochain, x, cochain(x), y, cochain(y)))
 
 
 def witt_basis(rank: int, window: int):
@@ -90,13 +113,14 @@ def witt_basis(rank: int, window: int):
 
 def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     """Check the cocycle condition on all basis pairs (xi_{n,i}, xi_{m,j})
-    with sup-norm at most `window`."""
+    with sup-norm at most `window`, returning at the first failure.  psi is
+    evaluated once per basis field and once per pair, on the bracket."""
     _check_size("rank", rank)
     _check_size("window", window)
-    basis = list(witt_basis(rank, window))
-    for x in basis:
-        for y in basis:
-            if not ce_differential_check(cochain, x, y).is_zero():
+    basis = [(x, cochain(x)) for x in witt_basis(rank, window)]
+    for x, psi_x in basis:
+        for y, psi_y in basis:
+            if any(_ce_residual(cochain, x, psi_x, y, psi_y).values()):
                 return False
     return True
 

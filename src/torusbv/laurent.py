@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 
 class RankMismatchError(ValueError):
@@ -209,10 +210,6 @@ class LaurentPoly(SparseStore):
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def one(cls, rank: int) -> "LaurentPoly":
-        return cls.monomial(rank, (0,) * rank)
-
-    @classmethod
     def monomial(cls, rank: int, exp, coeff=1) -> "LaurentPoly":
         return cls(rank, {tuple(exp): _as_coefficient(coeff)})
 
@@ -227,7 +224,7 @@ class LaurentPoly(SparseStore):
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 old = terms.get(e)
                 terms[e] = c if old is None else old + c

@@ -167,8 +167,17 @@ def parse_polyvector(text: str, rank: int) -> PolyVector:
 
 
 def parse_laurent(text: str, rank: int) -> LaurentPoly:
+    """Parse `text` as a polyvector that must merge to degree 0 (`t1-t1`
+    is 0).  Otherwise a ParseError points at the first term with a `t` or
+    `θ` factor that survives the merge, found only on that error path."""
     pv = parse_polyvector(text, rank)
-    return pv.degree0_to_laurent()
+    try:
+        return pv.degree0_to_laurent()
+    except ValueError as exc:
+        left = {key for key in pv.terms if key[1]}
+        parsed = ((offset, _parse_term(term, offset, rank)) for term, offset in _split_terms(text))
+        at = next(offset for offset, (_, exp, wedge) in parsed if (exp, tuple(sorted(wedge))) in left)
+        raise ParseError(str(exc), at) from None
 
 
 def format_polyvector(pv: SparseStore) -> str:

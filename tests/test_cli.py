@@ -63,6 +63,19 @@ def test_parse_errors():
         parse_laurent("t1", 1)
 
 
+def test_laurent_with_a_theta_factor_is_a_parse_error_at_its_term():
+    # the first term whose theta factors survive the merge: z*t1*t1 is 0,
+    # and t1 cancels against -t1 in the last case
+    cases = [("t1", 0), ("z+z*t1", 1), ("z - 2*t1*z + t1", 2), ("3*z^2+z*t1*t1-z^-1*θ1", 13), ("t1+2*z*t1-t1", 2)]
+    for text, position in cases:
+        with pytest.raises(ParseError, match="nonzero cohomological degree") as err:
+            parse_laurent(text, 1)
+        assert err.value.position == position, text
+    # the degree is read after the terms merge: these cancel to degree 0
+    assert parse_laurent("t1-t1", 1).is_zero()
+    assert parse_laurent("z+z*t1*t1", 1) == parse_laurent("z", 1)
+
+
 def test_parse_zero_denominator_is_a_parse_error_at_the_factor():
     with pytest.raises(ParseError) as err:
         parse_polyvector("1/0*t1", 1)
@@ -610,6 +623,8 @@ BAD_INPUT = [
     (["rep", "--alpha=\u0661/\u0662", "--beta=0"], 0),
     (["cocycle-check", "alpha=\uff13"], 6),
     (["bracket", "t1", "z^(1,\u0662)*t1", "--rank", "2"], 0),
+    # a `g` that keeps a theta factor points at the first term that has one
+    (["cocycle-check", "alpha=1,g=z+z*t1"], 11),
 ]
 
 

@@ -20,6 +20,7 @@ import io
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -71,8 +72,14 @@ SL2_MODULES = [
 # gl_{r+1} elements were stored as sparse entries
 LIE_EMBEDDING = ["roots --rank 1", "roots --rank 3", "verify embedding --rank 4"]
 # JSON error envelopes (exit 2), one with an integer position and one with
-# `"position": null`, pinned before the CLI wrote JSON without `json.dumps`
-ERROR_ENVELOPES = ["rep --alpha=1/0 --beta=0 --json", "verify rep-action --rank 2 --json"]
+# `"position": null`, pinned before the CLI wrote JSON without `json.dumps`,
+# and the ParseError of a cocycle `g` that keeps a theta factor, which was a
+# ValueError with `"position": null` before `parse_laurent` gave its term
+ERROR_ENVELOPES = [
+    "rep --alpha=1/0 --beta=0 --json",
+    "verify rep-action --rank 2 --json",
+    'cocycle-check "alpha=1,g=z+z*t1" --json',
+]
 COMMANDS = [
     c + mode
     for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS + LIE_EMBEDDING
@@ -148,6 +155,7 @@ PINS = {
     'verify embedding --rank 4 --json': (0, '526ea0510ed4c72d5e7d436bd7271682df67129111617da58e7470ad49a2a066'),
     'rep --alpha=1/0 --beta=0 --json': (2, '4353ebcecc178594a514a1b6717b07b1edf7006924d33095772eb4143fb5a780'),
     'verify rep-action --rank 2 --json': (2, 'e4e535b49981bd75d100be9bc9ad4b4e3d18cd165d819781c2e857f8bc4b9de8'),
+    'cocycle-check "alpha=1,g=z+z*t1" --json': (2, '5a5d29d324b3617eb1f07876d89b6e787cf47d7db24fb4c0d54543363545664c'),
 }
 
 USAGE_ERROR = "bracket t1"  # missing operand: argparse exits 2
@@ -190,7 +198,9 @@ def test_repeated_main_calls_match_fresh_processes():
     sequence = []
     for command in README_EXAMPLES:
         sequence += [command, USAGE_ERROR, command + " --json", PARSE_ERROR]
-    expected = {command: run_subprocess(command) for command in sequence}
+    distinct = list(dict.fromkeys(sequence))
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        expected = dict(zip(distinct, pool.map(run_subprocess, distinct)))
     assert expected[USAGE_ERROR][0] == expected[PARSE_ERROR][0] == 2
     for command in sequence + sequence:
         assert run_in_process(command) == expected[command], command

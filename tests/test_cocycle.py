@@ -126,7 +126,7 @@ def test_cochain_rank_validation():
     with pytest.raises(RankMismatchError, match="rank 2 argument for rank 1 cochain"):
         CE1Cochain(1, alpha=1).evaluate(PolyVector.xi(2, (0, 0), 1))
     with pytest.raises(RankMismatchError, match="rank 1 exact part for rank 2 cochain"):
-        CE1Cochain(2, exact_part=LaurentPoly.one(1))
+        CE1Cochain(2, exact_part=LaurentPoly.monomial(1, (0,)))
 
 
 def test_parse_cochain_spec_rank2():
@@ -222,13 +222,13 @@ def test_degree_2_input_raises_even_when_the_bracket_vanishes():
     # [theta_1 theta_2, 1] = 0, so the bracket oracle returns 0 here; the
     # action is defined on vector fields only and raises
     pv = PolyVector.monomial(2, (0, 0), (1, 2))
-    assert bracket_module_action(pv, LaurentPoly.one(2)).is_zero()
+    assert bracket_module_action(pv, LaurentPoly.monomial(2, (0, 0))).is_zero()
     with pytest.raises(ValueError, match="degree-2"):
-        module_action(pv, LaurentPoly.one(2))
+        module_action(pv, LaurentPoly.monomial(2, (0, 0)))
     with pytest.raises(ValueError, match="degree-2"):
         CE1Cochain(2)(pv + PolyVector.theta(2, 1))
     with pytest.raises(RankMismatchError):
-        module_action(PolyVector.theta(2, 1), LaurentPoly.one(1))
+        module_action(PolyVector.theta(2, 1), LaurentPoly.monomial(1, (0,)))
 
 
 def test_density_action_is_module_action_twisted_by_cocycle():
@@ -263,3 +263,94 @@ def test_cocycle_suite_checks_module_action_against_the_bracket(monkeypatch, ran
     report = suites.cocycle_suite(rank, window)
     assert names(report)["module_action_is_bracket_action"] is False
     assert report["passed"] is False
+
+
+# The CE differential as three stores composed, psi([x,y]) - x.psi(y) +
+# y.psi(x): the oracle of the one-dict `ce_differential_check`.
+
+
+def three_store_ce(cochain, x, y):
+    return cochain(gerstenhaber_bracket(x, y)) - module_action(x, cochain(y)) + module_action(y, cochain(x))
+
+
+def random_linear_cochain(rng, rank):
+    """A linear map with a random Laurent image on each term z^n theta_i,
+    drawn when the term is first met: in general not a cocycle."""
+    images = {}
+
+    def psi(x):
+        out = LaurentPoly.zero(rank)
+        for key, c in x.terms.items():
+            if key[1]:
+                if key not in images:
+                    images[key] = random_laurent(rng, rank, 2)
+                out = out + images[key].scale(c)
+        return out
+
+    return psi
+
+
+def random_cochain(rng, rank):
+    """A CE1Cochain with or without an exact part, the bracket-based
+    `bracket_cochain` of one as a plain callable, or a random linear map."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return random_linear_cochain(rng, rank)
+    g = random_laurent(rng, rank) if rng.random() < 0.5 else None
+    psi = CE1Cochain(rank, random_fraction(rng), [random_fraction(rng) for _ in range(rank)], g)
+    return psi if kind == 0 else (lambda x: bracket_cochain(psi, x))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_ce_differential_matches_three_store_oracle(rank):
+    rng = random.Random(1000 + rank)
+    nonzero = 0
+    for _ in range(75):
+        psi = random_cochain(rng, rank)
+        x, y = random_field(rng, rank), random_field(rng, rank)
+        out = ce_differential_check(psi, x, y)
+        assert out == three_store_ce(psi, x, y)
+        nonzero += not out.is_zero()
+    assert nonzero >= 10
+
+
+def test_ce_differential_rejects_degree_2_and_rank_mismatch():
+    pv = PolyVector.monomial(2, (1, 0), (1, 2))
+    theta = PolyVector.theta(2, 1)
+    with pytest.raises(ValueError, match="degree-2"):
+        ce_differential_check(CE1Cochain(2, alpha=1), pv + theta, PolyVector.xi(2, (0, 1), 2))
+    with pytest.raises(ValueError, match="degree-2"):
+        ce_differential_check(lambda x: LaurentPoly.monomial(2, (1, 1)), theta, pv)
+    with pytest.raises(RankMismatchError):
+        ce_differential_check(lambda x: LaurentPoly.monomial(1, (1,)), theta, PolyVector.xi(2, (1, 0), 2))
+    with pytest.raises(RankMismatchError):
+        ce_differential_check(CE1Cochain(2, alpha=1), theta, PolyVector.theta(3, 1))
+
+
+def test_window_check_evaluates_psi_once_per_field_and_once_per_pair():
+    psi = CE1Cochain(2, alpha=1, betas=[1, -2], exact_part=LaurentPoly(2, {(1, -1): 3}))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return psi(x)
+
+    basis = list(witt_basis(2, 1))
+    assert len(basis) == 18
+    assert is_cocycle_on_window(counting, 2, 1)
+    assert len(calls) == 18 + 18 ** 2
+    assert calls[:18] == basis
+
+
+def test_window_check_rejects_a_perturbation_on_the_last_basis_field():
+    bv = CE1Cochain(2, alpha=1)
+    last = list(witt_basis(2, 2))[-1]
+
+    def perturbed(x):
+        out = bv(x)
+        c = x.terms.get((last.terms and next(iter(last.terms))[0], (2,)))
+        return out + LaurentPoly(2, {(0, 0): c}) if c else out
+
+    assert last == PolyVector.xi(2, (2, 2), 2)
+    assert is_cocycle_on_window(bv, 2, 2)
+    assert not is_cocycle_on_window(perturbed, 2, 2)

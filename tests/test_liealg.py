@@ -29,7 +29,7 @@ def test_witt_bracket_closed_form_rank1():
 
 def test_witt_bracket_rejects_mixed_degree():
     with pytest.raises(ValueError):
-        witt_bracket(xi(1), PolyVector.one(1))
+        witt_bracket(xi(1), PolyVector.monomial(1, (0,)))
 
 
 def test_sl2_triple_relations():

@@ -3,6 +3,7 @@ command, a suite or the benchmark, and no runtime check that `python -O`
 would strip."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import torusbv
@@ -49,11 +50,16 @@ def test_public_names_are_pinned_and_resolve():
     assert [name for name in PUBLIC_NAMES if not hasattr(torusbv, name)] == []
 
 
-def test_every_public_name_is_used_by_the_program_or_the_benchmark():
-    """A public name that only its definition and the tests use is surface
-    that nothing holds up: each must be read, as a name or an attribute,
-    in a module of the package other than `__init__` or in the benchmark
-    (whose own tests do not count)."""
+# public methods that only the tests call, kept on purpose:
+# `FiniteSl2Module.unchecked` builds the chains that the checked
+# constructor rejects (reducible chains, permuted weights, non-int entries)
+TEST_ONLY_METHODS = ["FiniteSl2Module.unchecked"]
+
+
+def names_read_by_the_program_and_the_benchmark():
+    """Every name read, as a name or an attribute, in a module of the
+    package other than `__init__` or in the benchmark (whose own tests do
+    not count)."""
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     files += [p for p in BENCH.glob("*.py") if p.name != "test_bench.py"]
     used = set()
@@ -63,7 +69,43 @@ def test_every_public_name_is_used_by_the_program_or_the_benchmark():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def public_methods():
+    """`Class.method` for each public method, classmethod and staticmethod
+    that a public class defines or inherits from a class of the package."""
+    found = set()
+    for name in torusbv.__all__:
+        cls = getattr(torusbv, name)
+        if not inspect.isclass(cls):
+            continue
+        for base in cls.__mro__:
+            if not base.__module__.startswith("torusbv."):
+                continue
+            for attr, value in vars(base).items():
+                if not attr.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod))
+                ):
+                    found.add(f"{name}.{attr}")
+    return sorted(found)
+
+
+def test_every_public_name_is_used_by_the_program_or_the_benchmark():
+    """A public name that only its definition and the tests use is surface
+    that nothing holds up."""
+    used = names_read_by_the_program_and_the_benchmark()
     assert [name for name in torusbv.__all__ if name not in used] == []
+
+
+def test_every_public_method_is_used_by_the_program_or_the_benchmark():
+    """The same rule for the methods and classmethods of the public
+    classes, with the one decided exception."""
+    used = names_read_by_the_program_and_the_benchmark()
+    methods = public_methods()
+    assert "LaurentPoly.monomial" in methods and "PolyVector.zero" in methods
+    unused = [m for m in methods if m.rpartition(".")[2] not in used]
+    assert unused == TEST_ONLY_METHODS
 
 
 def test_library_has_no_assert_statements():
