@@ -18,21 +18,24 @@ from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _ex
 def normalize_wedge(indices):
     """Sort wedge indices, returning (sorted tuple, Koszul sign).
 
-    Returns sign 0 when an index repeats (theta_i ^ theta_i = 0).
+    Returns sign 0 when an index repeats (theta_i ^ theta_i = 0).  The
+    sort is the builtin one, and indices already in order return at once;
+    otherwise the sign is the parity of the inversions, each index passing
+    the larger ones still in front of it.
     """
-    idx = list(indices)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    idx = tuple(indices)
+    out = tuple(sorted(idx))
+    if len(set(out)) < len(out):
+        return out, 0
+    if out == idx:
+        return out, 1
+    rest = list(idx)
+    odd = 0
+    for i in out:
+        k = rest.index(i)
+        odd ^= k & 1
+        del rest[k]
+    return out, -1 if odd else 1
 
 
 class PolyVector(SparseStore):

@@ -49,32 +49,29 @@ def _envelope(args, result) -> dict:
 def _json_text(value, newline: str, out: list) -> None:
     """Append to `out` the pieces of the text that `json.dumps(value,
     indent=2, sort_keys=True)` gives, for a value nested at the indent that
-    `newline` ("\\n" and two spaces a level) ends with.  Only str keys, and
-    no float: every result is exact, so any other type raises TypeError."""
-    if isinstance(value, str):
+    `newline` ("\\n" and two spaces a level) ends with.  Values dispatch on
+    their exact type: str, int, dict, list and tuple, then None, True and
+    False.  Every result is exact, so a float, a Fraction, a key that is not
+    a str, and any subclass of the accepted types raise TypeError."""
+    kind = type(value)
+    if kind is str:
         out.append(_json_string(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
         inner = newline + "  "
         separator = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(separator + _json_string(key) + ": ")
             _json_text(value[key], inner, out)
             separator = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
@@ -85,8 +82,14 @@ def _json_text(value, newline: str, out: list) -> None:
             _json_text(item, inner, out)
             separator = "," + inner
         out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _write_json(payload: dict) -> None:

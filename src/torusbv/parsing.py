@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .bvalgebra import PolyVector
+from .bvalgebra import PolyVector, normalize_wedge
 from .laurent import _RATIONAL, LaurentPoly, SparseStore, _as_coefficient, _check_size
 
 
@@ -137,9 +137,12 @@ def _parse_term(raw: str, offset: int, rank: int):
             i = int(m["theta"])
             if not 1 <= i <= rank:
                 at = _factor_position(raw, offset, factor)
-                raise ParseError(f"generator t{i} out of range for rank {rank}", at)
+                raise ParseError(f"generator {factor[0]}{i} out of range for rank {rank}", at)
             wedge.append(i)
-        elif m and rank == 1:  # `z` or `z^e`
+        elif m:  # `z` or `z^e`, which name z1 only at rank 1
+            if rank != 1:
+                at = _factor_position(raw, offset, factor)
+                raise ParseError(f"bare z in {factor!r} needs rank 1 (write {'z1' + factor[1:]!r})", at)
             exp[0] += int(m["power"] or 1)
         else:
             message = f"unrecognized factor {factor!r}" if factor else "empty factor"
@@ -151,19 +154,25 @@ def parse_polyvector(text: str, rank: int) -> PolyVector:
     """Parse `text`; a ParseError's position is an index into `text`.  A
     rank below 1 raises ValueError before the text is read.
 
-    Coefficients are summed under the raw (exponent, wedge) keys of the
-    terms, and one validating PolyVector sorts the wedges (with their
-    Koszul signs), drops repeated generators and cancels to zero."""
+    Each term's wedge is sorted with its Koszul sign (a repeated generator
+    drops the term) as it is read, and coefficients are summed under the
+    canonical (exponent, wedge) keys, so the terms merge once; `_parse_term`
+    has checked every key, and the store keeps the nonzero sums."""
     _check_size("rank", rank)
     if text.strip() == "0":
         return PolyVector.zero(rank)
     terms = {}
     for term, offset in _split_terms(text):
         coeff, exp, wedge = _parse_term(term, offset, rank)
+        wedge, sign = normalize_wedge(wedge)
+        if not sign:
+            continue
+        if sign < 0:
+            coeff = -coeff
         key = (exp, wedge)
         old = terms.get(key)
-        terms[key] = coeff if old is None else old + coeff
-    return PolyVector(rank, terms)
+        terms[key] = coeff if old is None else _as_coefficient(old + coeff)
+    return PolyVector._raw(rank, terms)
 
 
 def parse_laurent(text: str, rank: int) -> LaurentPoly:

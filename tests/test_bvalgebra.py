@@ -1,7 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -45,6 +45,37 @@ def test_normalize_wedge_sorts_with_sign():
 def test_normalize_wedge_repeat_kills_term():
     _, sign = normalize_wedge((1, 1))
     assert sign == 0
+
+
+def insertion_sort_wedge(indices):
+    """The former `normalize_wedge`: an insertion sort that flips the sign
+    at every transposition, then sign 0 if two neighbours are equal."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return tuple(idx), 0
+    return tuple(idx), sign
+
+
+def test_normalize_wedge_matches_insertion_sort_on_every_short_word():
+    words = [w for n in range(6) for w in product(range(1, 6), repeat=n)]
+    assert len(words) == 3906
+    signs = {-1: 0, 0: 0, 1: 0}
+    for w in words:
+        got = normalize_wedge(w)
+        assert got == insertion_sort_wedge(w), w
+        assert type(got[0]) is tuple and type(got[1]) is int
+        signs[got[1]] += 1
+    # every length from 2 on has words of all three signs
+    assert min(signs.values()) > 100
+    assert normalize_wedge([3, 1, 2]) == ((1, 2, 3), 1)
 
 
 def test_theta_squared_is_zero():

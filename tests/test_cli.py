@@ -90,29 +90,44 @@ def test_parse_zero_denominator_is_a_parse_error_at_the_factor():
 
 
 # (text, rank, ParseError position); zero denominators are pinned above
+# (text, rank, position, message): one entry or more per kind of message
 ERROR_POSITIONS = [
-    ("z^", 1, 0),
-    ("q3", 1, 0),
-    ("z1*t1 + (z2", 2, 11),
-    ("z1)*t1", 2, 2),
-    ("t1 + ", 1, 3),
-    ("t1 * * z1", 1, 5),
-    ("z^(1,2,3)*t1", 2, 0),
-    ("z3*t1", 2, 0),
-    ("z1^2*t3", 2, 5),
-    ("  z1 - 2*z5^3", 3, 9),
-    ("t1 - -", 1, 3),
-    ("3*z^(1,)", 2, 2),
-    ("", 1, 0),
-    ("1.5*t1", 1, 0),
+    ("z^", 1, 0, "unrecognized factor 'z^'"),
+    ("q3", 1, 0, "unrecognized factor 'q3'"),
+    ("z1*t1 + (z2", 2, 11, "unbalanced '('"),
+    ("z1)*t1", 2, 2, "unbalanced ')'"),
+    ("t1 + ", 1, 3, "empty term"),
+    ("t1 * * z1", 1, 5, "empty factor"),
+    ("z^(1,2,3)*t1", 2, 0, "exponent tuple has 3 entries, expected 2"),
+    ("z3*t1", 2, 0, "variable z3 out of range for rank 2"),
+    ("z1^2*t3", 2, 5, "generator t3 out of range for rank 2"),
+    ("  z1 - 2*z5^3", 3, 9, "variable z5 out of range for rank 3"),
+    ("t1 - -", 1, 3, "empty term"),
+    ("3*z^(1,)", 2, 2, "unrecognized factor 'z^(1,)'"),
+    ("", 1, 0, "empty input"),
+    ("1.5*t1", 1, 0, "unrecognized factor '1.5'"),
+    ("z1 - 1/0", 1, 5, "zero denominator in '1/0'"),
+    ("t1*", 1, 3, "empty factor"),
+    ("z^(1,2)*t1", 1, 0, "exponent tuple has 2 entries, expected 1"),
+    ("t2*z0", 2, 3, "variable z0 out of range for rank 2"),
+    ("(z1", 1, 3, "unbalanced '('"),
+    ("z1*t1)", 1, 5, "unbalanced ')'"),
+    # the generator as typed, and a bare z (a grammar form) at rank 2
+    ("θ0", 1, 0, "generator θ0 out of range for rank 1"),
+    ("z^2", 2, 0, "bare z in 'z^2' needs rank 1 (write 'z1^2')"),
+    ("t1*z", 3, 3, "bare z in 'z' needs rank 1 (write 'z1')"),
 ]
 
 
-@pytest.mark.parametrize("text,rank,position", ERROR_POSITIONS)
-def test_parse_error_positions(text, rank, position):
+@pytest.mark.parametrize(
+    "text,rank,position,message",
+    ERROR_POSITIONS,
+    ids=[f"{text}-{rank}-{position}" for text, rank, position, _ in ERROR_POSITIONS],
+)
+def test_parse_error_positions(text, rank, position, message):
     with pytest.raises(ParseError) as err:
         parse_polyvector(text, rank)
-    assert err.value.position == position
+    assert (err.value.position, err.value.message) == (position, message)
 
 
 def test_parse_a_minus_minus_b():
@@ -186,6 +201,22 @@ def random_text(rng, rank):
     return " ".join(f"{sign} {term}" for sign, term in terms)
 
 
+def constructor_parse(text, rank):
+    """The terms as the validating constructor builds them from the raw
+    (exponent, wedge) keys of `_parse_term`, summed before it sorts."""
+    if text.strip() == "0":
+        return {}
+    raw = {}
+    for term, offset in _split_terms(text):
+        coeff, exp, wedge = _parse_term(term, offset, rank)
+        raw[exp, wedge] = raw.get((exp, wedge), 0) + coeff
+    return PolyVector(rank, raw).terms
+
+
+def typed(terms):
+    return {key: (type(c), c) for key, c in terms.items()}
+
+
 def test_one_pass_parse_equals_monomial_fold():
     rng = random.Random(4)
     zero = repeated = 0
@@ -194,11 +225,21 @@ def test_one_pass_parse_equals_monomial_fold():
             text = random_text(rng, rank)
             got = parse_polyvector(text, rank)
             assert got == fold_parse(text, rank), text
+            # Fraction(2, 1) == 2, so the coefficient types are compared too
+            assert typed(got.terms) == typed(constructor_parse(text, rank)), text
             zero += got.is_zero()
             repeated += any(f"t{i}*t{i}" in text for i in range(1, rank + 1))
     assert zero > 50 and repeated > 50
-    for text, rank in (("t2*t1 + t1*t2", 2), ("t1*t1", 1), ("z^(1,-2)*t2*t1", 2), ("0", 3)):
-        assert parse_polyvector(text, rank) == fold_parse(text, rank)
+    for text, rank in (
+        ("t2*t1 + t1*t2", 2), ("t1*t1", 1), ("z^(1,-2)*t2*t1", 2), ("0", 3),
+        ("1/2*t1 + 1/2*t1", 1), ("t2*t1 - t2*t1 + z1 + t1*t2", 2), ("t1*t1*3", 1),
+        ("3/3*z^(1,1)*t2", 2),
+    ):
+        got = parse_polyvector(text, rank)
+        assert got == fold_parse(text, rank), text
+        assert typed(got.terms) == typed(constructor_parse(text, rank)), text
+    assert typed(parse_polyvector("1/2*t1 + 1/2*t1", 1).terms) == {((0,), (1,)): (int, 1)}
+    assert typed(parse_polyvector("3/3*z^(1,1)*t2", 2).terms) == {((1, 1), (2,)): (int, 1)}
 
 
 def char_split(text):
@@ -538,12 +579,36 @@ def test_json_writer_matches_json_dumps_on_seeded_payloads():
     assert any(len(line.strip(" -,")) == 30 and line.strip(" -,").isdigit() for line in joined.splitlines())
 
 
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
 @pytest.mark.parametrize(
     "payload",
-    [{"a": 1.5}, {"a": [2.0]}, {"a": Fraction(1, 2)}, {"a": (1, Fraction(3))}, {1: "a"}, {"a": {None: 0}}],
-    ids=["float", "float_in_list", "fraction", "fraction_in_tuple", "int_key", "none_key"],
+    [
+        {"a": 1.5}, {"a": [2.0]}, {"a": Fraction(1, 2)}, {"a": (1, Fraction(3))}, {1: "a"}, {"a": {None: 0}},
+        {"a": Int(3)}, {"a": [Str("b")]}, {Str("a"): 1}, {"a": Dict(b=1)}, {"a": List([1])},
+    ],
+    ids=[
+        "float", "float_in_list", "fraction", "fraction_in_tuple", "int_key", "none_key",
+        "int_subclass", "str_subclass", "str_subclass_key", "dict_subclass", "list_subclass",
+    ],
 )
 def test_json_writer_rejects_floats_fractions_and_non_str_keys(payload):
+    """Values dispatch on their exact type, so subclasses of the accepted
+    types raise too (json.dumps would write them)."""
     with pytest.raises(TypeError):
         written_json(payload)
 
