@@ -73,7 +73,7 @@ def test_normalize_wedge_matches_insertion_sort_on_every_short_word():
         assert got == insertion_sort_wedge(w), w
         assert type(got[0]) is tuple and type(got[1]) is int
         signs[got[1]] += 1
-    # every length from 2 on has words of all three signs
+    # repeats, odd and even permutations all occur many times
     assert min(signs.values()) > 100
     assert normalize_wedge([3, 1, 2]) == ((1, 2, 3), 1)
 

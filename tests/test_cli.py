@@ -89,8 +89,8 @@ def test_parse_zero_denominator_is_a_parse_error_at_the_factor():
     assert err.value.position == 7
 
 
-# (text, rank, ParseError position); zero denominators are pinned above
-# (text, rank, position, message): one entry or more per kind of message
+# (text, rank, ParseError position, message): one entry or more per kind of
+# message; zero denominators are also pinned above
 ERROR_POSITIONS = [
     ("z^", 1, 0, "unrecognized factor 'z^'"),
     ("q3", 1, 0, "unrecognized factor 'q3'"),
@@ -112,7 +112,7 @@ ERROR_POSITIONS = [
     ("t2*z0", 2, 3, "variable z0 out of range for rank 2"),
     ("(z1", 1, 3, "unbalanced '('"),
     ("z1*t1)", 1, 5, "unbalanced ')'"),
-    # the generator as typed, and a bare z (a grammar form) at rank 2
+    # the generator as typed, and a bare z (a grammar form) above rank 1
     ("θ0", 1, 0, "generator θ0 out of range for rank 1"),
     ("z^2", 2, 0, "bare z in 'z^2' needs rank 1 (write 'z1^2')"),
     ("t1*z", 3, 3, "bare z in 'z' needs rank 1 (write 'z1')"),
