@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add
 
-from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _exponent
+from .laurent import LaurentPoly, SparseStore, _exponent
 
 
 def normalize_wedge(indices):
@@ -40,33 +40,27 @@ def normalize_wedge(indices):
 
 class PolyVector(SparseStore):
     """Sparse element of Laurent (x) Lambda*(theta), stored as
-    {(exponent tuple, wedge tuple): nonzero int, or Fraction if not integral}.
+    {(exponent tuple, wedge tuple): nonzero int or Fraction}, an int where
+    integral from the constructor and the parser; other results may hold an
+    integral Fraction, which acts as its int (see `laurent`).
 
     Wedge tuples are strictly increasing subsets of {1, ..., rank}.
     """
 
     __slots__ = ()
 
-    def __init__(self, rank: int, terms=None):
-        _check_size("rank", rank)
-        clean = {}
-        for (exp, wedge), coeff in (terms or {}).items():
-            exp = _exponent(exp, rank)
-            for i in wedge:
-                if type(i) is not int:
-                    raise TypeError(f"wedge index {i!r} is not an integer")
-            wedge, sign = normalize_wedge(wedge)
-            if sign == 0:
-                continue
-            if wedge and not (1 <= wedge[0] and wedge[-1] <= rank):
-                raise ValueError(f"wedge indices {wedge} out of range for rank {rank}")
-            coeff = _as_coefficient(coeff) if sign > 0 else -_as_coefficient(coeff)
-            if coeff:
-                key = (exp, wedge)
-                old = clean.get(key)
-                clean[key] = coeff if old is None else _as_coefficient(old + coeff)
-        self.rank = rank
-        self.terms = {k: c for k, c in clean.items() if c}
+    @staticmethod
+    def _signed_key(key, rank: int):
+        """The canonical key and Koszul sign, 0 on a repeat, range-checked."""
+        exp, wedge = key
+        exp = _exponent(exp, rank)
+        for i in wedge:
+            if type(i) is not int:
+                raise TypeError(f"wedge index {i!r} is not an integer")
+        wedge, sign = normalize_wedge(wedge)
+        if wedge and not (1 <= wedge[0] and wedge[-1] <= rank):
+            raise ValueError(f"wedge indices {wedge} out of range for rank {rank}")
+        return (exp, wedge), sign
 
     @staticmethod
     def _exp_wedge(key):
@@ -76,21 +70,17 @@ class PolyVector(SparseStore):
 
     @classmethod
     def monomial(cls, rank: int, exp, wedge=(), coeff=1) -> "PolyVector":
-        return cls(rank, {(tuple(exp), tuple(wedge)): _as_coefficient(coeff)})
+        return cls(rank, {(tuple(exp), tuple(wedge)): coeff})
 
     @classmethod
     def theta(cls, rank: int, i: int) -> "PolyVector":
         """The Cartan generator theta_i = z_i d/dz_i."""
-        if not 1 <= i <= rank:
-            raise ValueError(f"theta index {i} out of range for rank {rank}")
         return cls.monomial(rank, (0,) * rank, (i,))
 
     @classmethod
     def xi(cls, rank: int, exp, i: int) -> "PolyVector":
         """The vector field xi_{n,i} = z^n theta_i."""
-        if not 1 <= i <= rank:
-            raise ValueError(f"theta index {i} out of range for rank {rank}")
-        return cls.monomial(rank, tuple(exp), (i,))
+        return cls.monomial(rank, exp, (i,))
 
     # -- grading ----------------------------------------------------------
 

@@ -2,9 +2,11 @@
 term store they share with polyvector fields.
 
 A polynomial of rank r is a finitely supported map from exponent vectors
-in Z^r to nonzero rationals, each an int when it is integral and a Fraction
-otherwise (`_as_coefficient`).  All arithmetic is exact; no zero
-coefficient is ever stored, so equality is structural.
+in Z^r to nonzero rationals.  The constructor, the parser and `rho_apply`
+store each as an int when it is integral, else a Fraction (`_as_coefficient`);
+other results (`+`, `scale`, kernels) may hold an integral Fraction, which
+equals, hashes, prints and serialises as its int.  All arithmetic is exact;
+no zero coefficient is ever stored, so equality is structural.
 
 Sparse sums here and in `bvalgebra` store the first coefficient written to
 a key and add later ones to it: no zero seed, one operation a term.
@@ -90,18 +92,42 @@ def _exponent(exp, rank: int) -> tuple:
     return exp
 
 
+def _merge(terms) -> dict:
+    """Terms from `(canonical key, sign, int or Fraction)` triples: sign 0 drops
+    a term, -1 negates it; canonical sums per key, zero sums dropped."""
+    out = {}
+    for key, sign, c in terms:
+        if sign < 0:
+            c = -c
+        elif not sign:
+            continue
+        old = out.get(key)
+        out[key] = c if old is None else _as_coefficient(old + c)
+    return out if all(out.values()) else {k: c for k, c in out.items() if c}
+
+
 class SparseStore:
     """A finitely supported map {canonical key: nonzero int or Fraction} of
     a fixed rank: the storage, linear structure, equality and printing
     shared by LaurentPoly and PolyVector.
 
-    Each subclass validates its own key layout and coefficients in
-    `__init__` and says how a key splits into (exponent, wedge) in
-    `_exp_wedge`.  Results of the linear operations keep the class of the
-    left operand, and elements of different classes are never equal.
+    Each subclass checks its own key layout in `_signed_key` for the one
+    validating constructor and says how a key splits into (exponent, wedge)
+    in `_exp_wedge`.  Results of the linear operations keep the class of
+    the left operand, and elements of different classes are never equal.
     """
 
     __slots__ = ("rank", "terms")
+
+    def __init__(self, rank: int, terms=None):
+        _check_size("rank", rank)
+        self.rank = rank
+        # each key, then its coefficient, is checked before any term drops
+        self.terms = _merge(
+            (key, sign, _as_coefficient(c))
+            for raw, c in (terms or {}).items()
+            for key, sign in (self._signed_key(raw, rank),)
+        )
 
     @classmethod
     def _raw(cls, rank: int, terms: dict):
@@ -139,12 +165,7 @@ class SparseStore:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check_rank(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            old = terms.get(key)
-            terms[key] = -coeff if old is None else old - coeff
-        return self._raw(self.rank, terms)
+        return self + -other
 
     def __neg__(self):
         return self._raw(self.rank, {k: -c for k, c in self.terms.items()})
@@ -191,17 +212,9 @@ class LaurentPoly(SparseStore):
 
     __slots__ = ()
 
-    def __init__(self, rank: int, terms=None):
-        _check_size("rank", rank)
-        clean = {}
-        for exp, coeff in (terms or {}).items():
-            exp = _exponent(exp, rank)
-            coeff = _as_coefficient(coeff)
-            if coeff:
-                old = clean.get(exp)
-                clean[exp] = coeff if old is None else _as_coefficient(old + coeff)
-        self.rank = rank
-        self.terms = {e: c for e, c in clean.items() if c}
+    @staticmethod
+    def _signed_key(exp, rank: int):
+        return _exponent(exp, rank), 1
 
     @staticmethod
     def _exp_wedge(exp):
@@ -211,7 +224,7 @@ class LaurentPoly(SparseStore):
 
     @classmethod
     def monomial(cls, rank: int, exp, coeff=1) -> "LaurentPoly":
-        return cls(rank, {tuple(exp): _as_coefficient(coeff)})
+        return cls(rank, {tuple(exp): coeff})
 
     # -- ring structure --------------------------------------------------
 

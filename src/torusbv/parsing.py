@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector, normalize_wedge
-from .laurent import _RATIONAL, LaurentPoly, SparseStore, _as_coefficient, _check_size
+from .laurent import _RATIONAL, LaurentPoly, SparseStore, _as_coefficient, _check_size, _merge
 
 
 class ParseError(ValueError):
@@ -150,29 +150,23 @@ def _parse_term(raw: str, offset: int, rank: int):
     return _as_coefficient(num if den == 1 else Fraction(num, den)), tuple(exp), tuple(wedge)
 
 
+def _signed_terms(text: str, rank: int):
+    """(canonical key, Koszul sign, coefficient) of each term of `text`, as
+    `laurent._merge` takes them; `_parse_term` has checked every key."""
+    for term, offset in _split_terms(text):
+        coeff, exp, wedge = _parse_term(term, offset, rank)
+        wedge, sign = normalize_wedge(wedge)
+        yield (exp, wedge), sign, coeff
+
+
 def parse_polyvector(text: str, rank: int) -> PolyVector:
     """Parse `text`; a ParseError's position is an index into `text`.  A
     rank below 1 raises ValueError before the text is read.
 
-    Each term's wedge is sorted with its Koszul sign (a repeated generator
-    drops the term) as it is read, and coefficients are summed under the
-    canonical (exponent, wedge) keys, so the terms merge once; `_parse_term`
-    has checked every key, and the store keeps the nonzero sums."""
+    Each term's wedge is sorted with its Koszul sign as it is read, and the
+    terms merge once, on canonical keys, in `laurent._merge`."""
     _check_size("rank", rank)
-    if text.strip() == "0":
-        return PolyVector.zero(rank)
-    terms = {}
-    for term, offset in _split_terms(text):
-        coeff, exp, wedge = _parse_term(term, offset, rank)
-        wedge, sign = normalize_wedge(wedge)
-        if not sign:
-            continue
-        if sign < 0:
-            coeff = -coeff
-        key = (exp, wedge)
-        old = terms.get(key)
-        terms[key] = coeff if old is None else _as_coefficient(old + coeff)
-    return PolyVector._raw(rank, terms)
+    return PolyVector._raw(rank, _merge(_signed_terms(text, rank)))
 
 
 def parse_laurent(text: str, rank: int) -> LaurentPoly:

@@ -345,7 +345,9 @@ def rep_action_suite(seed: int = DEFAULT_SEED, cases: int = 10) -> dict:
 def floer_suite(max_n: int = 6) -> dict:
     """Uniqueness, Casimir, h spectrum and density-model match for each n,
     and [xi_j1, xi_j2] = (j2 - j1) xi_{j1+j2} under the end action rho_{0,0}
-    on z^k, j1 < j2, in its proved regimes (see `floermodel`)."""
+    on z^k, j1 < j2, in its proved regimes (see `floermodel`).  The per-n
+    lines restate the checked `FiniteSl2Module` constructor: a solver giving
+    another checked chain (a = 1, b = (k+1)(n-k)) passes every one of them."""
     _check_size("max_n", max_n)
     checks = []
     for n in range(1, max_n + 1):

@@ -155,6 +155,22 @@ def test_non_integral_inputs_give_exact_fractions():
     assert products == [3, 1] and all(type(c) in (int, Fraction) for c in products)
     got = restrict_from_projective(GlMatrixElement(2, {(1, 0): Fraction(3, 2)}))
     assert got.terms == {((1,), (1,)): Fraction(-3, 2)}
+    # outside the constructor, the parser and rho_apply, an integral result
+    # may be stored as a Fraction; it acts as its int twin everywhere
+    half_z = PolyVector.monomial(1, (1,), (), half)
+    half_l = LaurentPoly.monomial(1, (1,), half)
+    for result, twin in [
+        (wedge(half_z, PolyVector.monomial(1, (0,), (), 2)), PolyVector.monomial(1, (1,))),
+        (half_z + half_z, PolyVector.monomial(1, (1,))),
+        (half_z.scale(2), PolyVector.monomial(1, (1,))),
+        (half_l + half_l, LaurentPoly.monomial(1, (1,))),
+        (half_l.scale(2), LaurentPoly.monomial(1, (1,))),
+    ]:
+        assert [type(c) for c in result.terms.values()] == [Fraction]
+        assert [type(c) for c in twin.terms.values()] == [int]
+        assert result == twin and hash(result) == hash(twin) and str(result) == str(twin)
+        if isinstance(result, PolyVector):
+            assert result.to_json() == twin.to_json()
 
 
 def test_density_path_on_int_specs_holds_ints():

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv.bvalgebra import PolyVector, bv_delta, bv_delta_divergence, gerstenhaber_bracket, wedge
+from torusbv.bvalgebra import (
+    PolyVector,
+    bv_delta,
+    bv_delta_divergence,
+    gerstenhaber_bracket,
+    normalize_wedge,
+    wedge,
+)
 from torusbv.cocycle import module_action
 from torusbv.densityrep import DensityRepSpec, rho_apply
-from torusbv.laurent import LaurentPoly, RankMismatchError
+from torusbv.laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size, _exponent
 from torusbv.parsing import format_polyvector
 from torusbv.suites import random_polyvector
 
@@ -243,3 +250,163 @@ def test_sub_checks_rank_and_type():
         L(1, {(1,): 1}) - PolyVector.theta(1, 1)
     with pytest.raises(TypeError):
         PolyVector.theta(1, 1) - L(1, {(1,): 1})
+
+
+@pytest.mark.parametrize(
+    "wedge_key, coeff, error, message",
+    [
+        ((5, 5), 1, ValueError, r"^wedge indices \(5, 5\) out of range for rank 2$"),
+        ((1, 1), 0.5, TypeError, r"^inexact coefficient 0\.5;"),
+        ((1, 1), True, TypeError, r"^inexact coefficient True;"),
+        ((1, 1), "abc", ValueError, r"^not a rational number: 'abc'$"),
+        ((1, 1), "1/0", ValueError, r"^zero denominator in '1/0'$"),
+    ],
+    ids=["out_of_range", "float", "bool", "not_rational", "zero_denominator"],
+)
+def test_a_repeated_generator_is_checked_before_its_term_drops(wedge_key, coeff, error, message):
+    # each gave 0 before: the term was dropped as theta_i ^ theta_i = 0
+    # before its range and coefficient were checked
+    with pytest.raises(error, match=message):
+        PolyVector(2, {((0, 0), wedge_key): coeff})
+    assert PolyVector(2, {((0, 0), (1, 1)): "3/2"}).is_zero()
+
+
+def former_laurent_terms(rank, terms=None):
+    """The former `LaurentPoly.__init__`, kept as the oracle of the one
+    constructor."""
+    _check_size("rank", rank)
+    clean = {}
+    for exp, coeff in (terms or {}).items():
+        exp = _exponent(exp, rank)
+        coeff = _as_coefficient(coeff)
+        if coeff:
+            old = clean.get(exp)
+            clean[exp] = coeff if old is None else _as_coefficient(old + coeff)
+    return {e: c for e, c in clean.items() if c}
+
+
+def former_polyvector_terms(rank, terms=None):
+    """The former `PolyVector.__init__`, kept as the oracle of the one
+    constructor; it dropped a term with a repeated generator unchecked."""
+    _check_size("rank", rank)
+    clean = {}
+    for (exp, wedge_key), coeff in (terms or {}).items():
+        exp = _exponent(exp, rank)
+        for i in wedge_key:
+            if type(i) is not int:
+                raise TypeError(f"wedge index {i!r} is not an integer")
+        wedge_key, sign = normalize_wedge(wedge_key)
+        if sign == 0:
+            continue
+        if wedge_key and not (1 <= wedge_key[0] and wedge_key[-1] <= rank):
+            raise ValueError(f"wedge indices {wedge_key} out of range for rank {rank}")
+        coeff = _as_coefficient(coeff) if sign > 0 else -_as_coefficient(coeff)
+        if coeff:
+            key = (exp, wedge_key)
+            old = clean.get(key)
+            clean[key] = coeff if old is None else _as_coefficient(old + coeff)
+    return {k: c for k, c in clean.items() if c}
+
+
+def former_drops_unchecked(rank, terms):
+    """Whether the former constructor dropped a term with a repeated
+    generator that is out of range or has a bad coefficient: the inputs the
+    bugfix changes."""
+    for (_, wedge_key), coeff in terms.items():
+        if all(type(i) is int for i in wedge_key) and len(set(wedge_key)) < len(wedge_key):
+            if not all(1 <= i <= rank for i in wedge_key):
+                return True
+            try:
+                _as_coefficient(coeff)
+            except (TypeError, ValueError):
+                return True
+    return False
+
+
+def outcome(build, rank, terms):
+    """The terms with each coefficient's type (Fraction(2, 1) == 2), or the
+    exception's type and message."""
+    try:
+        got = build(rank, terms)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return {key: (type(c), c) for key, c in got.items()}
+
+
+def raw_coefficient(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return rng.randint(-3, 3)
+    if kind < 0.55:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    if kind < 0.97:
+        return rng.choice(["3/2", "-2", " 4/2 ", "+6/3", "0", "-1/3", "5"])
+    return rng.choice([0.5, True, "abc", "1/0", 1j])
+
+
+def raw_exponent(rng, rank):
+    exp = [rng.randint(-1, 1) for _ in range(rank)]
+    kind = rng.random()
+    if kind < 0.3:
+        return tuple(str(e) for e in exp)
+    if kind < 0.32:
+        return tuple(exp) + (0,)
+    if kind < 0.34:
+        return tuple(exp[:-1]) + (rng.choice([1.0, "2.5", True]),)
+    return tuple(exp)
+
+
+def raw_wedge(rng, rank):
+    indices = [rng.randint(1, rank) for _ in range(rng.randint(0, min(rank + 1, 3)))]
+    kind = rng.random()
+    if kind < 0.04:
+        indices.append(rng.choice([0, rank + 1]))
+    elif kind < 0.06:
+        indices.append(1.0)
+    return tuple(indices)
+
+
+def raw_inputs(rng, with_wedge):
+    """Raw constructor inputs: unsorted and repeated wedges, keys that
+    cancel (an int-string twin of an exponent, a swapped wedge), string,
+    int and Fraction coefficients, and now and then a bad rank, key or
+    coefficient."""
+    rank = rng.choice([1, 2, 3] * 20 + [0, True])
+    size = rank if type(rank) is int and rank > 0 else 1
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exp = raw_exponent(rng, size)
+        key = (exp, raw_wedge(rng, size)) if with_wedge else exp
+        coeff = raw_coefficient(rng)
+        terms[key] = coeff
+        if rng.random() < 0.3 and type(coeff) is int:
+            twin = tuple(str(e) if type(e) is int else e for e in exp)
+            if with_wedge:
+                w = key[1]
+                terms[twin, w[::-1]] = coeff * (-1 if len(w) % 4 in (0, 1) else 1)
+            else:
+                terms[twin] = -coeff
+    return rank, terms
+
+
+@pytest.mark.parametrize(
+    "cls, former",
+    [(LaurentPoly, former_laurent_terms), (PolyVector, former_polyvector_terms)],
+    ids=["laurent", "polyvector"],
+)
+def test_one_constructor_equals_the_former_constructors(cls, former):
+    rng = random.Random(f"one-constructor/{cls.__name__}")
+    compared = errors = merged = left_out = 0
+    for _ in range(500):
+        rank, terms = raw_inputs(rng, cls is PolyVector)
+        got = outcome(lambda r, t: cls(r, t).terms, rank, terms)
+        if cls is PolyVector and former_drops_unchecked(rank, terms):
+            assert type(got) is tuple, (rank, terms)
+            left_out += 1
+            continue
+        assert got == outcome(former, rank, terms), (rank, terms)
+        compared += 1
+        errors += type(got) is tuple
+        merged += type(got) is dict and len(got) < len(terms)
+    assert compared >= 450 and errors > 30 and merged > 100, (compared, errors, merged)
+    assert left_out > 0 if cls is PolyVector else left_out == 0

@@ -7,6 +7,7 @@ import inspect
 from pathlib import Path
 
 import torusbv
+from torusbv.laurent import SparseStore
 
 SRC = Path(torusbv.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -116,3 +117,11 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_both_stores_share_one_constructor_and_one_subtraction():
+    """`SparseStore` holds the one validating constructor and `__sub__`;
+    a second copy in a subclass would not come back unseen."""
+    for name in ("__init__", "__sub__"):
+        assert name in vars(SparseStore)
+        assert name not in vars(torusbv.LaurentPoly) and name not in vars(torusbv.PolyVector)
