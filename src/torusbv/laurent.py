@@ -6,7 +6,9 @@ in Z^r to nonzero rationals.  The constructor, the parser and `rho_apply`
 store each as an int when it is integral, else a Fraction (`_as_coefficient`);
 other results (`+`, `scale`, kernels) may hold an integral Fraction, which
 equals, hashes, prints and serialises as its int.  All arithmetic is exact;
-no zero coefficient is ever stored, so equality is structural.
+no zero coefficient is ever stored, so equality is structural.  The
+constructors take numbers only: ints and Fractions as coefficients, ints
+as exponent entries; text is read by `parsing` alone.
 
 Sparse sums here and in `bvalgebra` store the first coefficient written to
 a key and add later ones to it: no zero seed, one operation a term.
@@ -14,7 +16,6 @@ a key and add later ones to it: no zero seed, one operation a term.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import add
 
@@ -23,38 +24,24 @@ class RankMismatchError(ValueError):
     """Raised when combining elements of different ambient rank."""
 
 
-# A coefficient ('3', '-1/2', '+6/3') and an exponent entry as the polyvector
-# grammar spells them; parsing._FACTOR starts with the `_RATIONAL` alternative.
-_RATIONAL = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
-_RATIONAL_STRING = re.compile(_RATIONAL, re.ASCII)
-_INT_STRING = re.compile(r"-?\d+", re.ASCII)
-
-
 def _as_coefficient(c) -> int | Fraction:
     """The canonical coefficient: an int when `c` is integral, else a
-    Fraction.  A string not spelt as `_RATIONAL` (spaces around it allowed)
-    with a nonzero denominator raises ValueError; bools, floats and complex
-    numbers carry no exact rational value and raise TypeError.  Kernels take
-    both: an int has `numerator` and `denominator` like the equal Fraction."""
+    Fraction.  Bools, floats and complex numbers carry no exact rational
+    value, and text is read only by `parsing`; all of them raise TypeError.
+    Kernels take both results: an int has `numerator` and `denominator`
+    like the equal Fraction."""
     if type(c) is int:
         return c
-    if isinstance(c, (bool, float, complex)):
-        raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string like '1/10'")
-    if isinstance(c, str):
-        m = _RATIONAL_STRING.fullmatch(c.strip())
-        if not m:
-            raise ValueError(f"not a rational number: {c!r}")
-        if m["den"] and not int(m["den"]):
-            raise ValueError(f"zero denominator in {c!r}")
-        c = Fraction(int(m["num"]), int(m["den"] or 1))
-    elif not isinstance(c, Fraction):
+    if isinstance(c, (bool, float, complex, str)):
+        raise TypeError(f"inexact coefficient {c!r}; use an int or a Fraction")
+    if not isinstance(c, Fraction):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
 def _check_int(name: str, value) -> None:
-    """An integer argument: a bool, a float or a Fraction raises TypeError
-    instead of being used as a number."""
+    """An integer argument: a bool, a float, a Fraction or a string raises
+    TypeError instead of being used as a number."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
@@ -67,26 +54,13 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _integer(e) -> int:
-    """An exponent entry: an int, or a string that spells one as the
-    polyvector grammar does, an optional '-' and digits such as '3' or '-3'
-    ('+', spaces or '_' separators raise ValueError).  A float, a
-    Fraction or a bool raises TypeError instead of being truncated."""
-    if isinstance(e, str):
-        if not _INT_STRING.fullmatch(e):
-            raise ValueError(f"exponent entry {e!r} is not an integer string like '3' or '-3'")
-        return int(e)
-    if isinstance(e, int) and not isinstance(e, bool):
-        return int(e)
-    raise TypeError(f"exponent entry {e!r} is not an integer; use an int or a string like '3'")
-
-
 def _exponent(exp, rank: int) -> tuple:
+    """An exponent vector as a tuple of `rank` ints; a bool, float,
+    Fraction or string entry raises TypeError instead of being used."""
     exp = tuple(exp)
     for e in exp:
         if type(e) is not int:
-            exp = tuple(map(_integer, exp))
-            break
+            _check_int("exponent entry", e)
     if len(exp) != rank:
         raise ValueError(f"exponent {exp} has length {len(exp)}, expected {rank}")
     return exp

@@ -9,7 +9,7 @@ from functools import cache
 
 from . import matrix
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import _as_coefficient, _check_size
+from .laurent import _as_coefficient, _check_int, _check_size
 
 
 def _require_vector_field(pv: PolyVector, what: str = "argument") -> None:
@@ -33,13 +33,19 @@ class GlMatrixElement:
     """A rational (r+1) x (r+1) matrix acting as the linear vector field
     sum_ij m[i][j] Z_i D_j on the ambient affine space of P^r, stored as
     its nonzero entries {(i, j): int or Fraction}, 0 <= i, j < size, each
-    an int when it is integral."""
+    an int when it is integral.  The size and the indices are ints: a bool,
+    a float or a Fraction among them raises TypeError."""
 
     def __init__(self, size: int, entries):
+        if type(size) is not int:
+            _check_int("size", size)
         if size < 2:
             raise ValueError("matrix must be at least 2x2 (rank r >= 1)")
         clean = {}
         for (i, j), v in entries.items():
+            if type(i) is not int or type(j) is not int:
+                _check_int("row index", i)
+                _check_int("column index", j)
             if not (0 <= i < size and 0 <= j < size):
                 raise IndexError(f"({i}, {j}) is not an entry of a {size}x{size} matrix")
             v = _as_coefficient(v)

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector, normalize_wedge
-from .laurent import _RATIONAL, LaurentPoly, SparseStore, _as_coefficient, _check_size, _merge
+from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _merge
 
 
 class ParseError(ValueError):
@@ -19,6 +19,10 @@ class ParseError(ValueError):
         self.message = message
         self.position = position
 
+
+# A coefficient as the grammar spells it ('3', '-1/2', '+6/3'); `_FACTOR` starts with it.
+_RATIONAL = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
+_RATIONAL_STRING = re.compile(_RATIONAL, re.ASCII)
 
 # Every factor spelling in one alternation, so a factor is matched once.  No
 # two alternatives match the same text, and the last group that took part
@@ -34,13 +38,16 @@ _FACTOR = re.compile(
 
 
 def parse_coefficient(text: str, position: int = 0) -> int | Fraction:
-    """The coefficient that `text` spells as in a polyvector (`-3/2`, `4`),
-    an int when it is integral (`_as_coefficient`), or a ParseError at
-    `position`, the index of `text` in the input it was taken from."""
-    try:
-        return _as_coefficient(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), position) from None
+    """The coefficient that `text` spells as in a polyvector (`-3/2`, `4`,
+    spaces around it allowed), an int when it is integral
+    (`_as_coefficient`), or a ParseError at `position`, the index of `text`
+    in the input it was taken from."""
+    m = _RATIONAL_STRING.fullmatch(text.strip())
+    if not m:
+        raise ParseError(f"not a rational number: {text!r}", position)
+    if m["den"] and not int(m["den"]):
+        raise ParseError(f"zero denominator in {text!r}", position)
+    return _as_coefficient(Fraction(int(m["num"]), int(m["den"] or 1)))
 
 
 # the only characters at which the term split can change state

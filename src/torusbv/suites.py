@@ -311,12 +311,11 @@ def rep_classification_suite(grid: int = 8) -> dict:
     return report
 
 
-def shift_suite(seed: int = DEFAULT_SEED, triples: int = 5) -> dict:
-    """Seeded (alpha, beta, m) triples through the shift intertwiner check."""
-    _check_size("triples", triples)
+def shift_suite(seed: int = DEFAULT_SEED) -> dict:
+    """Five seeded (alpha, beta, m) triples through the shift intertwiner check."""
     rng = random.Random(seed)
     checks = []
-    for t in range(triples):
+    for _ in range(5):
         alpha = Fraction(rng.randint(-8, 4), 2)
         beta = Fraction(rng.randint(-8, 8), 2)
         m = rng.randint(-5, 5)

@@ -343,8 +343,8 @@ def test_every_stored_coefficient_is_a_nonzero_exact_rational():
         b = integer_polyvector(rng, rank)
         text = f"{format_polyvector(a)} + 2*t1 - {format_polyvector(b)} + 3 - 2*t1 - 1"
         exp = tuple(rng.randint(-1, 1) for _ in range(rank))
-        # the same exponent given twice (as ints and as strings) cancels
-        p = LaurentPoly(rank, {exp: 2, tuple(map(str, exp)): -2, (1,) * rank: 3, (0,) * rank: 1})
+        # a zero coefficient is dropped, an integral Fraction stored as its int
+        p = LaurentPoly(rank, {exp: Fraction(0), (1,) * rank: Fraction(6, 2), (0,) * rank: 1})
         q = LaurentPoly(rank, {(1,) * rank: -3, (-1,) * rank: 5})
         # at rank >= 2, Delta(z^e (e_r theta_1 - e_1 theta_r)) cancels to 0
         e = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rank))

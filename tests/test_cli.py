@@ -423,10 +423,23 @@ def test_cli_floer():
     assert result["matches_density_model"]
 
 
-def test_cli_cocycle_check_pass_and_fail_status():
+def test_cli_cocycle_check_pass_and_fail_status(monkeypatch, capsys):
     code, out = run_cli(["cocycle-check", "alpha=-1/2,beta=[-1/2],g=0", "--window", "3"])
     assert code == 0
     assert "is_cocycle: True" in out.decode()
+    # every spec the grammar accepts is a cocycle, so the failure path needs
+    # a window check that fails
+    monkeypatch.setattr(cli, "is_cocycle_on_window", lambda cochain, rank, window: False)
+    for flags in ([], ["--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["cocycle-check", "alpha=1", "--window", "1", *flags])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if flags:
+            assert json.loads(captured.out)["result"]["is_cocycle"] is False
+        else:
+            assert captured.out == "is_cocycle: False\n"
 
 
 def test_cli_verify_exit_status_and_determinism():
@@ -690,6 +703,9 @@ BAD_INPUT = [
     (["bracket", "t1", "z^(1,\u0662)*t1", "--rank", "2"], 0),
     # a `g` that keeps a theta factor points at the first term that has one
     (["cocycle-check", "alpha=1,g=z+z*t1"], 11),
+    # a field with no `=`, and an unknown key, point at the field's start
+    (["cocycle-check", "alpha=1,beta"], 8),
+    (["cocycle-check", "alpha=1,gamma=2"], 8),
 ]
 
 
@@ -816,7 +832,8 @@ def test_library_rejects_vacuous_rank_and_triples():
         with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$") as exc:
             parse_polyvector(text, 0)
         assert not isinstance(exc.value, ParseError)
-    with pytest.raises(ValueError, match="triples must be >= 1, got 0"):
+    # the shift suite runs five triples; there is no count to make vacuous
+    with pytest.raises(TypeError, match="triples"):
         suites.shift_suite(triples=0)
 
 

@@ -25,26 +25,26 @@ def test_as_coefficient_rule():
     big = 3**80
     for value, want in [
         (7, 7), (0, 0), (-big, -big), (Fraction(6, 3), 2), (Fraction(-big, 1), -big),
-        ("4/2", 2), ("-5", -5), (" 3 ", 3), (Decimal("2.0"), 2),
+        (Decimal("2.0"), 2),
     ]:
         got = _as_coefficient(value)
         assert type(got) is int and got == want, value
-    for value, want in [(Fraction(1, 3), Fraction(1, 3)), ("-3/2", Fraction(-3, 2)), (Decimal("0.1"), Fraction(1, 10))]:
+    for value, want in [(Fraction(1, 3), Fraction(1, 3)), (Decimal("0.1"), Fraction(1, 10))]:
         got = _as_coefficient(value)
         assert type(got) is Fraction and got == want, value
-    for value in (True, False, 0.5, 2.0, 1j):
-        with pytest.raises(TypeError):
+    # text is read by `parsing` only: a string is no number here
+    for value in (True, False, 0.5, 2.0, 1j, "4/2", "-3/2", "0.1.2"):
+        with pytest.raises(TypeError, match=r"^inexact coefficient "):
             _as_coefficient(value)
-    with pytest.raises(ValueError):
-        _as_coefficient("0.1.2")
 
 
 def test_constructors_and_parser_store_the_canonical_form():
     half = Fraction(1, 2)
-    # merged terms whose Fractions sum to an integer are stored as ints
-    p = LaurentPoly(1, {(2,): half, ("2",): half, (1,): Fraction(4, 2), (0,): "1/3"})
+    # integral Fractions, and merged terms whose Fractions sum to an
+    # integer, are stored as ints
+    p = LaurentPoly(1, {(2,): Fraction(2, 2), (1,): Fraction(4, 2), (0,): Fraction(2, 6)})
     assert p.terms == {(2,): 1, (1,): 2, (0,): Fraction(1, 3)}
-    v = PolyVector(2, {((0, 0), (1, 2)): half, ((0, 0), (2, 1)): -half, ((1, 0), ()): "6/3"})
+    v = PolyVector(2, {((0, 0), (1, 2)): half, ((0, 0), (2, 1)): -half, ((1, 0), ()): Fraction(6, 3)})
     assert v.terms == {((0, 0), (1, 2)): 1, ((1, 0), ()): 2}
     parsed = [
         parse_polyvector("1/2*t1*t2 - 1/2*t2*t1 + 1/2*z1*t1 + 1/2*z1*t1 + 4/2*z2 - 1/3", 2),
@@ -52,13 +52,13 @@ def test_constructors_and_parser_store_the_canonical_form():
     ]
     assert parsed[0].terms == {((0, 0), (1, 2)): 1, ((1, 0), (1,)): 1, ((0, 1), ()): 2, ((0, 0), ()): Fraction(-1, 3)}
     assert parsed[1].terms == {((1, 1), (2,)): 1, ((0, 0), (1,)): Fraction(2, 7)}
-    m = GlMatrixElement(3, {(0, 1): Fraction(8, 4), (1, 1): "1/2", (2, 0): -3})
+    m = GlMatrixElement(3, {(0, 1): Fraction(8, 4), (1, 1): half, (2, 0): -3})
     assert m.entries == {(0, 1): 2, (1, 1): half, (2, 0): -3}
     assert m.commutator(m).entries == {}
     for x in (p, v, *parsed, LaurentPoly.monomial(1, (1,), Fraction(5, 5)), PolyVector.xi(2, (1, 0), 2)):
         assert all(map(canonical, x.terms.values())), x.terms
     assert all(map(canonical, m.entries.values()))
-    spec = DensityRepSpec(Fraction(-4, 2), "3")
+    spec = DensityRepSpec(Fraction(-4, 2), Fraction(3))
     assert (type(spec.alpha), type(spec.beta), type(spec.shift(5))) == (int, int, int)
     cochain = parse_cochain_spec("alpha=2/2,beta=[-1/2,4/1]", 2)
     assert (type(cochain.alpha), [type(b) for b in cochain.betas]) == (int, [Fraction, int])
@@ -70,23 +70,34 @@ STRING_CONSTRUCTORS = {
     "PolyVector": lambda c: PolyVector(1, {((3,), (1,)): c}).terms[(3,), (1,)],
     "GlMatrixElement": lambda c: GlMatrixElement(2, {(0, 1): c}).entries[0, 1],
     "DensityRepSpec": lambda c: DensityRepSpec(c, 0).alpha,
+    "CE1Cochain_alpha": lambda c: CE1Cochain(2, alpha=c).alpha,
+    "CE1Cochain_betas": lambda c: CE1Cochain(2, betas=[0, c]).betas[1],
+    "scale": lambda c: PolyVector.theta(1, 1).scale(c).terms[(0,), (1,)],
 }
 
 
 @pytest.mark.parametrize("build", STRING_CONSTRUCTORS.values(), ids=STRING_CONSTRUCTORS.keys())
 def test_string_coefficients_follow_the_coefficient_grammar(build):
-    """A string coefficient is read as the polyvector grammar reads one: ASCII
-    digits, an optional sign and an optional denominator, nothing else."""
+    """Text reaches a constructor only through `parse_coefficient`, which
+    reads it as the polyvector grammar does: ASCII digits, an optional sign
+    and an optional denominator, nothing else.  The constructor itself
+    raises TypeError on a string, spelt in the grammar or not."""
     for text, want in [("1/3", Fraction(1, 3)), ("6/3", 2), ("-3", -3), ("+3", 3), (" -1/2 ", Fraction(-1, 2))]:
-        got = build(text)
+        got = build(parse_coefficient(text))
         assert got == want and canonical(got), text
+        with pytest.raises(TypeError, match=r"^inexact coefficient "):
+            build(text)
     # Arabic-Indic digits, a decimal, an exponent, a digit separator, a zero
     # denominator, and texts the parser reads only inside a product
     for text in ("\u0661/\u0662", "0.5", "1e2", "1_000", "1/0", "", "1/-2", "- 3", "3/2/1", "inf", "z"):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match=r"^inexact coefficient "):
             build(text)
-        with pytest.raises(ParseError):
-            parse_coefficient(text)
+        with pytest.raises(ParseError) as err:
+            parse_coefficient(text, 4)
+        assert err.value.position == 4
+        assert str(err.value) == f"{err.value.message} (at position 4)"
+        reason = "zero denominator in" if text == "1/0" else "not a rational number:"
+        assert err.value.message == f"{reason} {text!r}"
 
 
 def int_polyvector(rng, rank, degrees=(0, 1, 2)):

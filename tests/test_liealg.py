@@ -183,7 +183,7 @@ def assert_sparse(m):
 
 
 def test_entries_are_the_nonzero_canonical_coefficients():
-    m = GlMatrixElement(3, {(0, 1): "1/2", (1, 0): Fraction(0), (1, 2): -3, (2, 2): 0})
+    m = GlMatrixElement(3, {(0, 1): Fraction(1, 2), (1, 0): Fraction(0), (1, 2): -3, (2, 2): 0})
     assert m.size == 3
     assert m.entries == {(0, 1): Fraction(1, 2), (1, 2): Fraction(-3)}
     assert_sparse(m)
@@ -203,6 +203,25 @@ def test_entries_are_the_nonzero_canonical_coefficients():
             GlMatrixElement(2, {(0, 0): 1, (i, j): 1})
     with pytest.raises(ValueError):
         GlMatrixElement.elementary(2, 0, 1).commutator(GlMatrixElement.elementary(3, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "size, entries, message",
+    [
+        (3.0, {(0, 1): 1}, r"^size must be an integer, got 3\.0$"),
+        (Fraction(3), {(0, 1): 1}, r"^size must be an integer, got Fraction\(3, 1\)$"),
+        (True, {}, r"^size must be an integer, got True$"),
+        (3, {(0.0, 1): 1}, r"^row index must be an integer, got 0\.0$"),
+        (3, {(True, 0): 1}, r"^row index must be an integer, got True$"),
+        (3, {(0, Fraction(1)): 1}, r"^column index must be an integer, got Fraction\(1, 1\)$"),
+    ],
+    ids=["float_size", "fraction_size", "bool_size", "float_index", "bool_index", "fraction_index"],
+)
+def test_non_int_sizes_and_indices_rejected(size, entries, message):
+    # each was stored as given before: `restrict_from_projective` then
+    # raised on the float or Fraction, and read the bool index True as row 1
+    with pytest.raises(TypeError, match=message):
+        GlMatrixElement(size, entries)
 
 
 def test_commutator_matches_dense_definition():

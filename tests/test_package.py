@@ -1,6 +1,6 @@
 """Rules about the package as a whole: its public names, each used by a
-command, a suite or the benchmark, and no runtime check that `python -O`
-would strip."""
+command, a suite or the benchmark, no runtime check that `python -O`
+would strip, and text read in one place."""
 
 import ast
 import inspect
@@ -125,3 +125,25 @@ def test_both_stores_share_one_constructor_and_one_subtraction():
     for name in ("__init__", "__sub__"):
         assert name in vars(SparseStore)
         assert name not in vars(torusbv.LaurentPoly) and name not in vars(torusbv.PolyVector)
+
+
+# `parsing` holds the text grammar; `cocycle` splits a spec into fields
+# before `parsing` reads each value
+REGEX_MODULES = ["cocycle.py", "parsing.py"]
+
+
+def test_only_the_text_modules_import_re():
+    """The arithmetic layer takes numbers only, so a second copy of the
+    grammar (in `laurent`, say) shows up as an `import re`."""
+    found = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []
+            else:
+                continue
+            if "re" in names:
+                found.add(path.name)
+    assert sorted(found) == REGEX_MODULES
