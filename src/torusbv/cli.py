@@ -14,11 +14,11 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .bvalgebra import bv_delta, gerstenhaber_bracket, wedge
-from .cocycle import is_cocycle_on_window, parse_cochain_spec
+from .cocycle import is_cocycle_on_window
 from .densityrep import DensityRepSpec, check_irreducible, extract_finite_sl2_submodule
 from .floermodel import floer_report
 from .liealg import root_system_report
-from .parsing import format_polyvector, parse_coefficient, parse_polyvector
+from .parsing import format_polyvector, parse_coefficient, parse_cochain_spec, parse_polyvector
 from .suites import SUITES
 
 SCHEMA_VERSION = 1

@@ -8,13 +8,11 @@ arbitrary coboundary part.
 
 from __future__ import annotations
 
-import re
 from itertools import product
 from operator import add
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
 from .laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size
-from .parsing import ParseError, parse_coefficient, parse_laurent
 
 
 def _vector_field_terms(x: PolyVector):
@@ -124,49 +122,3 @@ def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
                 return False
     return True
 
-
-# a comma not inside [...]: no ']' follows it before the next '['
-_FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])")
-
-
-def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
-    """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`.
-    Malformed text raises ParseError at its index in `spec`."""
-    alpha = 0
-    betas = [0] * rank
-    exact = None
-    seen = set()
-    start = 0
-    for field in _FIELD_SEPARATOR.split(spec):
-        key, eq, raw = field.partition("=")
-        value = raw.strip()
-        at = start + len(key) + 1 + len(raw) - len(raw.lstrip())  # index of `value`
-        if not eq:
-            raise ParseError(f"bad cocycle spec field {field!r}", start)
-        key = key.strip()
-        if key in seen:
-            raise ParseError(f"repeated cocycle spec key {key!r}", start)
-        seen.add(key)
-        if key == "alpha":
-            alpha = parse_coefficient(value, at)
-        elif key == "beta":
-            inner = value[1:-1]
-            if value[:1] != "[" or value[-1:] != "]" or "[" in inner or "]" in inner:
-                raise ParseError(f"beta must be written [b1,...,br], got {value!r}", at)
-            parts = inner.split(",")
-            if len(parts) != rank:
-                raise ParseError(f"expected {rank} beta entries, got {len(parts)}", at)
-            at += 1
-            betas = []
-            for part in parts:
-                betas.append(parse_coefficient(part.strip(), at + len(part) - len(part.lstrip())))
-                at += len(part) + 1
-        elif key == "g":
-            try:
-                exact = None if value == "0" else parse_laurent(value, rank)
-            except ParseError as err:
-                raise ParseError(err.message, at + err.position) from None
-        else:
-            raise ParseError(f"unknown cocycle spec key {key!r}", start)
-        start += len(field) + 1
-    return CE1Cochain(rank, alpha, betas, exact)

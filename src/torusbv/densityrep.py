@@ -17,14 +17,16 @@ from .laurent import LaurentPoly, _as_coefficient, _check_int, _check_size
 
 class DensityRepSpec:
     """The pair (alpha, beta) defining rho_{alpha,beta} at rank 1.  Both are
-    read-only, so the memo behind `shift` cannot go stale."""
+    read-only, so a spec stays canonical and so does `_shift`, the ints
+    (a_n*b_d, b_n*a_d, a_d*b_d) for alpha = a_n/a_d and beta = b_n/b_d."""
 
-    __slots__ = ("_alpha", "_beta", "_shifts")
+    __slots__ = ("_alpha", "_beta", "_shift")
 
     def __init__(self, alpha, beta):
-        self._alpha = _as_coefficient(alpha)
-        self._beta = _as_coefficient(beta)
-        self._shifts = {}
+        self._alpha = a = _as_coefficient(alpha)
+        self._beta = b = _as_coefficient(beta)
+        self._shift = (a.numerator * b.denominator, b.numerator * a.denominator,
+                       a.denominator * b.denominator)
 
     @property
     def alpha(self) -> int | Fraction:
@@ -34,14 +36,6 @@ class DensityRepSpec:
     def beta(self) -> int | Fraction:
         return self._beta
 
-    def shift(self, i: int) -> int | Fraction:
-        """alpha*i + beta in canonical form (`_as_coefficient`), computed
-        at most once per i."""
-        s = self._shifts.get(i)
-        if s is None:
-            s = self._shifts[i] = _as_coefficient(self._alpha * i + self._beta)
-        return s
-
     def __repr__(self):
         return f"DensityRepSpec(alpha={self.alpha}, beta={self.beta})"
 
@@ -49,9 +43,11 @@ class DensityRepSpec:
 def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}.
 
-    With the memoised shift s = alpha*i + beta = s_n/s_d (read from the
-    memo of `spec.shift`) and a coefficient c = c_n/c_d, each output
-    coefficient is the canonical form of n/d with
+    With alpha = a_n/a_d and beta = b_n/b_d, the shift s = alpha*i + beta
+    is s_n/s_d with the ints s_n = a_n*b_d*i + b_n*a_d and s_d = a_d*b_d
+    (the products are fixed per spec, in `spec._shift`), and with a
+    coefficient c = c_n/c_d each output coefficient is the canonical form
+    of n/d with
 
         n = (s_n + j*s_d) * c_n,   d = s_d * c_d:
 
@@ -61,11 +57,8 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
         _check_int("Witt index", i)
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
-    # the memo read without a method call; `shift` fills it on a miss
-    shift = spec._shifts.get(i)
-    if shift is None:
-        shift = spec.shift(i)
-    s_n, s_d = shift.numerator, shift.denominator
+    slope, offset, s_d = spec._shift
+    s_n = slope * i + offset
     # j -> i + j is injective, so each key is hit once; _raw drops the zeros
     terms = {}
     for (j,), c in p.terms.items():

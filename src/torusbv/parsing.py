@@ -1,7 +1,9 @@
-"""Text grammar for Laurent polynomials and polyvector fields.
+"""Text grammar for Laurent polynomials, polyvector fields and cocycle specs.
 
 Machine form uses ASCII `t` for the odd generators, e.g. `3/2*z1^-2*z2^3*t1`
 or the tuple-exponent shorthand `z^(1,-2)*t1`.  Terms are `+`/`-` separated.
+A cocycle spec is comma-separated `key=value` fields, e.g.
+`alpha=-1/2,beta=[-1/2,0],g=z^(1,-2)`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import re
 from fractions import Fraction
 
 from .bvalgebra import PolyVector, normalize_wedge
+from .cocycle import CE1Cochain
 from .laurent import LaurentPoly, SparseStore, _as_coefficient, _check_size, _merge
 
 
@@ -188,6 +191,56 @@ def parse_laurent(text: str, rank: int) -> LaurentPoly:
         parsed = ((offset, _parse_term(term, offset, rank)) for term, offset in _split_terms(text))
         at = next(offset for offset, (_, exp, wedge) in parsed if (exp, tuple(sorted(wedge))) in left)
         raise ParseError(str(exc), at) from None
+
+
+# a comma inside neither [...] nor (...): no ']' follows it before the next
+# '[', and no ')' before the next '('
+_FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])(?![^(]*\))")
+
+
+def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
+    """Parse a CLI cocycle spec like `alpha=-1/2,beta=[-1/2,0],g=0`.  A rank
+    below 1 raises ValueError before the text is read; malformed text
+    raises ParseError at its index in `spec`."""
+    _check_size("rank", rank)
+    alpha = 0
+    betas = [0] * rank
+    exact = None
+    seen = set()
+    start = 0
+    for field in _FIELD_SEPARATOR.split(spec):
+        key, eq, raw = field.partition("=")
+        value = raw.strip()
+        at = start + len(key) + 1 + len(raw) - len(raw.lstrip())  # index of `value`
+        if not eq:
+            raise ParseError(f"bad cocycle spec field {field!r}", start)
+        key = key.strip()
+        if key in seen:
+            raise ParseError(f"repeated cocycle spec key {key!r}", start)
+        seen.add(key)
+        if key == "alpha":
+            alpha = parse_coefficient(value, at)
+        elif key == "beta":
+            inner = value[1:-1]
+            if value[:1] != "[" or value[-1:] != "]" or "[" in inner or "]" in inner:
+                raise ParseError(f"beta must be written [b1,...,br], got {value!r}", at)
+            parts = inner.split(",")
+            if len(parts) != rank:
+                raise ParseError(f"expected {rank} beta entries, got {len(parts)}", at)
+            at += 1
+            betas = []
+            for part in parts:
+                betas.append(parse_coefficient(part.strip(), at + len(part) - len(part.lstrip())))
+                at += len(part) + 1
+        elif key == "g":
+            try:
+                exact = None if value == "0" else parse_laurent(value, rank)
+            except ParseError as err:
+                raise ParseError(err.message, at + err.position) from None
+        else:
+            raise ParseError(f"unknown cocycle spec key {key!r}", start)
+        start += len(field) + 1
+    return CE1Cochain(rank, alpha, betas, exact)
 
 
 def format_polyvector(pv: SparseStore) -> str:

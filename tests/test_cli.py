@@ -442,6 +442,14 @@ def test_cli_cocycle_check_pass_and_fail_status(monkeypatch, capsys):
             assert captured.out == "is_cocycle: False\n"
 
 
+# commas inside the `(...)` of a tuple exponent, like those inside `[...]`,
+# do not split spec fields
+@pytest.mark.parametrize("spec", ["g=z^(1,2)", "alpha=1,g=z^(1,2)+z^(0,1),beta=[0,1]"])
+def test_cocycle_check_reads_tuple_exponents_in_g(spec, capsys):
+    assert main(["cocycle-check", spec, "--rank", "2", "--window", "1"]) == 0
+    assert capsys.readouterr() == ("is_cocycle: True\n", "")
+
+
 def test_cli_verify_exit_status_and_determinism():
     args = ["verify", "rep-classification", "--grid", "6", "--json"]
     code1, out1 = run_cli(args)
@@ -706,6 +714,8 @@ BAD_INPUT = [
     # a field with no `=`, and an unknown key, point at the field's start
     (["cocycle-check", "alpha=1,beta"], 8),
     (["cocycle-check", "alpha=1,gamma=2"], 8),
+    # a '(' inside [...] does not make its comma split fields
+    (["cocycle-check", "beta=[1,(2]", "--rank", "2"], 8),
 ]
 
 
@@ -795,6 +805,8 @@ VACUOUS = [
     (["wedge", "2", "3", "--rank", "0"], "rank must be >= 1, got 0"),
     (["bv", "z", "--rank", "0"], "rank must be >= 1, got 0"),
     (["bv", "z", "--rank", "-2"], "rank must be >= 1, got -2"),
+    # the rank is checked before the spec is read
+    (["cocycle-check", "beta=[1]", "--rank", "0"], "rank must be >= 1, got 0"),
 ]
 
 

@@ -10,11 +10,11 @@ from torusbv.cocycle import (
     ce_differential_check,
     is_cocycle_on_window,
     module_action,
-    parse_cochain_spec,
     witt_basis,
 )
 from torusbv.densityrep import DensityRepSpec, rho_apply
 from torusbv.laurent import LaurentPoly, RankMismatchError
+from torusbv.parsing import parse_cochain_spec
 
 
 def xi(n):
@@ -136,6 +136,10 @@ def test_parse_cochain_spec_rank2():
     assert psi.exact_part == LaurentPoly(2, {(2, -1): 1})
     with pytest.raises(ValueError):
         parse_cochain_spec("beta=[1,2", 2)
+    # commas inside a tuple exponent split no fields
+    psi = parse_cochain_spec("alpha=1,g=z^(1,2)+z^(0,1),beta=[0,1]", 2)
+    assert (psi.alpha, psi.betas) == (1, [0, 1])
+    assert psi.exact_part == LaurentPoly(2, {(1, 2): 1, (0, 1): 1})
 
 
 # Oracles: the action and the cochain family through the Gerstenhaber

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from torusbv.bvalgebra import PolyVector, bv_delta, bv_delta_divergence, gerstenhaber_bracket, wedge
-from torusbv.cocycle import CE1Cochain, module_action, parse_cochain_spec
+from torusbv.cocycle import CE1Cochain, module_action
 from torusbv.densityrep import DensityRepSpec, extract_finite_sl2_submodule, rho_apply
 from torusbv.laurent import LaurentPoly, _as_coefficient
 from torusbv.liealg import GlMatrixElement, restrict_from_projective
-from torusbv.parsing import ParseError, parse_coefficient, parse_polyvector
+from torusbv.parsing import ParseError, parse_cochain_spec, parse_coefficient, parse_polyvector
 
 
 def canonical(c):
@@ -59,7 +59,8 @@ def test_constructors_and_parser_store_the_canonical_form():
         assert all(map(canonical, x.terms.values())), x.terms
     assert all(map(canonical, m.entries.values()))
     spec = DensityRepSpec(Fraction(-4, 2), Fraction(3))
-    assert (type(spec.alpha), type(spec.beta), type(spec.shift(5))) == (int, int, int)
+    shift = rho_apply(spec, 5, LaurentPoly.monomial(1, (0,))).terms[5,]
+    assert (type(spec.alpha), type(spec.beta), type(shift)) == (int, int, int)
     cochain = parse_cochain_spec("alpha=2/2,beta=[-1/2,4/1]", 2)
     assert (type(cochain.alpha), [type(b) for b in cochain.betas]) == (int, [Fraction, int])
     assert [type(parse_coefficient(t)) for t in ("6/3", "-1/2", "0")] == [int, Fraction, int]
@@ -223,7 +224,9 @@ def test_density_path_on_half_integral_specs_is_canonical():
 def test_density_shift_and_casimir_are_canonical():
     half = Fraction(1, 2)
     spec = DensityRepSpec(half, half)
-    assert [(spec.shift(i), type(spec.shift(i))) for i in (1, 2, -1, 0)] == [
+    one = LaurentPoly.monomial(1, (0,))
+    shifts = [rho_apply(spec, i, one).terms.get((i,), 0) for i in (1, 2, -1, 0)]
+    assert [(s, type(s)) for s in shifts] == [
         (1, int), (Fraction(3, 2), Fraction), (0, int), (half, Fraction)
     ]
     casimir = extract_finite_sl2_submodule(DensityRepSpec(-1, -1)).casimir()

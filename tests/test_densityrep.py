@@ -337,7 +337,7 @@ def rep_action_suite_specs():
 def wrong_off_unit_coefficients(spec, i, p):
     # c -> c^2: right on coefficients 0 and 1 only, so right on every
     # monomial z^j and wrong on most composites
-    return LaurentPoly._raw(1, {(i + j,): (j + spec.shift(i)) * c * c for (j,), c in p.terms.items()})
+    return LaurentPoly._raw(1, {(i + j,): (j + spec.alpha * i + spec.beta) * c * c for (j,), c in p.terms.items()})
 
 
 def wrong_for_one_order():
@@ -559,16 +559,14 @@ def test_vacuous_shift_check_raises():
         shift_isomorphism_check(-1, -1, True, -8, 8)
 
 
-def test_spec_shift_is_memoized_and_parameters_are_read_only():
+def test_spec_parameters_are_read_only():
     spec = DensityRepSpec(Fraction(-3, 2), Fraction(5, 7))
-    for i in range(-6, 7):
-        assert spec.shift(i) == spec.alpha * i + spec.beta
-        assert spec.shift(i) is spec.shift(i)
     for name in ("alpha", "beta"):
         with pytest.raises(AttributeError):
             setattr(spec, name, 0)
     assert (spec.alpha, spec.beta) == (Fraction(-3, 2), Fraction(5, 7))
-    assert spec.shift(1) == Fraction(-3, 2) + Fraction(5, 7)
+    for i in range(-6, 7):
+        assert rho_apply(spec, i, zpow(0)).terms == {(i,): spec.alpha * i + spec.beta}
 
 
 @pytest.mark.parametrize("basis, weights, a, b, message", [

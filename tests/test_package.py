@@ -1,6 +1,6 @@
 """Rules about the package as a whole: its public names, each used by a
 command, a suite or the benchmark, no runtime check that `python -O`
-would strip, and text read in one place."""
+would strip, and text read in one place, above the maths."""
 
 import ast
 import inspect
@@ -127,9 +127,9 @@ def test_both_stores_share_one_constructor_and_one_subtraction():
         assert name not in vars(torusbv.LaurentPoly) and name not in vars(torusbv.PolyVector)
 
 
-# `parsing` holds the text grammar; `cocycle` splits a spec into fields
-# before `parsing` reads each value
-REGEX_MODULES = ["cocycle.py", "parsing.py"]
+# `parsing` holds the whole text grammar: polyvectors, coefficients and
+# the fields of a cocycle spec
+REGEX_MODULES = ["parsing.py"]
 
 
 def test_only_the_text_modules_import_re():
@@ -147,3 +147,39 @@ def test_only_the_text_modules_import_re():
             if "re" in names:
                 found.add(path.name)
     assert sorted(found) == REGEX_MODULES
+
+
+# the maths, and the text and shell layers above it
+MATH_MODULES = ["bvalgebra", "cocycle", "densityrep", "floermodel", "laurent", "liealg", "matrix"]
+SHELL_MODULES = {"cli", "parsing", "suites"}
+
+
+def module_level_imports(path):
+    """Each module named by an import statement at the top level of `path`,
+    as the dotted names it could mean (`from . import cli` gives `cli`)."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_no_math_module_imports_the_text_or_shell_layers():
+    """Text, suites and the CLI sit above the maths, so a math module that
+    imports one at module level would be a cycle in the making; the one
+    call-time link is `SparseStore.__str__`, which formats through
+    `parsing`."""
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted(
+        ["__init__", *MATH_MODULES, *SHELL_MODULES]
+    )
+    found = [
+        f"{name}.py imports {imported}"
+        for name in MATH_MODULES
+        for imported in sorted(module_level_imports(SRC / f"{name}.py"))
+        if SHELL_MODULES & set(imported.split("."))
+    ]
+    assert found == []
