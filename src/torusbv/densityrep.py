@@ -261,26 +261,23 @@ def check_irreducible(module: FiniteSl2Module) -> bool:
     return len(set(module.weights)) == module.dim and all(module.a) and all(module.b)
 
 
-def shift_isomorphism_check(alpha, beta, m: int, lo: int, hi: int, bracket_window: int = 3) -> bool:
+def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     """Verify that z^j -> z^{j+m} intertwines rho_{alpha, beta+m} with
     rho_{alpha, beta}: rho_{alpha,beta}(xi_i) o shift = shift o
-    rho_{alpha,beta+m}(xi_i) on all window monomials, |i| <= bracket_window.
-    A non-integer or bool shift raises TypeError; an empty monomial range or
-    a window below 1 raises ValueError.
+    rho_{alpha,beta+m}(xi_i) on the monomials z^j, |j| <= 8, for |i| <= 3.
+    A non-integer or bool shift raises TypeError.
     """
     _check_int("shift", m)
-    _check_size("hi - lo + 1", hi - lo + 1)
-    _check_size("bracket_window", bracket_window)
     base = DensityRepSpec(alpha, beta)
     shifted = DensityRepSpec(alpha, _as_coefficient(beta) + m)
 
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
-    for j in range(lo, hi + 1):
+    for j in range(-8, 9):
         zj = LaurentPoly._raw(1, {(j,): 1})
         shifted_zj = shift(zj)
-        for i in range(-bracket_window, bracket_window + 1):
+        for i in range(-3, 4):
             if rho_apply(base, i, shifted_zj) != shift(rho_apply(shifted, i, zj)):
                 return False
     return True

@@ -193,9 +193,28 @@ def parse_laurent(text: str, rank: int) -> LaurentPoly:
         raise ParseError(str(exc), at) from None
 
 
-# a comma inside neither [...] nor (...): no ']' follows it before the next
-# '[', and no ')' before the next '('
-_FIELD_SEPARATOR = re.compile(r",(?![^\[]*\])(?![^(]*\))")
+# the only characters at which the field split can change state
+_FIELD_MARK = re.compile(r"[\[\](),]")
+
+
+def _split_fields(spec: str):
+    """Split a cocycle spec at the commas outside [...] and (...), with one
+    depth count over both bracket kinds that never goes below 0, so a
+    stray closer stays in its field for the value's own reader to report."""
+    fields = []
+    depth = 0
+    start = 0
+    for m in _FIELD_MARK.finditer(spec):
+        ch = m.group()
+        if ch in "[(":
+            depth += 1
+        elif ch != ",":
+            depth = max(depth - 1, 0)
+        elif not depth:
+            fields.append(spec[start:m.start()])
+            start = m.end()
+    fields.append(spec[start:])
+    return fields
 
 
 def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
@@ -208,7 +227,7 @@ def parse_cochain_spec(spec: str, rank: int) -> CE1Cochain:
     exact = None
     seen = set()
     start = 0
-    for field in _FIELD_SEPARATOR.split(spec):
+    for field in _split_fields(spec):
         key, eq, raw = field.partition("=")
         value = raw.strip()
         at = start + len(key) + 1 + len(raw) - len(raw.lstrip())  # index of `value`

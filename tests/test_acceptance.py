@@ -107,7 +107,7 @@ def test_criterion_7_shift_isomorphism():
         alpha = Fraction(rng.randint(-8, 4), 2)
         beta = Fraction(rng.randint(-8, 8), 2)
         m = rng.randint(-5, 5)
-        ok &= shift_isomorphism_check(alpha, beta, m, -8, 8, bracket_window=3)
+        ok &= shift_isomorphism_check(alpha, beta, m)
     report(7, "shift isomorphism on window [-8, 8], five seeded triples", ok)
 
 

@@ -716,6 +716,9 @@ BAD_INPUT = [
     (["cocycle-check", "alpha=1,gamma=2"], 8),
     # a '(' inside [...] does not make its comma split fields
     (["cocycle-check", "beta=[1,(2]", "--rank", "2"], 8),
+    # a stray closer stays in its field, and the value's reader points at it
+    (["cocycle-check", "alpha=1,g=z)"], 11),
+    (["cocycle-check", "alpha=1,g=z]"], 10),
 ]
 
 

@@ -116,9 +116,9 @@ def test_classification_sweep_matches_criterion():
 
 
 def test_shift_isomorphism():
-    assert shift_isomorphism_check(-1, -1, 5, -8, 8)
-    assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), -2, -8, 8)
-    assert shift_isomorphism_check(0, 0, 0, -8, 8)
+    assert shift_isomorphism_check(-1, -1, 5)
+    assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), -2)
+    assert shift_isomorphism_check(0, 0, 0)
 
 
 def test_shift_check_catches_an_action_without_beta(monkeypatch):
@@ -129,14 +129,14 @@ def test_shift_check_catches_an_action_without_beta(monkeypatch):
 
     monkeypatch.setattr(densityrep, "rho_apply", without_beta)
     for m in (-5, -1, 1, 2, 5):
-        assert shift_isomorphism_check(-1, -1, m, -8, 8) is False
-        assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), m, -8, 8) is False
-    assert shift_isomorphism_check(-1, -1, 0, -8, 8) is True
+        assert shift_isomorphism_check(-1, -1, m) is False
+        assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), m) is False
+    assert shift_isomorphism_check(-1, -1, 0) is True
 
 
 def test_fractional_shift_rejected():
     with pytest.raises(TypeError):
-        shift_isomorphism_check(-1, -1, Fraction(1, 2), -8, 8)
+        shift_isomorphism_check(-1, -1, Fraction(1, 2))
 
 
 def test_weight_spaces_one_dimensional():
@@ -551,12 +551,8 @@ def test_vacuous_lie_action_check_raises(monkeypatch):
 
 
 def test_vacuous_shift_check_raises():
-    with pytest.raises(ValueError, match=r"^hi - lo \+ 1 must be >= 1, got 0$"):
-        shift_isomorphism_check(-1, -1, 5, 3, 2)
-    with pytest.raises(ValueError, match=r"^bracket_window must be >= 1, got -1$"):
-        shift_isomorphism_check(-1, -1, 5, -8, 8, bracket_window=-1)
     with pytest.raises(TypeError, match="shift must be an integer, got True"):
-        shift_isomorphism_check(-1, -1, True, -8, 8)
+        shift_isomorphism_check(-1, -1, True)
 
 
 def test_spec_parameters_are_read_only():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import floermodel, suites
+from torusbv import densityrep, floermodel, suites
 from torusbv.densityrep import DensityRepSpec, FiniteSl2Module, rho_apply
 from torusbv.floermodel import (
     casimir_scalar,
@@ -47,7 +47,7 @@ def test_end_action_bracket_consistency():
 
 def _end_action_with(coefficient):
     """An end action xi_j z^k = coefficient(k) z^{k+j} in place of
-    suites.rho_apply."""
+    densityrep.rho_apply."""
 
     def action(spec, j, p):
         return LaurentPoly(1, {(k + j,): c * coefficient(k) for (k,), c in p.terms.items()})
@@ -65,7 +65,7 @@ def test_end_action_bracket_consistency_can_fail(monkeypatch, coefficient, ok):
     must fail on it, also where only the minus end (k < 0) is wrong; the
     beta-shift k + 1 is rho_{0,1}, a genuine action, and must still pass."""
     assert suites.floer_suite(2)["passed"]
-    monkeypatch.setattr(suites, "rho_apply", _end_action_with(coefficient))
+    monkeypatch.setattr(densityrep, "rho_apply", _end_action_with(coefficient))
     report = suites.floer_suite(2)
     (line,) = [c for c in report["checks"] if c["name"] == "end_action_bracket_consistency"]
     assert line["ok"] is ok
