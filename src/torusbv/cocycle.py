@@ -113,12 +113,12 @@ def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     """Check the cocycle condition on the basis pairs (xi_{n,i}, xi_{m,j})
     with sup-norm at most `window`, returning at the first failure.  psi
     must be linear, as `CE1Cochain` and every cochain this package builds
-    are (the cocycle suite's engineered n^2 z^n map too): then the
-    bracket's graded antisymmetry (checked by `verify bv-axioms`, and on
-    every ordered basis pair by `verify witt-closed-form`) makes the
-    residual of (y, x) minus that of (x, y) and the diagonal's 0, so only
-    the pairs x < y in basis order are decided.  psi is evaluated once per
-    basis field and once per pair, on the bracket."""
+    are (the cocycle suite's engineered n^2 z^n map and `bv_delta` too):
+    then the bracket's graded antisymmetry (checked by `verify bv-axioms`,
+    and on every ordered basis pair by `verify witt-closed-form`) makes
+    the residual of (y, x) minus that of (x, y) and the diagonal's 0, so
+    only the pairs x < y in basis order are decided.  psi is evaluated
+    once per basis field and once per pair, on the bracket."""
     _check_size("rank", rank)
     _check_size("window", window)
     basis = [(x, cochain(x)) for x in witt_basis(rank, window)]

@@ -91,9 +91,13 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     numerators and denominators of x = a[key], y = b[key], z = c[key]
     satisfy (x_n y_d - y_n x_d) z_d == k z_n x_d y_d.
 
-    An empty monomial range or a window below 1 would check nothing and
-    raises ValueError.
+    A bool or non-int lo or hi raises TypeError.  An empty monomial range
+    or a window below 1 would check nothing and raises ValueError.
     """
+    if type(lo) is not int:
+        _check_int("lo", lo)
+    if type(hi) is not int:
+        _check_int("hi", hi)
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
     # [xi_n, xi_m] = (m - n) xi_{n+m}
@@ -141,11 +145,14 @@ class FiniteSl2Module:
     float, a Fraction or a string.  The sl2 relations are checked on the
     chain: [h, e] = 2e and [h, f] = -2f say the weights are -n, -n+2, ..., n
     in chain order, and [e, f] = h says a[t-1] b[t-1] - a[t] b[t] =
-    weights[t].  The dense matrices `e`, `h`, `f` are built on demand."""
+    weights[t].  An empty chain raises ValueError.  The dense matrices
+    `e`, `h`, `f` are built on demand."""
 
     def __init__(self, basis_exponents, weights, a, b):
         self._set_chain(basis_exponents, weights, a, b)
         d = self.dim
+        if not d:
+            raise ValueError("a weight chain needs at least one basis vector")
         if len(self.weights) != d or len(self.a) != d - 1 or len(self.b) != d - 1:
             raise ValueError(
                 f"{d} basis vectors need {d} weights and {d - 1} values each of a and b, "

@@ -72,7 +72,10 @@ def identify_with_density_model(n: int) -> dict:
 
     Finds the diagonal change of basis x_k -> u_k z^k intertwining e, then
     checks that it intertwines h (the weights agree) and f as well.  Returns
-    a report with the rescaling used.
+    a report with the rescaling used.  The forced chain is unique up to
+    rescaling when every step product a_k b_k is nonzero: the rescaling
+    x_k -> u_k x_k keeps each product, and with all of them nonzero it
+    moves a_k to any nonzero value.
     """
     (floer,) = solve_forced_action(n)
     density = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
@@ -88,6 +91,7 @@ def identify_with_density_model(n: int) -> dict:
         "n": n,
         "matches": matches,
         "rescaling": [str(v) for v in u],
+        "unique_up_to_rescaling": all(x * y for x, y in zip(floer.a, floer.b)),
         "h_spectrum": floer.h_spectrum(),
         "casimir": str(casimir_scalar(floer)),
     }
@@ -95,16 +99,13 @@ def identify_with_density_model(n: int) -> dict:
 
 def floer_report(n: int) -> dict:
     """Full summary for the CLI: dimension, spectrum, uniqueness, Casimir
-    scalar, and the density-model match.  The forced chain is unique up to
-    rescaling when every step product a_k b_k is nonzero: the rescaling
-    x_k -> u_k x_k keeps each product, and with all of them nonzero it
-    moves a_k to any nonzero value."""
-    (module,) = solve_forced_action(n)
+    scalar, and the density-model match, from one
+    `identify_with_density_model` report."""
     match = identify_with_density_model(n)
     return {
         "n": n,
         "dim": n + 1,
-        "unique_up_to_rescaling": all(x * y for x, y in zip(module.a, module.b)),
+        "unique_up_to_rescaling": match["unique_up_to_rescaling"],
         "h_spectrum": match["h_spectrum"],
         "casimir": match["casimir"],
         "matches_density_model": match["matches"],

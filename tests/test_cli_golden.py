@@ -1,8 +1,9 @@
 """Byte-identical CLI output.
 
 Each README example, each `verify` suite at its default seed, each
-mixed-degree `bracket`/`wedge`/`bv` command, the rank-2 `cocycle-check` and
-the `LIE_EMBEDDING` commands below, in text and `--json`, each
+mixed-degree `bracket`/`wedge`/`bv` command, the rank-2 `cocycle-check`,
+the rank-2 `verify cocycles` and the `LIE_EMBEDDING` commands below, in
+text and `--json`, each
 `rep`/`floer` command of `SL2_MODULES` and each `ERROR_ENVELOPES` command
 has a pinned exit code and sha256 of stdout.  The README and suite pins were taken before `main` began to
 reuse one argument parser, the mixed-degree pins before the bracket became
@@ -54,6 +55,9 @@ MIXED_DEGREE = [
 # a rank-2 spec with every part nonzero, pinned before the cochain and the
 # module action were computed in closed form
 COCYCLE_CHECKS = ['cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2']
+# the cocycle suite at rank 2, pinned while its Delta identity line still
+# walked the ordered basis pairs itself
+COCYCLE_SUITE = ["verify cocycles --rank 2 --window 1"]
 # sl2 modules beyond the README sizes, pinned before the density and Floer
 # models shared one weight-chain module type: an 8-dimensional submodule
 # with a negative lowest exponent, a point with no submodule, and V(8);
@@ -82,7 +86,7 @@ ERROR_ENVELOPES = [
 ]
 COMMANDS = [
     c + mode
-    for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS + LIE_EMBEDDING
+    for c in README_EXAMPLES + SUITE_RUNS + COCYCLE_CHECKS + COCYCLE_SUITE + LIE_EMBEDDING
     for mode in ("", " --json")
 ] + [
     f"{head}{mode} -- {operands}" for head, operands in MIXED_DEGREE for mode in ("", " --json")
@@ -126,6 +130,8 @@ PINS = {
     'verify floer --json': (0, 'fb3311c291b309fc71a502514448601253e0744a1b5b9d4a11da72d1f744fc7a'),
     'cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2': (0, 'cb2aa1f9171f3a2abdbc25d44c11a036b0d683d090d4e724b25b5da6afac91b9'),
     'cocycle-check "alpha=1/3,beta=[2,-1],g=z1^2*z2^-1-3*z2" --rank 2 --window 2 --json': (0, 'bd1b26e3f0bc7bb4cc261517b79371de08cbb446f14032a24d169a594baa7648'),
+    'verify cocycles --rank 2 --window 1': (0, '5b65144aee6171c50a037512206a8084f92dccfb0aeebaadb3c7d4c044230146'),
+    'verify cocycles --rank 2 --window 1 --json': (0, 'f1ffc42b903f85dc4e8e4365d1d956589ce9343a9c07c992fa6142af41afc4f7'),
     'bracket --rank 1 -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'cd5149dd493809180f9672149a1dad5e20b1fc2016ce259ddb6cf0b0a7d0b164'),
     'bracket --rank 1 --json -- "z^2+3*z^-1*t1" "1/2*z^3-z^1*t1"': (0, 'b6a200f05245f94301d2a69ab1c51431c8a09184e2966bd4298562dd3f94604a'),
     'bracket --rank 2 -- "-z1^1*z2^-1*t1+2*t1*t2+z2^3" "z1^-2*t2-1/3*z1^1*z2^1*t1*t2+5"': (0, '03621adff17b6d959b3f574042e8aa971b8f6c9bbaab512df8f92e837b0109bd'),

@@ -378,19 +378,20 @@ def ordered_is_cocycle_on_window(cochain, rank, window):
 
 
 class _CochainsBuilt(Exception):
-    """Raised at the cocycle suite's first Delta, which follows its last
-    window check; the suite builds no cochain after it."""
+    """Raised at the cocycle suite's first module action, which follows its
+    last window check; the suite builds no cochain after it."""
 
 
-def _delta_stops_the_suite(x):
+def _module_action_stops_the_suite(x, m):
     raise _CochainsBuilt
 
 
 @pytest.mark.parametrize("rank, window", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
 def test_window_check_agrees_with_the_ordered_walk_on_the_suite_cochains(monkeypatch, rank, window):
     # every cochain the suite builds: the BV one, one logarithmic one per
-    # z_i, the coboundary, the linear combination and the engineered
-    # non-cocycle, which the suite checks at rank 1, window 2
+    # z_i, the coboundary, the linear combination, the engineered
+    # non-cocycle, which the suite checks at rank 1, window 2, and the
+    # kernel's Delta read into functions, which it checks at window 2
     calls = []
 
     def recording(cochain, r, w):
@@ -399,13 +400,58 @@ def test_window_check_agrees_with_the_ordered_walk_on_the_suite_cochains(monkeyp
         return verdict
 
     monkeypatch.setattr(suites, "is_cocycle_on_window", recording)
-    monkeypatch.setattr(suites, "bv_delta", _delta_stops_the_suite)
+    monkeypatch.setattr(suites, "module_action", _module_action_stops_the_suite)
     with pytest.raises(_CochainsBuilt):
         suites.cocycle_suite(rank, window)
-    assert len(calls) == rank + 4
-    assert [verdict for *_, verdict in calls] == [True] * (rank + 3) + [False]
+    assert len(calls) == rank + 5
+    assert [verdict for *_, verdict in calls] == [True] * (rank + 3) + [False, True]
+    assert calls[-1][1:3] == (rank, 2)
     for cochain, r, w, verdict in calls:
         assert ordered_is_cocycle_on_window(cochain, r, w) is verdict
+
+
+def planted_delta(extra):
+    """`bv_delta` with extra(n, i) * c z^n added for each degree-1 term
+    c z^n theta_i; terms of other degrees keep the kernel's value."""
+
+    def delta(x):
+        terms = {}
+        for (n, w), c in x.terms.items():
+            if len(w) == 1:
+                terms[n, ()] = terms.get((n, ()), 0) + extra(n, w[0]) * c
+        return bv_delta(x) + PolyVector(x.rank, terms)
+
+    return delta
+
+
+def _exact_form_line(report):
+    return {c["name"]: c["ok"] for c in report["checks"]}["bv_cocycle_identity_exact_form"]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_exact_form_line_rejects_a_planted_delta(monkeypatch, rank):
+    # n_i z^n becomes n_i^2 z^n on z^n theta_i: the engineered non-cocycle
+    # at rank 1, and no cocycle at rank 2 either
+    assert _exact_form_line(suites.cocycle_suite(rank, 1)) is True
+    squared = planted_delta(lambda n, i: n[i - 1] * (n[i - 1] - 1))
+    assert squared(PolyVector.xi(rank, (3,) * rank, 1)) == PolyVector(rank, {((3,) * rank, ()): 9})
+    monkeypatch.setattr(suites, "bv_delta", squared)
+    report = suites.cocycle_suite(rank, 1)
+    assert _exact_form_line(report) is False
+    assert report["passed"] is False
+
+
+def test_delta_plus_a_log_cocycle_is_an_equivalent_mutant(monkeypatch):
+    # Delta + z_1^{-1}[-, z_1] is a cocycle as well, so the identity holds
+    # for it and the line cannot tell it from Delta: an equivalent mutant
+    shifted = planted_delta(lambda n, i: 1 if i == 1 else 0)
+    log = CE1Cochain(2, alpha=1, betas=[1, 0])
+    for x in witt_basis(2, 1):
+        assert shifted(x).degree0_to_laurent() == log(x)
+    monkeypatch.setattr(suites, "bv_delta", shifted)
+    report = suites.cocycle_suite(2, 1)
+    assert _exact_form_line(report) is True
+    assert report["passed"] is True
 
 
 def test_window_check_agrees_with_the_ordered_walk_on_the_last_field_perturbation():

@@ -550,6 +550,19 @@ def test_vacuous_lie_action_check_raises(monkeypatch):
             verify_lie_action(spec, -2, 2, window)
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (True, 2, "lo must be an integer, got True"),
+    (False, 2, "lo must be an integer, got False"),
+    (-2, True, "hi must be an integer, got True"),
+    (Fraction(-2), 2, r"lo must be an integer, got Fraction\(-2, 1\)"),
+    (-2, 2.0, r"hi must be an integer, got 2\.0"),
+])
+def test_lie_action_range_must_be_int(lo, hi, message):
+    # a True lo read as 1 started the walk at z^1, and the check passed
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        verify_lie_action(DensityRepSpec(0, 0), lo, hi, 1)
+
+
 def test_vacuous_shift_check_raises():
     with pytest.raises(TypeError, match="shift must be an integer, got True"):
         shift_isomorphism_check(-1, -1, True)
@@ -568,7 +581,7 @@ def test_spec_parameters_are_read_only():
 @pytest.mark.parametrize("basis, weights, a, b, message", [
     ([0, 1], [-1, 1], [1, 1], [1], r"^2 basis vectors need 2 weights and 1 values each of a and b, got 2, 2 and 1$"),
     ([0, 1, 2], [-1, 1], [1], [1], r"^3 basis vectors need 3 weights and 2 values each of a and b, got 2, 1 and 1$"),
-    ([], [], [], [], r"^0 basis vectors need 0 weights and -1 values each of a and b, got 0, 0 and 0$"),
+    ([], [], [], [], r"^a weight chain needs at least one basis vector$"),
     # [e, f] = h holds here, but the weights run downwards along the chain
     ([0, 1], [1, -1], [1], [-1], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
     ([0, 1, 2], [-2, 0, 4], [2, 1], [1, 2], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),

@@ -187,9 +187,25 @@ def test_zero_step_product_is_not_unique_up_to_rescaling(monkeypatch):
     b[1] = 0
     bad = FiniteSl2Module.unchecked(good.basis_exponents, good.weights, good.a, b)
     monkeypatch.setattr(floermodel, "solve_forced_action", lambda n: [bad])
+    assert identify_with_density_model(3)["unique_up_to_rescaling"] is False
     report = floer_report(3)
     assert report["unique_up_to_rescaling"] is False
     assert report["matches_density_model"] is False
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_floer_report_solves_the_forced_chain_once(monkeypatch, n):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return solve_forced_action(n)
+
+    monkeypatch.setattr(floermodel, "solve_forced_action", counting)
+    report = floer_report(n)
+    assert calls == [n]
+    match = identify_with_density_model(n)
+    assert report["unique_up_to_rescaling"] is match["unique_up_to_rescaling"] is True
 
 
 def test_density_match_fails_when_the_weights_are_permuted(monkeypatch):
