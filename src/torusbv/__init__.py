@@ -30,7 +30,6 @@ from .liealg import (
     restrict_from_projective,
     root_grading,
     verify_lie_embedding,
-    witt_bracket,
 )
 from .parsing import ParseError, format_polyvector, parse_laurent, parse_polyvector
 
@@ -63,5 +62,4 @@ __all__ = [
     "verify_lie_action",
     "verify_lie_embedding",
     "wedge",
-    "witt_bracket",
 ]

@@ -103,7 +103,10 @@ def ce_differential_check(cochain, x: PolyVector, y: PolyVector) -> LaurentPoly:
 
 
 def witt_basis(rank: int, window: int):
-    """All xi_{n,i} with ||n||_inf <= window."""
+    """All xi_{n,i} with ||n||_inf <= window; a rank or window that is not
+    an int >= 1 raises before anything is yielded."""
+    _check_size("rank", rank)
+    _check_size("window", window)
     for exp in product(range(-window, window + 1), repeat=rank):
         for i in range(1, rank + 1):
             yield PolyVector.xi(rank, exp, i)
@@ -118,9 +121,8 @@ def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     and on every ordered basis pair by `verify witt-closed-form`) makes
     the residual of (y, x) minus that of (x, y) and the diagonal's 0, so
     only the pairs x < y in basis order are decided.  psi is evaluated
-    once per basis field and once per pair, on the bracket."""
-    _check_size("rank", rank)
-    _check_size("window", window)
+    once per basis field and once per pair, on the bracket; `witt_basis`
+    checks the rank and the window before psi is called."""
     basis = [(x, cochain(x)) for x in witt_basis(rank, window)]
     for (x, psi_x), (y, psi_y) in combinations(basis, 2):
         if any(_ce_residual(cochain, x, psi_x, y, psi_y).values()):

@@ -292,7 +292,9 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
 
 def classification_grid(grid: int = 8):
     """Yield (spec, finite submodule or None) for 2*alpha in {-grid, ..., 2}
-    and 2*beta in {-grid, ..., grid}."""
+    and 2*beta in {-grid, ..., grid}; a grid that is not an int >= 1 raises
+    before anything is yielded."""
+    _check_size("grid", grid)
     for two_alpha in range(-grid, 3):
         for two_beta in range(-grid, grid + 1):
             spec = DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_beta, 2))

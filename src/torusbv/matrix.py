@@ -20,8 +20,10 @@ def _pivot_rows(rows) -> list:
 
     Each row is reduced by the pivot rows kept so far, in the order they
     were kept, and what is left, if anything, is kept as a new pivot row
-    scaled to 1 at its first column by Fraction (`/` on two ints is float
-    division).  A pivot row has no entry in any earlier pivot's column, so
+    scaled to 1 at its first column p: an int entry v that the int p
+    divides becomes v // p, any other Fraction(v, p) (`/` on two ints is
+    float division), the coefficient rule of `laurent._as_coefficient`.  A
+    pivot row has no entry in any earlier pivot's column, so
     one pass in that order clears them all.  Columns may be any hashable
     keys; zero entries count as absent."""
     pivots = []
@@ -39,5 +41,8 @@ def _pivot_rows(rows) -> list:
                         del row[k]
         if row:
             col, p = next(iter(row.items()))
-            pivots.append((col, {k: Fraction(v, p) for k, v in row.items()}))
+            pivots.append((col, {
+                k: v // p if type(v) is type(p) is int and not v % p else Fraction(v, p)
+                for k, v in row.items()
+            }))
     return pivots

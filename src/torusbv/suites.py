@@ -188,7 +188,10 @@ def witt_closed_form_suite() -> dict:
 
 def embedding_suite(ranks=(1, 2, 3)) -> dict:
     """Lie homomorphism, kernel, and root system checks for the projective
-    restriction at each rank."""
+    restriction at each rank.  The homomorphism line is
+    `verify_lie_embedding`'s verdict, which decides each unordered pair of
+    gl_{r+1} matrix units once, by the antisymmetry of both brackets and
+    the linearity of restriction."""
     checks = []
     for rank in ranks:
         report = verify_lie_embedding(rank)
@@ -281,7 +284,6 @@ def rep_classification_suite(grid: int = 8) -> dict:
     module here comes from that constructor, whose [e, f] = h check forces
     a[t] b[t] = (t+1)(n-t) != 0 on a chain of distinct weights, so
     `check_irreducible` is True by construction."""
-    _check_size("grid", grid)
     checks = []
     ok_exist = ok_dim = ok_spectrum = ok_irred = ok_kernels = True
     table = []

@@ -112,6 +112,26 @@ def test_witt_basis_size():
     assert len(list(witt_basis(2, 2))) == 50
 
 
+@pytest.mark.parametrize(
+    "rank, window, error, message",
+    [
+        (0, 1, ValueError, r"^rank must be >= 1, got 0$"),
+        (-1, 1, ValueError, r"^rank must be >= 1, got -1$"),
+        (1, 0, ValueError, r"^window must be >= 1, got 0$"),
+        (2, -2, ValueError, r"^window must be >= 1, got -2$"),
+        (True, 1, TypeError, r"^rank must be an integer, got True$"),
+        (1, True, TypeError, r"^window must be an integer, got True$"),
+        (1.0, 1, TypeError, r"^rank must be an integer, got 1\.0$"),
+        (1, Fraction(2), TypeError, r"^window must be an integer, got Fraction\(2, 1\)$"),
+    ],
+)
+def test_witt_basis_checks_its_sizes_before_yielding(rank, window, error, message):
+    # each was an empty basis, or a bool was read as 1, before the check
+    basis = witt_basis(rank, window)
+    with pytest.raises(error, match=message):
+        next(basis)
+
+
 def test_parse_cochain_spec():
     psi = parse_cochain_spec("alpha=-1/2,beta=[-1/2],g=0", 1)
     assert psi.alpha == Fraction(-1, 2)

@@ -115,6 +115,23 @@ def test_classification_sweep_matches_criterion():
             assert module.dim == -2 * alpha + 1
 
 
+@pytest.mark.parametrize(
+    "grid, error, message",
+    [
+        (0, ValueError, r"^grid must be >= 1, got 0$"),
+        (-2, ValueError, r"^grid must be >= 1, got -2$"),
+        (True, TypeError, r"^grid must be an integer, got True$"),
+        (8.0, TypeError, r"^grid must be an integer, got 8\.0$"),
+        ("8", TypeError, r"^grid must be an integer, got '8'$"),
+    ],
+)
+def test_classification_grid_checks_its_size_before_yielding(grid, error, message):
+    # -2 gave an empty grid and True the grid of size 1 before the check
+    rows = classification_grid(grid)
+    with pytest.raises(error, match=message):
+        next(rows)
+
+
 def test_shift_isomorphism():
     assert shift_isomorphism_check(-1, -1, 5)
     assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), -2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import liealg
+from torusbv import liealg, matrix
 from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.liealg import (
     GlMatrixElement,
@@ -362,3 +362,99 @@ def test_vector_field_arguments_accepted_and_rejected():
             witt_bracket(bad, theta)
         with pytest.raises(ValueError, match="^right argument must be a pure degree-1 polyvector field$"):
             witt_bracket(theta, bad)
+
+
+def ordered_embedding_report(rank):
+    """The report of `verify_lie_embedding` by deciding every ordered pair
+    of matrix units, each by its own commutator and bracket: the oracle of
+    the walk over unordered pairs."""
+    size = rank + 1
+    basis = [
+        (i, j, GlMatrixElement.elementary(size, i, j))
+        for i in range(size)
+        for j in range(size)
+    ]
+    images = {(i, j): restrict_from_projective(m) for i, j, m in basis}
+    pairs = []
+    all_ok = True
+    for i1, j1, m1 in basis:
+        for i2, j2, m2 in basis:
+            lhs = restrict_from_projective(m1.commutator(m2))
+            rhs = witt_bracket(images[(i1, j1)], images[(i2, j2)])
+            ok = lhs == rhs
+            all_ok = all_ok and ok
+            pairs.append({"pair": [[i1, j1], [i2, j2]], "ok": ok})
+    image_rank = matrix.rank([v.terms for v in images.values()])
+    identity = GlMatrixElement(size, {(i, i): 1 for i in range(size)})
+    expected_dim = size * size - 1
+    return {
+        "rank": rank,
+        "homomorphism_ok": all_ok,
+        "pairs": pairs,
+        "image_dimension": image_rank,
+        "expected_dimension": expected_dim,
+        "scalars_killed": restrict_from_projective(identity).is_zero(),
+        "injective_on_sl": image_rank == expected_dim,
+    }
+
+
+def failing_pairs(report):
+    return {tuple(map(tuple, entry["pair"])) for entry in report["pairs"] if not entry["ok"]}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_unordered_walk_report_equals_the_ordered_oracle(rank):
+    report = verify_lie_embedding(rank)
+    assert report == ordered_embedding_report(rank)
+    assert all(type(entry["ok"]) is bool for entry in report["pairs"])
+
+
+def test_theta0_sign_mutant_fails_on_the_same_pairs_in_both_walks(monkeypatch):
+    # theta~_0 = +(theta_1 + ... + theta_r) breaks the Euler relation: the
+    # restriction is still linear and the bracket still antisymmetric, so
+    # both walks must fail, on the same entries
+    chart = liealg._chart
+
+    def mutant_chart(rank):
+        e, theta_tilde = chart(rank)
+        return e, (tuple((k, 1) for k, _ in theta_tilde[0]),) + theta_tilde[1:]
+
+    monkeypatch.setattr(liealg, "_chart", mutant_chart)
+    for rank in (1, 2, 3):
+        report = verify_lie_embedding(rank)
+        oracle = ordered_embedding_report(rank)
+        assert report["homomorphism_ok"] is oracle["homomorphism_ok"] is False
+        assert report == oracle
+        failed = failing_pairs(report)
+        assert failed and failed == failing_pairs(oracle)
+        assert {(b, a) for a, b in failed} == failed
+        assert all(a != b for a, b in failed)
+
+
+def test_each_unordered_pair_is_bracketed_once(monkeypatch):
+    calls = []
+
+    def counting_bracket(x, y):
+        calls.append((x, y))
+        return gerstenhaber_bracket(x, y)
+
+    monkeypatch.setattr(liealg, "gerstenhaber_bracket", counting_bracket)
+    for rank in (1, 2, 3, 4):
+        calls.clear()
+        verify_lie_embedding(rank)
+        s2 = (rank + 1) ** 2
+        assert len(calls) == s2 * (s2 - 1) // 2
+        # no pair twice in either order, and no diagonal pair
+        pairs = {frozenset((str(x), str(y))) for x, y in calls}
+        assert len(pairs) == len(calls) and all(len(p) == 2 for p in pairs)
+
+
+def test_images_are_checked_once_each(monkeypatch):
+    seen = []
+
+    def recording_check(pv, what="argument"):
+        seen.append(what)
+
+    monkeypatch.setattr(liealg, "_require_vector_field", recording_check)
+    verify_lie_embedding(3)
+    assert seen == ["image"] * 16

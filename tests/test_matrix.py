@@ -110,3 +110,62 @@ def test_pivot_entries_are_exact_on_mixed_rows():
         for col, pivot_row in pivots:
             assert pivot_row[col] == 1
             assert all(type(v) in (int, Fraction) and v for v in pivot_row.values()), pivot_row
+
+
+def fraction_pivot_rank(rows):
+    """Rank by elimination on arrival with every pivot row scaled by
+    Fraction: the oracle of `_pivot_rows`, which keeps an integral entry
+    an int."""
+    pivots = []
+    for row in rows:
+        row = {k: v for k, v in row.items() if v}
+        for col, pivot_row in pivots:
+            c = row.get(col)
+            if c:
+                for k, v in pivot_row.items():
+                    new = row.get(k, 0) - c * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+        if row:
+            col, p = next(iter(row.items()))
+            pivots.append((col, {k: Fraction(v, p) for k, v in row.items()}))
+    return len(pivots)
+
+
+def test_int_pivot_entries_match_the_fraction_oracle():
+    rng = random.Random(17)
+    int_entries = 0
+    for _ in range(400):
+        width = rng.randint(1, 8)
+
+        def entry():
+            if rng.random() < 0.5:
+                return rng.randint(-6, 6)
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        rows = [
+            {j: entry() for j in rng.sample(range(width), rng.randint(0, width))}
+            for _ in range(rng.randint(1, 7))
+        ]
+        if rng.random() < 0.3:
+            rows.append({})  # a zero row
+        if rng.random() < 0.4:
+            rows.append(dict(rng.choice(rows)))  # a repeated row
+        rng.shuffle(rows)
+        pivots = matrix._pivot_rows(rows)
+        assert len(pivots) == matrix.rank(rows) == fraction_pivot_rank(rows)
+        for col, pivot_row in pivots:
+            assert pivot_row[col] == 1
+            for v in pivot_row.values():
+                assert type(v) is int or type(v) is Fraction, pivot_row
+                int_entries += type(v) is int
+    assert int_entries > 200
+
+
+def test_integral_quotients_of_int_entries_stay_ints():
+    ((col, pivot_row),) = matrix._pivot_rows([{0: 2, 1: 4, 2: -6, 3: 3, 4: Fraction(4)}])
+    assert col == 0
+    assert pivot_row == {0: 1, 1: 2, 2: -3, 3: Fraction(3, 2), 4: 2}
+    assert [type(pivot_row[k]) for k in range(5)] == [int, int, int, Fraction, Fraction]

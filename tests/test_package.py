@@ -1,16 +1,19 @@
 """Rules about the package as a whole: its public names, each used by a
 command, a suite or the benchmark, no runtime check that `python -O`
-would strip, and text read in one place, above the maths."""
+would strip, text read in one place, above the maths, and benchmark
+records at the repository root that name what they measured."""
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import torusbv
 from torusbv.laurent import SparseStore
 
 SRC = Path(torusbv.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 # Change this list only on purpose: every name here is public surface.
 PUBLIC_NAMES = [
@@ -42,7 +45,6 @@ PUBLIC_NAMES = [
     "verify_lie_action",
     "verify_lie_embedding",
     "wedge",
-    "witt_bracket",
 ]
 
 
@@ -183,3 +185,28 @@ def test_no_math_module_imports_the_text_or_shell_layers():
         if SHELL_MODULES & set(imported.split("."))
     ]
     assert found == []
+
+
+RECORD_KEYS = {"name", "claim", "commits", "command", "machine", "method", "python"}
+
+
+def test_every_benchmark_record_names_its_run_and_claim():
+    """Each root `BENCH_*.json` parses, is named after its file, and says
+    which commits it compared, how and where; a claimed gain names a
+    workload and an end-to-end metric that `BENCHMARK.json` declares."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert isinstance(record, dict), path.name
+        assert RECORD_KEYS <= record.keys(), (path.name, sorted(RECORD_KEYS - record.keys()))
+        assert record["name"] == path.stem.removeprefix("BENCH_"), path.name
+        assert isinstance(record["commits"], dict), path.name
+        assert {"parent", "change"} <= record["commits"].keys(), path.name
+        claim = record["claim"]
+        if isinstance(claim, dict):
+            assert claim.get("workload") in workloads, (path.name, claim)
+            assert claim.get("metric") in metrics, (path.name, claim)
