@@ -25,6 +25,13 @@ def _vector_field_terms(x: PolyVector):
             raise ValueError(f"expected a vector field, got a degree-{len(w)} term")
 
 
+def _require_function(what: str, m) -> None:
+    """A value in the Laurent module: anything else, such as a degree-0
+    PolyVector, whose keys are not exponents, raises TypeError."""
+    if type(m) is not LaurentPoly:
+        raise TypeError(f"{what} must be a LaurentPoly, got {type(m).__name__}")
+
+
 def _act_into(terms: dict, x: PolyVector, m: LaurentPoly, sign: int) -> None:
     """Add sign * (x.m) into `terms`, the term dict of a Laurent polynomial
     of the rank of x and m: z^n theta_i . z^k = k_i z^{n+k}, in one pass
@@ -41,7 +48,9 @@ def _act_into(terms: dict, x: PolyVector, m: LaurentPoly, sign: int) -> None:
 
 
 def module_action(x: PolyVector, m: LaurentPoly) -> LaurentPoly:
-    """Vector fields act on functions as derivations, x.m = [x, m]."""
+    """Vector fields act on functions as derivations, x.m = [x, m].  A
+    function that is not a LaurentPoly raises TypeError."""
+    _require_function("function", m)
     x._check_rank(m)
     terms = {}
     _act_into(terms, x, m, 1)
@@ -61,8 +70,10 @@ class CE1Cochain:
         if len(betas) != rank:
             raise ValueError(f"expected {rank} beta coefficients, got {len(betas)}")
         self.betas = [_as_coefficient(b) for b in betas]
-        if exact_part is not None and exact_part.rank != rank:
-            raise RankMismatchError(f"rank {exact_part.rank} exact part for rank {rank} cochain")
+        if exact_part is not None:
+            _require_function("exact part", exact_part)
+            if exact_part.rank != rank:
+                raise RankMismatchError(f"rank {exact_part.rank} exact part for rank {rank} cochain")
         self.exact_part = exact_part
 
     def evaluate(self, x: PolyVector) -> LaurentPoly:
@@ -85,8 +96,12 @@ class CE1Cochain:
 def _ce_residual(cochain, x: PolyVector, psi_x: LaurentPoly, y: PolyVector, psi_y: LaurentPoly) -> dict:
     """The term dict of psi([x,y]) - x.psi(y) + y.psi(x), given psi(x) and
     psi(y): one dict seeded with the terms of psi([x,y]), which the two
-    actions add into.  It may hold zeros; `_raw` drops them."""
+    actions add into.  It may hold zeros; `_raw` drops them.  A value of
+    psi that is not a LaurentPoly raises TypeError."""
     value = cochain(gerstenhaber_bracket(x, y))
+    _require_function("psi(x)", psi_x)
+    _require_function("psi(y)", psi_y)
+    _require_function("psi([x,y])", value)
     x._check_rank(psi_y)
     value._check_rank(x)
     y._check_rank(psi_x)

@@ -219,14 +219,15 @@ class FiniteSl2Module:
         return sorted(self.weights)
 
     def casimir(self):
-        """The value of ef + fe + h^2/2 on each basis vector, which it maps
-        to a multiple of itself on any chain, each an int where it is
-        integral and a Fraction otherwise."""
+        """The scalar by which ef + fe + h^2/2 acts, an int where it is
+        integral and a Fraction otherwise, or None when its values on the
+        basis differ.  On any chain it maps x_t to a multiple of itself;
+        on a checked chain of dimension n + 1 the scalar is n(n+2)/2."""
         products = self._step_products()
-        return [
-            _as_coefficient(products[t] + products[t + 1] + Fraction(w * w, 2))
-            for t, w in enumerate(self.weights)
-        ]
+        values = {
+            products[t] + products[t + 1] + Fraction(w * w, 2) for t, w in enumerate(self.weights)
+        }
+        return _as_coefficient(values.pop()) if len(values) == 1 else None
 
 
 def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None:

@@ -60,12 +60,6 @@ def _telescoped_products(n: int) -> list:
     return list(accumulate(n - 2 * k for k in range(n)))
 
 
-def casimir_scalar(module: FiniteSl2Module):
-    """The scalar by which ef + fe + h^2/2 acts, or None if not scalar."""
-    values = module.casimir()
-    return values[0] if all(v == values[0] for v in values) else None
-
-
 def identify_with_density_model(n: int) -> dict:
     """Match the forced action on intersection generators with the density
     submodule at alpha = beta = -n/2, using the rescaling freedom.
@@ -93,7 +87,7 @@ def identify_with_density_model(n: int) -> dict:
         "rescaling": [str(v) for v in u],
         "unique_up_to_rescaling": all(x * y for x, y in zip(floer.a, floer.b)),
         "h_spectrum": floer.h_spectrum(),
-        "casimir": str(casimir_scalar(floer)),
+        "casimir": str(floer.casimir()),
     }
 
 

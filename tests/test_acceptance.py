@@ -11,15 +11,15 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from torusbv.bvalgebra import PolyVector
+from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
 from torusbv.densityrep import (
     DensityRepSpec,
     check_irreducible,
     extract_finite_sl2_submodule,
     shift_isomorphism_check,
 )
-from torusbv.floermodel import casimir_scalar, identify_with_density_model, solve_forced_action
-from torusbv.liealg import verify_lie_embedding, root_system_report, witt_bracket
+from torusbv.floermodel import identify_with_density_model, solve_forced_action
+from torusbv.liealg import verify_lie_embedding, root_system_report
 from torusbv.parsing import format_polyvector, parse_polyvector
 from torusbv.suites import (
     DEFAULT_SEED,
@@ -59,9 +59,9 @@ def test_criterion_3_sl2_triple():
     h = PolyVector.xi(1, (0,), 1).scale(2)
     f = PolyVector.xi(1, (-1,), 1).scale(-1)
     ok = (
-        witt_bracket(h, e) == e.scale(2)
-        and witt_bracket(h, f) == f.scale(-2)
-        and witt_bracket(e, f) == h
+        gerstenhaber_bracket(h, e) == e.scale(2)
+        and gerstenhaber_bracket(h, f) == f.scale(-2)
+        and gerstenhaber_bracket(e, f) == h
     )
     report(3, "sl2 triple relations", ok)
 
@@ -119,7 +119,7 @@ def test_criterion_8_floer_forcing():
         if solutions:
             action = solutions[0]
             ok &= action.dim == n + 1
-            ok &= casimir_scalar(action) == Fraction(n * (n + 2), 2)
+            ok &= action.casimir() == Fraction(n * (n + 2), 2)
             ok &= identify_with_density_model(n)["matches"]
     report(8, "forced sl2 action is unique and matches the density model, n = 1..6", ok)
 

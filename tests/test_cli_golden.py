@@ -1,6 +1,7 @@
 """Byte-identical CLI output.
 
-Each README example, each `verify` suite at its default seed, each
+Each README example (each `torusbv` line of the README's `sh` blocks, read
+from the README itself), each `verify` suite at its default seed, each
 mixed-degree `bracket`/`wedge`/`bv` command, the rank-2 `cocycle-check`,
 the rank-2 `verify cocycles` and the `LIE_EMBEDDING` commands below, in
 text and `--json`, each
@@ -19,26 +20,36 @@ import contextlib
 import hashlib
 import io
 import shlex
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from torusbv.cli import SUITES, main
+from torusbv.cli import SUITES, VERIFY_FLAGS, main
 
-README_EXAMPLES = [
-    'bracket "z^1*t1" "z^-1*t1" --rank 1',
-    'bv "z^5*t1"',
-    'wedge "t2" "t1" --rank 2',
-    "roots --rank 2",
-    'cocycle-check "alpha=-1/2,beta=[-1/2],g=0" --window 4',
-    "rep --alpha=-3/2 --beta=-3/2 --extract",
-    "floer --n 3",
-    "verify bv-axioms --seed 7 --cases 200",
-    "verify rep-classification --grid 8",
-    "verify floer --max-n 6",
-]
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_commands():
+    """(command after `torusbv`, the X of its `# -> X` comment or None) for
+    each `torusbv ...` line of the README's `sh` blocks."""
+    found = []
+    in_sh = False
+    for line in README.splitlines():
+        if line.startswith("```"):
+            in_sh = not in_sh and line == "```sh"
+        elif in_sh and line.startswith("torusbv "):
+            command, _, comment = line[len("torusbv "):].partition("#")
+            comment = comment.strip()
+            found.append((command.strip(), comment[2:].strip() if comment.startswith("->") else None))
+    return found
+
+
+# the README's examples, each once: its `--json` is added below
+README_EXAMPLES = [command.removesuffix(" --json") for command, _ in readme_commands()]
 SUITE_RUNS = [f"verify {name}" for name in SUITES if name != "witt-closed-form"]
 # (command and options, operands): multi-term operands mixing cohomological
 # degrees, one with parts that cancel; operands follow `--`, since one
@@ -210,3 +221,18 @@ def test_repeated_main_calls_match_fresh_processes():
     assert expected[USAGE_ERROR][0] == expected[PARSE_ERROR][0] == 2
     for command in sequence + sequence:
         assert run_in_process(command) == expected[command], command
+
+
+def test_readme_output_comments_match_stdout():
+    expected = [(command, out) for command, out in readme_commands() if out is not None]
+    assert expected
+    for command, out in expected:
+        code, stdout, _ = run_in_process(command)
+        assert (code, stdout) == (0, out + "\n"), command
+
+
+def test_readme_lists_the_verify_suites_and_flags():
+    suites = re.search(r"Available `verify` suites: (.*?)\.\s", README, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", suites) == list(SUITES)
+    flags = re.search(r"passes each flag it is given \((.*?)\)", README, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", flags) == ["--" + flag.replace("_", "-") for flag in VERIFY_FLAGS]

@@ -151,6 +151,28 @@ def test_cochain_rank_validation():
         CE1Cochain(2, exact_part=LaurentPoly.monomial(1, (0,)))
 
 
+def test_a_function_that_is_not_a_laurent_poly_raises():
+    # a degree-0 PolyVector has keys (n, ()), so reading k[i] off them gave
+    # 0, a malformed LaurentPoly or an untyped error before
+    x, y = PolyVector.xi(2, (1, 0), 2), PolyVector.xi(2, (0, 1), 2)
+    f = PolyVector(2, {((0, 1), ()): 1})
+    assert module_action(x, f.degree0_to_laurent()) == LaurentPoly(2, {(1, 1): 1})
+    with pytest.raises(TypeError, match=r"^function must be a LaurentPoly, got PolyVector$"):
+        module_action(x, f)
+    with pytest.raises(TypeError, match=r"^exact part must be a LaurentPoly, got PolyVector$"):
+        CE1Cochain(2, exact_part=f)
+    with pytest.raises(TypeError, match=r"^psi\(x\) must be a LaurentPoly, got PolyVector$"):
+        ce_differential_check(bv_delta, x, y)
+    with pytest.raises(TypeError, match=r"^psi\(x\) must be a LaurentPoly, got PolyVector$"):
+        is_cocycle_on_window(bv_delta, 2, 1)
+    # each value of psi is checked: psi(y) alone, and psi([x,y]) alone
+    zero = LaurentPoly.zero(2)
+    with pytest.raises(TypeError, match=r"^psi\(y\) must be a LaurentPoly, got PolyVector$"):
+        ce_differential_check(lambda v: f if v == y else zero, x, y)
+    with pytest.raises(TypeError, match=r"^psi\(\[x,y\]\) must be a LaurentPoly, got PolyVector$"):
+        ce_differential_check(lambda v: zero if v in (x, y) else f, x, y)
+
+
 def test_parse_cochain_spec_rank2():
     psi = parse_cochain_spec("alpha=-1/2,beta=[1/3,-2],g=z1^2*z2^-1", 2)
     assert psi.alpha == Fraction(-1, 2)

@@ -100,8 +100,7 @@ def test_casimir_scalar_on_extracted_modules():
         n = -two_alpha
         spec = DensityRepSpec(Fraction(two_alpha, 2), Fraction(two_alpha, 2))
         module = extract_finite_sl2_submodule(spec)
-        expected = Fraction(n * (n + 2), 2)
-        assert module.casimir() == [expected] * module.dim
+        assert module.casimir() == Fraction(n * (n + 2), 2)
 
 
 def test_classification_sweep_matches_criterion():
@@ -689,30 +688,37 @@ def test_extracted_chain_is_rho_on_every_basis_vector():
     assert modules == 7 * 77
 
 
+def dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def dense_casimir(module):
+    """ef + fe + h^2/2 as a dense matrix."""
+    e, h, f = module.e, module.h, module.f
+    ef, fe, hh = dense_product(e, f), dense_product(f, e), dense_product(h, h)
+    return [[x + y + Fraction(z, 2) for x, y, z in zip(*rows)] for rows in zip(ef, fe, hh)]
+
+
 def test_chain_modules_satisfy_the_dense_sl2_relations():
     # the dense commutator form of the relations the chain checks in
-    # closed form, and ef + fe + h^2/2 against the chain's Casimir values,
-    # on every finite submodule of the rep-theory grid and on V(1)..V(8)
-    # of the forced Floer action
+    # closed form, and ef + fe + h^2/2 against the chain's Casimir scalar
+    # n(n+2)/2 times the identity, an int exactly when it is integral, on
+    # every finite submodule of the rep-theory grid and on V(1)..V(8) of
+    # the forced Floer action
     modules = [extract_finite_sl2_submodule(spec) for spec in rep_theory_grid_specs()]
     modules = [m for m in modules if m is not None]
     for n in range(1, 9):
         modules += solve_forced_action(n)
     assert len(modules) == 77 + 8
 
-    def product(a, b):
-        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
     def commutator(a, b):
-        return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(product(a, b), product(b, a))]
+        return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(dense_product(a, b), dense_product(b, a))]
 
     for module in modules:
         e, h, f = module.e, module.h, module.f
         assert commutator(h, e) == [[2 * x for x in row] for row in e]
         assert commutator(h, f) == [[-2 * x for x in row] for row in f]
         assert commutator(e, f) == h
-        ef, fe, hh = product(e, f), product(f, e), product(h, h)
-        casimir = [[x + y + Fraction(z, 2) for x, y, z in zip(*rows)] for rows in zip(ef, fe, hh)]
-        values = module.casimir()
-        for i, row in enumerate(casimir):
-            assert row == [values[i] if j == i else 0 for j in range(module.dim)]
+        n, c = module.dim - 1, module.casimir()
+        assert (c, type(c)) == (Fraction(n * (n + 2), 2), Fraction if n % 2 else int)
+        assert dense_casimir(module) == [[c if j == i else 0 for j in range(module.dim)] for i in range(module.dim)]

@@ -4,13 +4,10 @@ import pytest
 
 from torusbv import densityrep, floermodel, suites
 from torusbv.densityrep import DensityRepSpec, FiniteSl2Module, rho_apply
-from torusbv.floermodel import (
-    casimir_scalar,
-    floer_report,
-    identify_with_density_model,
-    solve_forced_action,
-)
+from torusbv.floermodel import floer_report, identify_with_density_model, solve_forced_action
 from torusbv.laurent import LaurentPoly
+
+from test_densityrep import dense_casimir
 
 ENDS = DensityRepSpec(0, 0)
 
@@ -95,7 +92,7 @@ def test_forced_action_unique_and_irreducible(n):
     ]
     assert action.dim == n + 1
     assert action.h_spectrum() == list(range(-n, n + 1, 2))
-    assert casimir_scalar(action) == Fraction(n * (n + 2), 2)
+    assert action.casimir() == Fraction(n * (n + 2), 2)
 
 
 def test_forced_chains_hold_ints():
@@ -158,9 +155,9 @@ def test_floer_report_n3():
 def test_casimir_scalar_is_none_off_a_scalar_chain():
     # ef + fe + h^2/2 takes the values 3, 2, 3 on this unchecked chain
     module = FiniteSl2Module.unchecked([0, 1, 2], [-2, 0, 2], [1, 1], [1, 1])
-    assert module.casimir() == [3, 2, 3]
-    assert casimir_scalar(module) is None
-    assert casimir_scalar(solve_forced_action(2)[0]) == 4
+    assert dense_casimir(module) == [[3, 0, 0], [0, 2, 0], [0, 0, 3]]
+    assert module.casimir() is None
+    assert solve_forced_action(2)[0].casimir() == 4
 
 
 @pytest.mark.parametrize("factors", [[3] * 4, [1, 1, 3, 1]], ids=["every_b", "one_b"])
