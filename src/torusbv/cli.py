@@ -282,9 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls, so one parser serves them all
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its command map (each command's name to its own
+    parser).  parse_args keeps no state between calls, so one parser serves
+    them all."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, commands
 
 
 def _report_error(args, err: ValueError) -> None:
@@ -304,7 +308,18 @@ def main(argv=None) -> int:
     """Run one `torusbv` command and return 0; any other exit status is
     raised as SystemExit: 1 for a failed check, 2 for a usage error or bad
     input (ParseError, RankMismatchError, any ValueError)."""
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _shared_parser()
+    # The full parser hands a command's parser everything after its name and
+    # adds only `command`, so a call that parser reads whole skips it; any
+    # other argv goes to the full parser, which writes its own usage and errors.
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     try:
         args.func(args)
     except ValueError as err:

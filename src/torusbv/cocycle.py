@@ -95,12 +95,11 @@ class CE1Cochain:
 
 def _ce_residual(cochain, x: PolyVector, psi_x: LaurentPoly, y: PolyVector, psi_y: LaurentPoly) -> dict:
     """The term dict of psi([x,y]) - x.psi(y) + y.psi(x), given psi(x) and
-    psi(y): one dict seeded with the terms of psi([x,y]), which the two
-    actions add into.  It may hold zeros; `_raw` drops them.  A value of
-    psi that is not a LaurentPoly raises TypeError."""
+    psi(y), which the caller has checked to be LaurentPolys: one dict
+    seeded with the terms of psi([x,y]), which the two actions add into.
+    It may hold zeros; `_raw` drops them.  A psi([x,y]) that is not a
+    LaurentPoly raises TypeError."""
     value = cochain(gerstenhaber_bracket(x, y))
-    _require_function("psi(x)", psi_x)
-    _require_function("psi(y)", psi_y)
     _require_function("psi([x,y])", value)
     x._check_rank(psi_y)
     value._check_rank(x)
@@ -113,8 +112,13 @@ def _ce_residual(cochain, x: PolyVector, psi_x: LaurentPoly, y: PolyVector, psi_
 
 def ce_differential_check(cochain, x: PolyVector, y: PolyVector) -> LaurentPoly:
     """psi([x,y]) - x.psi(y) + y.psi(x); zero iff the cocycle condition holds
-    on the pair.  `cochain` is any callable from vector fields to Laurent."""
-    return LaurentPoly._raw(x.rank, _ce_residual(cochain, x, cochain(x), y, cochain(y)))
+    on the pair.  `cochain` is any callable from vector fields to Laurent
+    polynomials; a value of it that is not a LaurentPoly raises TypeError."""
+    psi_x = cochain(x)
+    _require_function("psi(x)", psi_x)
+    psi_y = cochain(y)
+    _require_function("psi(y)", psi_y)
+    return LaurentPoly._raw(x.rank, _ce_residual(cochain, x, psi_x, y, psi_y))
 
 
 def witt_basis(rank: int, window: int):
@@ -136,9 +140,14 @@ def is_cocycle_on_window(cochain, rank: int, window: int) -> bool:
     and on every ordered basis pair by `verify witt-closed-form`) makes
     the residual of (y, x) minus that of (x, y) and the diagonal's 0, so
     only the pairs x < y in basis order are decided.  psi is evaluated
-    once per basis field and once per pair, on the bracket; `witt_basis`
+    once per basis field and once per pair, on the bracket, and each value
+    is checked to be a LaurentPoly where it is computed; `witt_basis`
     checks the rank and the window before psi is called."""
-    basis = [(x, cochain(x)) for x in witt_basis(rank, window)]
+    basis = []
+    for x in witt_basis(rank, window):
+        psi_x = cochain(x)
+        _require_function("psi(x)", psi_x)
+        basis.append((x, psi_x))
     for (x, psi_x), (y, psi_y) in combinations(basis, 2):
         if any(_ce_residual(cochain, x, psi_x, y, psi_y).values()):
             return False

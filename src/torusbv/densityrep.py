@@ -140,9 +140,11 @@ class FiniteSl2Module:
 
     Such a module is fully described by its weights and one raising and one
     lowering coefficient per step (Humphreys, Introduction to Lie Algebras
-    and Representation Theory, 7.2).  Every weight and step coefficient is
-    a Python int: the checked constructor raises TypeError on a bool, a
-    float, a Fraction or a string.  The sl2 relations are checked on the
+    and Representation Theory, 7.2).  Every basis exponent, weight and step
+    coefficient is a Python int: the checked constructor raises TypeError
+    on a bool, a float, a Fraction or a string.  The basis exponents are
+    distinct, since the x_t are distinct monomials, and a repeat raises
+    ValueError.  The sl2 relations are checked on the
     chain: [h, e] = 2e and [h, f] = -2f say the weights are -n, -n+2, ..., n
     in chain order, and [e, f] = h says a[t-1] b[t-1] - a[t] b[t] =
     weights[t].  An empty chain raises ValueError.  The dense matrices
@@ -158,9 +160,14 @@ class FiniteSl2Module:
                 f"{d} basis vectors need {d} weights and {d - 1} values each of a and b, "
                 f"got {len(self.weights)}, {len(self.a)} and {len(self.b)}"
             )
-        for name, values in (("h weight", self.weights), ("a", self.a), ("b", self.b)):
+        for name, values in (
+            ("basis exponent", self.basis_exponents), ("h weight", self.weights), ("a", self.a), ("b", self.b)
+        ):
             for v in values:
-                _check_int(name, v)
+                if type(v) is not int:
+                    _check_int(name, v)
+        if len(set(self.basis_exponents)) != d:
+            raise ValueError(f"basis exponents must be distinct, got {self.basis_exponents}")
         if self.weights != list(range(1 - d, d, 2)):
             raise ValueError("h weights must be -n, -n+2, ..., n in chain order")
         products = self._step_products()

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import functools
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -897,3 +899,77 @@ def test_flag_the_command_does_not_read_is_rejected(command, flag, value, capsys
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: unrecognized arguments: {flag} {value}" in captured.err
+
+
+def full_parser_route(argv):
+    """The oracle of `main`'s dispatch: the full parser reads every argv,
+    then the command runs, with `main`'s exit statuses."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except ValueError as err:
+        cli._report_error(args, err)
+        raise SystemExit(2) from None
+    return 0
+
+
+def outcome(route, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = route(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+# help and usage errors, a word before the command or after its own, and
+# where a command's parser stops: `--` before operands, repeated `--`,
+# options after operands
+DISPATCH_EDGES = [
+    [], ["-h"], ["--help"], ["--he"], ["bracket", "-h"], ["bracket", "--he"], ["verify", "-h"],
+    ["frobnicate"], ["frobnicate", "t1"], ["bra", "t1", "t1"],
+    ["--rank", "2", "bracket", "t1", "t1"], ["--rank=2"], ["--ra", "2"], ["--json", "bv", "t1"],
+    ["--", "bv", "t1"], ["bracket", "t1"], ["bracket", "t1", "t1", "t1"], ["bracket"], ["roots", "extra"],
+    ["bv", "-z^5*t1"], ["bv", "--", "-z^5*t1"], ["bv", "--", "--", "t1"], ["bracket", "--", "t1", "--", "t1"],
+    ["bracket", "t1", "--", "t1"], ["wedge", "t1", "z1", "--ran", "2"], ["wedge", "t1", "z1", "--rank"],
+    ["bv", "t1", "--rank", "x"], ["bv", "t1", "--json", "--json"], ["bv", "t1", "--json=1"],
+    ["bracket", "t1", "t1", "-x"],
+    ["verify"], ["verify", "nosuch"], ["verify", "floer", "--max-n", "x"], ["verify", "floer", "--rank", "2"],
+    ["verify", "floer", "--max-n", "2", "extra"], ["floer"], ["floer", "--n", "3", "--n", "4"],
+    ["rep", "--alpha=-1"], ["rep", "--alpha", "-1", "--beta", "0"], ["cocycle-check", "alpha=1", "--window"],
+]
+DISPATCH_CORPUS = (
+    [shlex.split(command) for command in GOLDEN_COMMANDS]
+    + [argv + json_flag for argv, _ in BAD_INPUT + VACUOUS for json_flag in ([], ["--json"])]
+    + [COMMANDS_WITHOUT_SEED[command] + [flag, value] for command, flag, value in REMOVED_FLAGS]
+    + DISPATCH_EDGES
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=shlex.join)
+def test_main_matches_the_full_parser_route(argv):
+    """Stdout, stderr and exit status of `main` are those of the full
+    parser's route on every golden command, every bad, vacuous and removed
+    flag argv, and the help, usage-error and `--` argvs."""
+    assert outcome(main, argv) == outcome(full_parser_route, argv)
+
+
+def test_a_call_its_command_reads_whole_skips_the_full_parser(monkeypatch, capsys):
+    class FullParserReached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise FullParserReached
+
+    # the command's parser runs parse_known_args, the full parser parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", reached)
+    # argv may be any iterable of words, as parse_args takes
+    for argv in (["bracket", "z1*t1", "t1"], ["wedge", "t1", "z1", "--json"], ["bv", "--", "-z^5*t1"],
+                 ["verify", "floer", "--max-n", "2"], iter(["floer", "--n", "3"])):
+        assert main(argv) == 0
+    capsys.readouterr()
+    # a word the command does not read goes to the full parser, whose
+    # `unrecognized arguments` error argparse writes
+    with pytest.raises(FullParserReached):
+        main(["bracket", "t1", "t1", "--seed", "5"])

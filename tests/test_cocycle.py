@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from torusbv import suites
+from torusbv import cocycle, suites
 from torusbv.bvalgebra import PolyVector, bv_delta, gerstenhaber_bracket
 from torusbv.cocycle import (
     CE1Cochain,
@@ -171,6 +172,26 @@ def test_a_function_that_is_not_a_laurent_poly_raises():
         ce_differential_check(lambda v: f if v == y else zero, x, y)
     with pytest.raises(TypeError, match=r"^psi\(\[x,y\]\) must be a LaurentPoly, got PolyVector$"):
         ce_differential_check(lambda v: zero if v in (x, y) else f, x, y)
+
+
+def test_each_value_of_psi_is_checked_once(monkeypatch):
+    """The window check types psi once per basis field, where it evaluates
+    it, and psi([x,y]) once per pair: at rank 2, window 2, 50 fields and
+    1225 pairs, where checking psi(x) and psi(y) on every pair took 3675."""
+    checked = Counter()
+    real = cocycle._require_function
+
+    def counting(what, m):
+        checked[what] += 1
+        real(what, m)
+
+    monkeypatch.setattr(cocycle, "_require_function", counting)
+    assert is_cocycle_on_window(CE1Cochain(2, alpha=1, betas=[1, -1]), 2, 2)
+    assert checked == {"psi(x)": 50, "psi([x,y])": 1225}
+    checked.clear()
+    x, y = PolyVector.xi(2, (1, 0), 2), PolyVector.xi(2, (0, 1), 1)
+    assert not ce_differential_check(CE1Cochain(2, alpha=1), x, y).terms
+    assert checked == {"psi(x)": 1, "psi(y)": 1, "psi([x,y])": 1}
 
 
 def test_parse_cochain_spec_rank2():

@@ -603,7 +603,9 @@ def test_spec_parameters_are_read_only():
     ([0, 1, 2], [-2, 0, 4], [2, 1], [1, 2], r"^h weights must be -n, -n\+2, \.\.\., n in chain order$"),
     ([0, 1], [-1, 1], [1], [2], r"^\[e, f\] != h$"),
     ([0, 1, 2], [-2, 0, 2], [2, 1], [1, 1], r"^\[e, f\] != h$"),
-], ids=["long_a", "short_weights", "empty", "descending", "gap", "ef_scalar", "ef_middle"])
+    # a valid V(1) but for its basis: x_0 and x_1 would be the same monomial
+    ([0, 0], [-1, 1], [1], [1], r"^basis exponents must be distinct, got \[0, 0\]$"),
+], ids=["long_a", "short_weights", "empty", "descending", "gap", "ef_scalar", "ef_middle", "repeated_basis"])
 def test_chain_invariants_raise_value_error(basis, weights, a, b, message):
     with pytest.raises(ValueError, match=message):
         FiniteSl2Module(basis, weights, a, b)
@@ -614,29 +616,28 @@ def test_chain_invariants_raise_value_error(basis, weights, a, b, message):
 def _one_entry_not_int(field, bad):
     """V(2), or V(1) for True, which stands for 1, with bad in place of the
     first entry of `field` equal to it, so that only its type is wrong."""
-    chain = {"weights": [-1, 1], "a": [1], "b": [1]} if bad is True else {
-        "weights": [-2, 0, 2], "a": [2, 1], "b": [1, 2]}
+    chain = {"basis_exponents": [0, 1], "weights": [-1, 1], "a": [1], "b": [1]} if bad is True else {
+        "basis_exponents": [0, 1, 2], "weights": [-2, 0, 2], "a": [2, 1], "b": [1, 2]}
     values = chain[field]
     values[values.index(int(bad))] = bad
     return chain
 
 
 @pytest.mark.parametrize("field, chain, bad", [
-    pytest.param("weights", {"weights": [Fraction(-1, 2), Fraction(1, 2)], "a": [1], "b": [1]}, Fraction(-1, 2),
-                 id="half_integer"),
+    pytest.param("weights", {"basis_exponents": [0, 1], "weights": [Fraction(-1, 2), Fraction(1, 2)], "a": [1],
+                             "b": [1]}, Fraction(-1, 2), id="half_integer"),
     *(
         pytest.param(field, _one_entry_not_int(field, bad), bad, id=f"{field}_{kind}")
-        for field in ("weights", "a", "b")
+        for field in ("basis_exponents", "weights", "a", "b")
         for kind, bad in [("fraction", Fraction(2)), ("float", 2.0), ("bool", True), ("string", "2")]
     ),
 ])
 def test_chain_entries_must_be_ints(field, chain, bad):
-    name = "h weight" if field == "weights" else field
-    basis = range(len(chain["weights"]))
+    name = {"basis_exponents": "basis exponent", "weights": "h weight"}.get(field, field)
     with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
-        FiniteSl2Module(basis, **chain)
+        FiniteSl2Module(**chain)
     # the same chain is accepted, unchecked, as a fixture
-    assert getattr(FiniteSl2Module.unchecked(basis, **chain), field) == chain[field]
+    assert getattr(FiniteSl2Module.unchecked(**chain), field) == chain[field]
 
 
 def test_repr_evaluates_back_to_the_same_chain():
