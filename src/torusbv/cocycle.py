@@ -12,7 +12,7 @@ from itertools import combinations, product
 from operator import add
 
 from .bvalgebra import PolyVector, gerstenhaber_bracket
-from .laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size
+from .laurent import LaurentPoly, RankMismatchError, _as_coefficient, _check_size, _require_function
 
 
 def _vector_field_terms(x: PolyVector):
@@ -23,13 +23,6 @@ def _vector_field_terms(x: PolyVector):
             yield n, w[0] - 1, c
         elif w:
             raise ValueError(f"expected a vector field, got a degree-{len(w)} term")
-
-
-def _require_function(what: str, m) -> None:
-    """A value in the Laurent module: anything else, such as a degree-0
-    PolyVector, whose keys are not exponents, raises TypeError."""
-    if type(m) is not LaurentPoly:
-        raise TypeError(f"{what} must be a LaurentPoly, got {type(m).__name__}")
 
 
 def _act_into(terms: dict, x: PolyVector, m: LaurentPoly, sign: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .laurent import LaurentPoly, _as_coefficient, _check_int, _check_size
+from .laurent import LaurentPoly, _as_coefficient, _check_int, _check_size, _require_function
 
 
 class DensityRepSpec:
@@ -52,9 +52,13 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
         n = (s_n + j*s_d) * c_n,   d = s_d * c_d:
 
     the int n // d when d divides n, else Fraction(n, d) in lowest terms.
-    So an integral term is an int, whatever the spec.  A non-integer or bool index i raises TypeError."""
+    So an integral term is an int, whatever the spec.  A non-integer or bool
+    index i raises TypeError, and so does an input p that is not a
+    LaurentPoly."""
     if type(i) is not int:
         _check_int("Witt index", i)
+    if type(p) is not LaurentPoly:
+        _require_function("density", p)
     if p.rank != 1:
         raise ValueError("density representations are defined at rank 1")
     slope, offset, s_d = spec._shift
@@ -68,24 +72,33 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(1, terms)
 
 
+def _window(lo: int, hi: int) -> LaurentPoly:
+    """The sum of the monomials z^j, lo <= j <= hi: hi - lo + 1 terms."""
+    return LaurentPoly._raw(1, dict.fromkeys([(j,) for j in range(lo, hi + 1)], 1))
+
+
 def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: int = 3) -> bool:
     """Check rho([xi_n, xi_m]) = rho(xi_n) rho(xi_m) - rho(xi_m) rho(xi_n)
     on monomials z^j, lo <= j <= hi, for |n|, |m| <= bracket_window.
 
-    Images are evaluated exactly on each monomial, so there are no
-    truncation edge effects.  Only n < m is compared: the (m, n) identity
-    is the exact negation of the (n, m) one, and n = m reads 0 == 0, so
-    the n = m composites are never built.  For each z^j the images
-    rho(xi_k) z^j are built once for k in the window and for every sum
-    n + m of a compared pair, which is |k| <= 2W - 1 with W =
-    bracket_window; they serve as the left sides and the inner factors.
-    Each composite rho(xi_n) rho(xi_m) z^j with n != m is built once, at
-    the comparison that reads it, and the check returns at the first
-    failure.  A monomial that passes costs (4W - 1) + 2W(2W + 1) calls of
-    rho_apply.
+    All the monomials are checked at once, on their sum P, which holds
+    hi - lo + 1 terms.  rho_apply is the term-by-term linear extension and
+    j -> j + k is injective, so rho(xi_k) P holds rho(xi_k) z^j at key
+    j + k and at no other key, and rho(xi_n) rho(xi_m) P holds the
+    composite of z^j at key j + n + m alone.  Comparing the window images
+    key by key therefore decides exactly the (j, n, m) cases of a walk
+    over the monomials, with no truncation edge effects.  Only n < m is
+    compared: the (m, n) identity is the exact negation of the (n, m)
+    one, and n = m reads 0 == 0.  The images rho(xi_k) P are built once
+    for k in the window and for every sum n + m of a compared pair, which
+    is |k| <= 2W - 1 with W = bracket_window; they serve as the left sides
+    and the inner factors.  Each composite rho(xi_n) rho(xi_m) P with
+    n != m is built once, at the comparison that reads it, and the check
+    returns at the first failing pair.  A check costs (4W - 1) + 2W(2W + 1)
+    calls of rho_apply, whatever the range.
 
     Each comparison a - b == k c, with a and b the two composites, c the
-    image rho(xi_{n+m}) z^j and k = m - n, is decided without building a
+    image rho(xi_{n+m}) P and k = m - n, is decided without building a
     sum or a Fraction: a, b and c must share type and rank, and at every
     key any of them holds, with a missing coefficient read as 0, the
     numerators and denominators of x = a[key], y = b[key], z = c[key]
@@ -100,18 +113,13 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
         _check_int("hi", hi)
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
+    window = _window(lo, hi)
+    image = {k: rho_apply(spec, k, window) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
     # [xi_n, xi_m] = (m - n) xi_{n+m}
-    pairs = list(combinations(range(-bracket_window, bracket_window + 1), 2))
-    reach = range(1 - 2 * bracket_window, 2 * bracket_window)
-    for j in range(lo, hi + 1):
-        zj = LaurentPoly._raw(1, {(j,): 1})
-        image = {k: rho_apply(spec, k, zj) for k in reach}
-        for n, m in pairs:
-            if not _is_scaled_difference(
-                rho_apply(spec, n, image[m]), rho_apply(spec, m, image[n]), image[n + m], m - n
-            ):
-                return False
-    return True
+    return all(
+        _is_scaled_difference(rho_apply(spec, n, image[m]), rho_apply(spec, m, image[n]), image[n + m], m - n)
+        for n, m in combinations(range(-bracket_window, bracket_window + 1), 2)
+    )
 
 
 def _is_scaled_difference(a, b, c, k: int) -> bool:
@@ -280,6 +288,9 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     """Verify that z^j -> z^{j+m} intertwines rho_{alpha, beta+m} with
     rho_{alpha, beta}: rho_{alpha,beta}(xi_i) o shift = shift o
     rho_{alpha,beta+m}(xi_i) on the monomials z^j, |j| <= 8, for |i| <= 3.
+    Both sides are applied once per i to the sum of the 17 monomials; as in
+    `verify_lie_action`, each side holds the image of z^j at key j + m + i
+    alone, so the two sums agree iff the maps agree on every monomial.
     A non-integer or bool shift raises TypeError.
     """
     _check_int("shift", m)
@@ -289,13 +300,9 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
-    for j in range(-8, 9):
-        zj = LaurentPoly._raw(1, {(j,): 1})
-        shifted_zj = shift(zj)
-        for i in range(-3, 4):
-            if rho_apply(base, i, shifted_zj) != shift(rho_apply(shifted, i, zj)):
-                return False
-    return True
+    window = _window(-8, 8)
+    shifted_window = shift(window)
+    return all(rho_apply(base, i, shifted_window) == shift(rho_apply(shifted, i, window)) for i in range(-3, 4))
 
 
 def classification_grid(grid: int = 8):

@@ -54,6 +54,13 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _require_function(what: str, m) -> None:
+    """A value in the Laurent module: anything else, such as a degree-0
+    PolyVector, whose keys are not exponents, raises TypeError."""
+    if type(m) is not LaurentPoly:
+        raise TypeError(f"{what} must be a LaurentPoly, got {type(m).__name__}")
+
+
 def _exponent(exp, rank: int) -> tuple:
     """An exponent vector as a tuple of `rank` ints; a bool, float,
     Fraction or string entry raises TypeError instead of being used."""

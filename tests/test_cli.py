@@ -23,6 +23,7 @@ from torusbv.parsing import (
     _parse_term,
     _split_terms,
     format_polyvector,
+    parse_cochain_spec,
     parse_coefficient,
     parse_laurent,
     parse_polyvector,
@@ -309,6 +310,35 @@ def test_split_terms_equals_the_character_loop():
         seen[kind] = seen.get(kind, 0) + 1
     assert set(seen) == {"split", "terms", "unbalanced ')'", "unbalanced '('", "empty input"}
     assert min(seen.values()) >= 10, seen
+
+
+# The grammar's characters, the cocycle-spec keys and a few whole factors, so
+# that some texts read as values, plus a tab, a non-ASCII letter and NUL.
+FUZZ_PIECES = [*"0123456789zt θ^()+-*/,=[]", "\t", "é", "\0",
+               "z1", "z2^-3", "z^(1,-2)", "t2", "3/2", "alpha=", "beta=[", "g="]
+READERS = {
+    "polyvector": lambda text: parse_polyvector(text, 2),
+    "laurent": lambda text: parse_laurent(text, 2),
+    "cochain_spec": lambda text: parse_cochain_spec(text, 2),
+    "coefficient": parse_coefficient,
+}
+
+
+def test_readers_return_or_raise_a_parse_error_inside_the_text():
+    # a seeded fuzz of the four readers at rank 2: each text is read or
+    # raises ParseError at a position in 0..len(text); no message is pinned
+    rng = random.Random(7)
+    read = dict.fromkeys(READERS, 0)
+    for _ in range(3000):
+        text = "".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 8)))
+        for name, reader in READERS.items():
+            try:
+                reader(text)
+            except ParseError as err:
+                assert 0 <= err.position <= len(text), (name, text, err.position)
+            else:
+                read[name] += 1
+    assert min(read.values()) > 0, read
 
 
 @pytest.mark.parametrize("text", ["", " ", "\t\n "])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from torusbv import densityrep
+from torusbv.bvalgebra import PolyVector
 from torusbv.densityrep import (
     DensityRepSpec,
     FiniteSl2Module,
@@ -27,6 +29,12 @@ def zpow(n, coeff=1):
     return LaurentPoly(1, {(n,): coeff})
 
 
+class Lookalike(LaurentPoly):
+    """Another store type with the same terms as a LaurentPoly."""
+
+    __slots__ = ()
+
+
 def test_reference_action_is_bracket_action():
     spec = DensityRepSpec(0, 0)
     for i in range(-3, 4):
@@ -43,6 +51,19 @@ def test_rho_kills_tuned_monomials():
 def test_rho_requires_rank1():
     with pytest.raises(ValueError):
         rho_apply(DensityRepSpec(0, 0), 1, LaurentPoly(2, {(1, 0): 1}))
+
+
+@pytest.mark.parametrize("value, name", [
+    (PolyVector(1, {((1,), (1,)): 1}), "PolyVector"),
+    (PolyVector(1, {((1,), ()): 1}), "PolyVector"),
+    ({(1,): 1}, "dict"),
+    (Lookalike._raw(1, {(1,): 1}), "Lookalike"),
+], ids=["vector_field", "function_as_polyvector", "dict", "subclass"])
+def test_rho_requires_a_laurent_poly(value, name):
+    # a rank-1 PolyVector raised "too many values to unpack" and a dict
+    # AttributeError; cocycle.module_action raises the same TypeError
+    with pytest.raises(TypeError, match=rf"^density must be a LaurentPoly, got {name}$"):
+        rho_apply(DensityRepSpec(0, 0), 1, value)
 
 
 def test_lie_action_holds_for_sampled_specs():
@@ -137,17 +158,34 @@ def test_shift_isomorphism():
     assert shift_isomorphism_check(0, 0, 0)
 
 
-def test_shift_check_catches_an_action_without_beta(monkeypatch):
-    # rho(xi_i) z^j = (j + alpha*i) z^{i+j} does not see beta, so shifting
-    # beta by m != 0 is no longer matched by shifting the exponent
-    def without_beta(spec, i, p):
-        return LaurentPoly(1, {(i + j,): (j + spec.alpha * i) * c for (j,), c in p.terms.items()})
+def without_beta(spec, i, p):
+    # rho(xi_i) z^j = (j + alpha*i) z^{i+j}: rho_{alpha,0}, which does not see beta
+    return LaurentPoly(1, {(i + j,): (j + spec.alpha * i) * c for (j,), c in p.terms.items()})
 
+
+def test_shift_check_catches_an_action_without_beta(monkeypatch):
+    # shifting beta by m != 0 is no longer matched by shifting the exponent
     monkeypatch.setattr(densityrep, "rho_apply", without_beta)
     for m in (-5, -1, 1, 2, 5):
         assert shift_isomorphism_check(-1, -1, m) is False
         assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), m) is False
     assert shift_isomorphism_check(-1, -1, 0) is True
+
+
+def test_shift_check_applies_rho_once_per_index_to_the_whole_window(monkeypatch):
+    # 2 * 7 calls, each on all 17 monomials z^-8..z^8 or their shifts;
+    # one call per monomial and index made 238
+    calls = []
+
+    def recorded(spec, i, p):
+        calls.append((spec.beta, i, sorted(j for (j,) in p.terms)))
+        return rho_apply(spec, i, p)
+
+    monkeypatch.setattr(densityrep, "rho_apply", recorded)
+    assert shift_isomorphism_check(-1, -1, 5)
+    assert sorted(calls) == sorted(
+        [(-1, i, list(range(-3, 14))) for i in range(-3, 4)] + [(4, i, list(range(-8, 9))) for i in range(-3, 4)]
+    )
 
 
 def test_fractional_shift_rejected():
@@ -229,12 +267,13 @@ def test_int_subclass_index_accepted():
     assert got == zpow(3, Fraction(3, 2)) and [type(j) for (j,) in got.terms] == [int]
 
 
-def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
-    def off_by_one(spec, i, p):
-        # rho(xi_1) z^j = (j + alpha + beta + 1) z^{j+1}: not an action
-        shift = spec.alpha * i + spec.beta + (1 if i == 1 else 0)
-        return LaurentPoly(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
+def off_by_one(spec, i, p):
+    # rho(xi_1) z^j = (j + alpha + beta + 1) z^{j+1}: not an action
+    shift = spec.alpha * i + spec.beta + (1 if i == 1 else 0)
+    return LaurentPoly(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
 
+
+def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
     specs = [DensityRepSpec(a, b) for a, b in [(0, 0), (Fraction(1, 2), 0), (-1, -1), (2, 3)]]
     assert all(verify_lie_action(spec, -8, 8) for spec in specs)
     monkeypatch.setattr(densityrep, "rho_apply", off_by_one)
@@ -398,10 +437,11 @@ def test_lie_action_check_catches_composite_only_faults(monkeypatch, mutant):
             assert check(spec, -3, 3, 2) is False
 
 
-@pytest.mark.parametrize("lo, hi, window, calls", [(-2, 2, 1, 45), (-8, 8, 3, 901), (0, 0, 2, 27)])
+@pytest.mark.parametrize("lo, hi, window, calls", [(0, 0, 2, 27), (-2, 2, 1, 9), (-8, 8, 3, 53)])
 def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window, calls):
-    # (hi - lo + 1) * ((4W - 1) + 2W(2W + 1)) calls, with W = window: the
-    # images at |k| <= 2W - 1 and the composites with n != m
+    # (4W - 1) + 2W(2W + 1) calls, with W = window, on a range of 1, 5 or 17
+    # monomials: the images of the window sum at |k| <= 2W - 1 and the
+    # composites with n != m, whatever the range
     count = 0
 
     def counted(spec, i, p):
@@ -411,7 +451,7 @@ def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window
 
     monkeypatch.setattr(densityrep, "rho_apply", counted)
     assert verify_lie_action(DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), lo, hi, window)
-    assert count == calls == (hi - lo + 1) * (4 * window**2 + 6 * window - 1)
+    assert count == calls == 4 * window**2 + 6 * window - 1
 
 
 def test_lie_action_check_uses_no_store_arithmetic(monkeypatch):
@@ -463,12 +503,6 @@ def test_lie_action_check_catches_a_term_under_a_key_one_side_holds(monkeypatch,
             assert check(spec, -3, 3, 2) is False
 
 
-class Lookalike(LaurentPoly):
-    """Another store type with the same terms as a LaurentPoly."""
-
-    __slots__ = ()
-
-
 def in_another_rank_or_type(kind, side):
     """rho_apply, except that on one side of the comparisons, the images
     rho(xi_k) z^j ("image") or the composites ("composite"), every result
@@ -490,22 +524,32 @@ def in_another_rank_or_type(kind, side):
     return rho
 
 
+# each spec with a monomial z^j that one of its images rho(xi_k) z^j, |k| <= 3, kills
+SPECS_WITH_A_VANISHING_IMAGE = [
+    (DensityRepSpec(-1, -1), 0), (DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), 1), (DensityRepSpec(0, 0), 0)
+]
+
+
 @pytest.mark.parametrize("kind", ["rank", "type"])
 @pytest.mark.parametrize("side", ["image", "composite"])
 def test_lie_action_check_rejects_results_of_another_rank_or_type(monkeypatch, kind, side):
     # the wrong results hold the right terms; a composite of another rank
     # or type made the store subtraction raise RankMismatchError or
-    # TypeError, and a wrong image compared unequal
-    specs = [DensityRepSpec(-1, -1), DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), DensityRepSpec(0, 0)]
-    for spec in specs:
+    # TypeError, and a wrong image compared unequal.  The rank mutant
+    # faults zero results only, and the images of a window of two or more
+    # monomials are never zero, so the rank cases check the one monomial
+    # z^j at which an image vanishes
+    for spec, zero_at in SPECS_WITH_A_VANISHING_IMAGE:
+        lo, hi = (zero_at, zero_at) if kind == "rank" else (-3, 3)
+        assert any(rho_apply(spec, k, zpow(zero_at)).is_zero() for k in range(-3, 4))
         rho = in_another_rank_or_type(kind, side)
         for i in range(-3, 4):
             for j in range(-3, 4):
                 assert rho(spec, i, zpow(j)).terms == rho_apply(spec, i, zpow(j)).terms
         monkeypatch.setattr(densityrep, "rho_apply", in_another_rank_or_type(kind, side))
-        assert verify_lie_action(spec, -3, 3, 2) is False
+        assert verify_lie_action(spec, lo, hi, 2) is False
         monkeypatch.undo()
-        assert verify_lie_action(spec, -3, 3, 2) is True
+        assert verify_lie_action(spec, lo, hi, 2) is True
 
 
 def doubled_on_monomials_at(reach_edge):
@@ -553,6 +597,111 @@ def test_lie_action_reach_covers_every_compared_sum(monkeypatch, window):
     for mutant in (edge, doubled_on_composites_of((-window, window))):
         monkeypatch.setattr(densityrep, "rho_apply", mutant)
         assert verify_lie_action(spec, -3, 3, window) is False
+
+
+# The monomial-by-monomial walk that the window check replaced, kept as an
+# oracle: one z^j at a time, its images at |k| <= 2W - 1 and the composites
+# of each pair n < m, compared by the same `_is_scaled_difference`, all
+# through the patchable `densityrep.rho_apply`.
+def per_monomial_lie_action(spec, lo, hi, bracket_window):
+    rho = densityrep.rho_apply
+    pairs = list(itertools.combinations(range(-bracket_window, bracket_window + 1), 2))
+    for j in range(lo, hi + 1):
+        zj = zpow(j)
+        image = {k: rho(spec, k, zj) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
+        for n, m in pairs:
+            a, b = rho(spec, n, image[m]), rho(spec, m, image[n])
+            if not densityrep._is_scaled_difference(a, b, image[n + m], m - n):
+                return False
+    return True
+
+
+def wrong_on_monomial(target):
+    """rho_apply, except that every rho(xi_i) sends z^target to
+    (target + alpha*i + beta + 1) z^(target+i): a linear map that is wrong
+    on the one monomial z^target and right on every other."""
+
+    def rho(spec, i, p):
+        out = rho_apply(spec, i, p)
+        c = p.terms.get((target,))
+        if c is None:
+            return out
+        terms = dict(out.terms)
+        terms[(target + i,)] = terms.get((target + i,), 0) + c
+        return LaurentPoly(1, terms)
+
+    return rho
+
+
+def test_lie_action_check_catches_a_fault_on_one_interior_monomial(monkeypatch):
+    # the window sums the images of z^-3, ..., z^3; a fault on z^0 alone
+    # sits at one key of each image and must not be lost among the others
+    rho = wrong_on_monomial(0)
+    specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
+    for spec in specs:
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                assert (rho(spec, i, zpow(j)) == rho_apply(spec, i, zpow(j))) is (j != 0)
+        assert verify_lie_action(spec, -3, 3, 2) is True
+    monkeypatch.setattr(densityrep, "rho_apply", rho)
+    for spec in specs:
+        assert verify_lie_action(spec, -3, 3, 2) is False
+
+
+# every mutant of this file, as a factory of fresh (stateful) maps
+LIE_MUTANTS = {
+    "exact": lambda: rho_apply,
+    "off_by_one": lambda: off_by_one,
+    "without_beta": lambda: without_beta,
+    "off_unit": lambda: wrong_off_unit_coefficients,
+    "one_order": wrong_for_one_order,
+    **{f"stray_{side}": functools.partial(with_stray_term, side) for side in ("image", "above", "below")},
+    **{f"type_{side}": functools.partial(in_another_rank_or_type, "type", side) for side in ("image", "composite")},
+    "edge_image": lambda: doubled_on_monomials_at(3),
+    "edge_pair": lambda: doubled_on_composites_of((-2, 2)),
+    "interior": lambda: wrong_on_monomial(0),
+}
+
+
+@pytest.mark.parametrize("specs, lo, hi, window", [
+    (rep_theory_grid_specs(), -2, 2, 1),
+    (rep_action_suite_specs(), -8, 8, 3),
+], ids=["rep_theory_grid", "rep_action_specs"])
+def test_lie_action_matches_the_per_monomial_walk(specs, lo, hi, window):
+    for spec in specs:
+        assert verify_lie_action(spec, lo, hi, window) is per_monomial_lie_action(spec, lo, hi, window) is True
+
+
+@pytest.mark.parametrize("mutant", LIE_MUTANTS)
+def test_lie_action_matches_the_per_monomial_walk_under_mutants(monkeypatch, mutant):
+    specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
+    verdicts = set()
+    for spec in specs:
+        for lo, hi, window in [(-3, 3, 2), (-2, 2, 1), (0, 0, 2)]:
+            got = []
+            for check in (verify_lie_action, per_monomial_lie_action):
+                monkeypatch.setattr(densityrep, "rho_apply", LIE_MUTANTS[mutant]())
+                got.append(check(spec, lo, hi, window))
+            assert got[0] is got[1], (spec, lo, hi, window)
+            verdicts.add(got[0])
+    # rho_{alpha,0} is an action too; every other mutant is caught somewhere
+    assert (False in verdicts) is (mutant not in ("exact", "without_beta"))
+
+
+@pytest.mark.parametrize("side", ["image", "composite"])
+def test_lie_action_matches_the_per_monomial_walk_on_zero_results_of_another_rank(monkeypatch, side):
+    # the rank mutant faults zero results only, which one-monomial windows
+    # have; it is caught at the monomial where an image vanishes
+    for spec, zero_at in SPECS_WITH_A_VANISHING_IMAGE:
+        verdicts = {}
+        for lo in range(-3, 4):
+            got = []
+            for check in (verify_lie_action, per_monomial_lie_action):
+                monkeypatch.setattr(densityrep, "rho_apply", in_another_rank_or_type("rank", side))
+                got.append(check(spec, lo, lo, 2))
+            assert got[0] is got[1], (spec, lo)
+            verdicts[lo] = got[0]
+        assert verdicts[zero_at] is False
 
 
 def test_vacuous_lie_action_check_raises(monkeypatch):
