@@ -72,9 +72,15 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(1, terms)
 
 
-def _window(lo: int, hi: int) -> LaurentPoly:
-    """The sum of the monomials z^j, lo <= j <= hi: hi - lo + 1 terms."""
-    return LaurentPoly._raw(1, dict.fromkeys([(j,) for j in range(lo, hi + 1)], 1))
+def _window(lo: int, hi: int, c: int) -> LaurentPoly:
+    """c times the sum of the monomials z^j, lo <= j <= hi: hi - lo + 1
+    terms, each the int c.  The checks pass c = lambda, a power of the
+    spec's denominator D = a_d*b_d (`spec._shift[2]`).  rho_apply is
+    linear over Q, so each side of a comparison on lambda P is lambda
+    times the side on P and the verdict is the same; and rho_apply sends
+    c z^j to c (j D + s_n) / D z^{i+j}, an int when D divides c, so no
+    Fraction is built."""
+    return LaurentPoly._raw(1, dict.fromkeys([(j,) for j in range(lo, hi + 1)], c))
 
 
 def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: int = 3) -> bool:
@@ -97,9 +103,18 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     returns at the first failing pair.  A check costs (4W - 1) + 2W(2W + 1)
     calls of rho_apply, whatever the range.
 
+    The window is lambda P with lambda = D^2, for the spec's denominator
+    D = a_d*b_d (`spec._shift[2]`, see `_window`).  rho_apply is linear
+    over Q, so the two composites a, b and the image c below all scale by
+    lambda when P does, and a - b = k c holds on lambda P exactly when it
+    holds on P.  With s_n(i) = a_n*b_d*i + b_n*a_d, the image of lambda z^j
+    is D (j D + s_n(k)) and its composite is (j D + s_n(m)) ((j + m) D +
+    s_n(n)): ints whatever alpha and beta are, so the check builds no
+    Fraction.
+
     Each comparison a - b == k c, with a and b the two composites, c the
     image rho(xi_{n+m}) P and k = m - n, is decided without building a
-    sum or a Fraction: a, b and c must share type and rank, and at every
+    sum: a, b and c must share type and rank, and at every
     key any of them holds, with a missing coefficient read as 0, the
     numerators and denominators of x = a[key], y = b[key], z = c[key]
     satisfy (x_n y_d - y_n x_d) z_d == k z_n x_d y_d.
@@ -113,7 +128,7 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
         _check_int("hi", hi)
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
-    window = _window(lo, hi)
+    window = _window(lo, hi, spec._shift[2] ** 2)
     image = {k: rho_apply(spec, k, window) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
     # [xi_n, xi_m] = (m - n) xi_{n+m}
     return all(
@@ -239,10 +254,9 @@ class FiniteSl2Module:
         basis differ.  On any chain it maps x_t to a multiple of itself;
         on a checked chain of dimension n + 1 the scalar is n(n+2)/2."""
         products = self._step_products()
-        values = {
-            products[t] + products[t + 1] + Fraction(w * w, 2) for t, w in enumerate(self.weights)
-        }
-        return _as_coefficient(values.pop()) if len(values) == 1 else None
+        # twice the value on x_t, an int on any chain of ints
+        values = {2 * (products[t] + products[t + 1]) + w * w for t, w in enumerate(self.weights)}
+        return _as_coefficient(Fraction(values.pop(), 2)) if len(values) == 1 else None
 
 
 def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None:
@@ -252,16 +266,21 @@ def extract_finite_sl2_submodule(spec: DensityRepSpec) -> FiniteSl2Module | None
     is), and has basis z^{j0}, ..., z^{j0 + n}, with z^{j0} the kernel of
     the lowering operator; e = rho(xi_1), h = 2 rho(xi_0), f = -rho(xi_{-1}).
 
+    Both conditions are read off the spec's ints (slope, offset, D) =
+    (a_n*b_d, b_n*a_d, a_d*b_d), with alpha = slope/D and beta = offset/D
+    and D > 0: n = -2 slope / D, so n is a non-negative integer iff
+    slope <= 0 and D divides 2 slope, and j0 = (slope - offset) / D is an
+    integer iff D divides slope - offset.  No Fraction is built.
+
     The chain is integers, as FiniteSl2Module stores it: with s = alpha +
     beta = -n - j0, e z^j = (j + s) z^{j+1}, f z^j = (j0 - j) z^{j-1} and
     h z^j = (2j + s - j0) z^j, so a[t] = j + s, b[t] = j0 - j and the
     weights are ints.
     """
-    n = -2 * spec.alpha
-    j0 = spec.alpha - spec.beta
-    if n < 0 or n.denominator != 1 or j0.denominator != 1:
+    slope, offset, d = spec._shift
+    if slope > 0 or 2 * slope % d or (slope - offset) % d:
         return None
-    n, j0 = int(n), int(j0)
+    n, j0 = -2 * slope // d, (slope - offset) // d
     s = -n - j0  # alpha + beta = 2*alpha - (alpha - beta)
     exponents = range(j0, j0 + n + 1)
     a = [j + s for j in exponents[:-1]]
@@ -291,6 +310,13 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     Both sides are applied once per i to the sum of the 17 monomials; as in
     `verify_lie_action`, each side holds the image of z^j at key j + m + i
     alone, so the two sums agree iff the maps agree on every monomial.
+
+    The sum is scaled by lambda = D, the denominator a_d*b_d of the base
+    spec (see `_window`), which the shifted spec shares, since beta + m
+    has beta's denominator.  Both sides are linear over Q, so they agree
+    on lambda P iff they agree on P, and each image D (j D + s_n) / D =
+    j D + s_n is an int: no Fraction is built.
+
     A non-integer or bool shift raises TypeError.
     """
     _check_int("shift", m)
@@ -300,7 +326,7 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
-    window = _window(-8, 8)
+    window = _window(-8, 8, base._shift[2])
     shifted_window = shift(window)
     return all(rho_apply(base, i, shifted_window) == shift(rho_apply(shifted, i, window)) for i in range(-3, 4))
 

@@ -135,6 +135,38 @@ def test_classification_sweep_matches_criterion():
             assert module.dim == -2 * alpha + 1
 
 
+def fraction_rule_module(alpha, beta):
+    """The extraction as a rule on alpha and beta, kept as an oracle:
+    n = -2 alpha and j0 = alpha - beta must be integers, n >= 0; the chain
+    as (basis exponents, weights, a, b), or None."""
+    n, j0 = -2 * Fraction(alpha), Fraction(alpha) - Fraction(beta)
+    if n < 0 or n.denominator != 1 or j0.denominator != 1:
+        return None
+    n, j0 = int(n), int(j0)
+    s = -n - j0
+    exponents = list(range(j0, j0 + n + 1))
+    weights = [2 * j + s - j0 for j in exponents]
+    return exponents, weights, [j + s for j in exponents[:-1]], [j0 - j for j in exponents[1:]]
+
+
+def test_extraction_matches_the_fraction_rule_at_denominators_1_to_6():
+    # every alpha and beta p/q with q <= 6 and |p/q| <= 4: thirds and sixths
+    # too, which the half-integer classification grid never reaches
+    values = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-4 * q, 4 * q + 1)})
+    assert len(values) == 97
+    denominators = set()
+    for alpha in values:
+        for beta in values:
+            module = extract_finite_sl2_submodule(DensityRepSpec(alpha, beta))
+            got = None if module is None else (module.basis_exponents, module.weights, module.a, module.b)
+            assert got == fraction_rule_module(alpha, beta), (alpha, beta)
+            if module is not None:
+                denominators.add((alpha.denominator, beta.denominator))
+    # a module needs 2 alpha and alpha - beta in Z, so beta's denominator
+    # is alpha's, 1 or 2; both occur
+    assert denominators == {(1, 1), (2, 2)}
+
+
 @pytest.mark.parametrize(
     "grid, error, message",
     [
@@ -554,12 +586,16 @@ def test_lie_action_check_rejects_results_of_another_rank_or_type(monkeypatch, k
 
 def doubled_on_monomials_at(reach_edge):
     """rho_apply, except that rho(xi_k) z^j is doubled for |k| = reach_edge
-    when its input is a monomial z^j with coefficient 1."""
+    when its input was not made by this map: on the images, not on the
+    composites, whatever the input's coefficients.  Each result is
+    remembered by id, as in `wrong_for_one_order`."""
+    made_by = {}
 
     def rho(spec, i, p):
         out = rho_apply(spec, i, p)
-        if abs(i) == reach_edge and set(p.terms.values()) == {1}:
+        if abs(i) == reach_edge and id(p) not in made_by:
             out = out.scale(2)
+        made_by[id(out)] = out
         return out
 
     return rho
@@ -686,6 +722,25 @@ def test_lie_action_matches_the_per_monomial_walk_under_mutants(monkeypatch, mut
             verdicts.add(got[0])
     # rho_{alpha,0} is an action too; every other mutant is caught somewhere
     assert (False in verdicts) is (mutant not in ("exact", "without_beta"))
+
+
+def test_density_checks_build_no_fraction(monkeypatch):
+    # the windows are scaled by D^2 (Lie action) and D (shift), with D the
+    # spec's denominator, so every image and composite is an int; the
+    # extraction reads the spec's ints
+    def refuse(*args):
+        raise AssertionError("Fraction built on the density path")
+
+    grid, suite = rep_theory_grid_specs(), rep_action_suite_specs()
+    monkeypatch.setattr(densityrep, "Fraction", refuse)
+    assert all(verify_lie_action(spec, -2, 2, 1) for spec in grid)
+    assert all(verify_lie_action(spec, -8, 8, 3) for spec in suite)
+    # the triples of test_shift_isomorphism
+    assert shift_isomorphism_check(-1, -1, 5)
+    assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), -2)
+    assert shift_isomorphism_check(0, 0, 0)
+    modules = [extract_finite_sl2_submodule(spec) for spec in grid + suite]
+    assert sum(module is not None for module in modules) == 77 + 4
 
 
 @pytest.mark.parametrize("side", ["image", "composite"])
