@@ -1,7 +1,16 @@
 """Text grammar for Laurent polynomials, polyvector fields and cocycle specs.
 
 Machine form uses ASCII `t` for the odd generators, e.g. `3/2*z1^-2*z2^3*t1`
-or the tuple-exponent shorthand `z^(1,-2)*t1`.  Terms are `+`/`-` separated.
+or the tuple-exponent shorthand `z^(1,-2)*t1`.  Terms are `+`/`-` separated,
+and each is a `*`-separated product of factors, where:
+- whitespace may surround factors, `*` and signs, but may not appear inside
+  a factor (` - 2 * t1` reads; `z1 ^2` and `z^(1, 2)` do not);
+- one sign may lead a number after `*` (`2*-3` is -6; `2*- 3`, `2*--3` and
+  `t1*-t2` do not read);
+- coefficients may stand anywhere in a term and multiply (`t1*2*3/4` is
+  `3/2*t1`).
+A polyvector text is read in one regex scan, one factor with its lead per
+match; the term split and the per-factor checks run only on errors.
 A cocycle spec is comma-separated `key=value` fields, e.g.
 `alpha=-1/2,beta=[-1/2,0],g=z^(1,-2)`.
 """
@@ -23,20 +32,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-# A coefficient as the grammar spells it ('3', '-1/2', '+6/3'); `_FACTOR` starts with it.
-_RATIONAL = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
-_RATIONAL_STRING = re.compile(_RATIONAL, re.ASCII)
+# A coefficient as the grammar spells it ('3', '-1/2', '+6/3'); `_FACTORS`
+# starts with it.  Digits are written [0-9], since `\d` would take any
+# Unicode digit and `re.ASCII` would narrow the scan's `\s`.
+_RATIONAL = r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?"
+_RATIONAL_STRING = re.compile(_RATIONAL)
 
 # Every factor spelling in one alternation, so a factor is matched once.  No
 # two alternatives match the same text, and the last group that took part
-# (`lastgroup`) names the kind; a bare `z` takes part in none.
-_FACTOR = re.compile(
+# (`lastgroup`) names the kind.
+_FACTORS = (
     _RATIONAL  # 3, -1/2
-    + r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
-    r"|z(?P<var>\d+)(?:\^(?P<var_power>-?\d+))?"  # z2, z2^-3
-    r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
-    r"|[tθ](?P<theta>\d+)",  # t1, θ1
-    re.ASCII,  # digits are 0-9 only; the literal `θ` still matches
+    + r"|z\^\((?P<tuple>-?[0-9]+(?:,-?[0-9]+)*)\)"  # z^(1,-2)
+    r"|z(?P<var>[0-9]+)(?:\^(?P<var_power>-?[0-9]+))?"  # z2, z2^-3
+    r"|(?P<z>z)(?:\^(?P<power>-?[0-9]+))?"  # z, z^-3 (rank 1 only)
+    r"|[tθ](?P<theta>[0-9]+)"  # t1, θ1
+)
+_FACTOR = re.compile(_FACTORS)
+
+# One factor with its lead per match: a `*` (never at the start of the
+# text), or the run of signs that starts a term, or the start of the text;
+# whitespace may stand around either, and the match takes the whitespace
+# after its factor.  So a valid text is a gapless run of matches, and a
+# sign-led number after `*` reads as one factor (`2*-3`).  Anything else is
+# a one-character match with no group, where the scan stops.
+_SCAN = re.compile(
+    r"(?:(?!\A)(?P<star>\*)\s*|(?:\A\s*)?(?P<signs>[+-][\s+-]*)|\A\s*)"
+    r"(?:" + _FACTORS + r")\s*|[\s\S]"
 )
 
 
@@ -59,7 +81,8 @@ _SPLIT_MARK = re.compile(r"[()+-]")
 
 def _split_terms(text: str):
     """Split on top-level +/- (not inside parentheses), keeping signs; a
-    run of signs such as `- -` stays with the term that follows it."""
+    run of signs such as `- -` stays with the term that follows it.  Only
+    the error walk (`_raise_first_error`) splits a polyvector text."""
     terms = []
     depth = 0
     start = 0
@@ -103,70 +126,96 @@ def _factor_position(raw: str, offset: int, factor: str) -> int:
     return offset
 
 
-def _parse_term(raw: str, offset: int, rank: int):
-    """Parse one product of factors; returns (coeff, exp tuple, wedge tuple).
-    Numbers are multiplied as integer numerators and denominators, so the
-    term builds at most one Fraction."""
+def _check_term(raw: str, offset: int, rank: int) -> None:
+    """Raise the ParseError of the first bad factor of the term `raw`, which
+    starts at `offset`, in text order; a term of valid factors passes.  Only
+    called on errors, so it reads no value."""
     term = raw.strip()
-    num = den = 1
     while term and term[0] in "+-":
-        if term[0] == "-":
-            num = -num
         term = term[1:].lstrip()
     if not term:
         raise ParseError("empty term", offset)
-    exp = [0] * rank
-    wedge = []
     for factor in term.split("*"):
         factor = factor.strip()
         m = _FACTOR.fullmatch(factor)
         kind = m and m.lastgroup
-        if kind in ("num", "den"):
-            num *= int(m["num"])
-            if kind == "den":
-                d = int(m["den"])
-                if not d:
-                    at = _factor_position(raw, offset, factor)
-                    raise ParseError(f"zero denominator in {factor!r}", at)
-                den *= d
-        elif kind == "tuple":
-            values = [int(v) for v in m["tuple"].split(",")]
-            if len(values) != rank:
-                raise ParseError(
-                    f"exponent tuple has {len(values)} entries, expected {rank}",
-                    _factor_position(raw, offset, factor),
-                )
-            exp = [a + b for a, b in zip(exp, values)]
-        elif kind in ("var", "var_power"):
-            i = int(m["var"])
-            if not 1 <= i <= rank:
-                at = _factor_position(raw, offset, factor)
-                raise ParseError(f"variable z{i} out of range for rank {rank}", at)
-            exp[i - 1] += int(m["var_power"] or 1)
-        elif kind == "theta":
-            i = int(m["theta"])
-            if not 1 <= i <= rank:
-                at = _factor_position(raw, offset, factor)
-                raise ParseError(f"generator {factor[0]}{i} out of range for rank {rank}", at)
-            wedge.append(i)
-        elif m:  # `z` or `z^e`, which name z1 only at rank 1
-            if rank != 1:
-                at = _factor_position(raw, offset, factor)
-                raise ParseError(f"bare z in {factor!r} needs rank 1 (write {'z1' + factor[1:]!r})", at)
-            exp[0] += int(m["power"] or 1)
-        else:
+        if kind == "den" and not int(m["den"]):
+            message = f"zero denominator in {factor!r}"
+        elif kind == "tuple" and (entries := m["tuple"].count(",") + 1) != rank:
+            message = f"exponent tuple has {entries} entries, expected {rank}"
+        elif kind in ("var", "var_power") and not 1 <= (i := int(m["var"])) <= rank:
+            message = f"variable z{i} out of range for rank {rank}"
+        elif kind == "theta" and not 1 <= (i := int(m["theta"])) <= rank:
+            message = f"generator {factor[0]}{i} out of range for rank {rank}"
+        elif kind in ("z", "power") and rank != 1:
+            message = f"bare z in {factor!r} needs rank 1 (write {'z1' + factor[1:]!r})"
+        elif not m:
             message = f"unrecognized factor {factor!r}" if factor else "empty factor"
-            raise ParseError(message, _factor_position(raw, offset, factor))
-    return _as_coefficient(num if den == 1 else Fraction(num, den)), tuple(exp), tuple(wedge)
+        else:
+            continue
+        raise ParseError(message, _factor_position(raw, offset, factor))
+
+
+def _raise_first_error(text: str, rank: int):
+    """Raise the ParseError of the first fault of `text`: an unbalanced
+    parenthesis or an empty input (`_split_terms`), else the first bad
+    factor in text order (`_check_term`).  Called when the scan stops; if
+    the walk finds no fault, the error is at the scan's first unread
+    character."""
+    for raw, offset in _split_terms(text):
+        _check_term(raw, offset, rank)
+    at = next((m.start() for m in _SCAN.finditer(text) if m.lastindex is None), len(text))
+    raise ParseError(f"unrecognized text {text[at:]!r}", at)
 
 
 def _signed_terms(text: str, rank: int):
     """(canonical key, Koszul sign, coefficient) of each term of `text`, as
-    `laurent._merge` takes them; `_parse_term` has checked every key."""
-    for term, offset in _split_terms(text):
-        coeff, exp, wedge = _parse_term(term, offset, rank)
-        wedge, sign = normalize_wedge(wedge)
-        yield (exp, wedge), sign, coeff
+    `laurent._merge` takes them, read in one `_SCAN.findall`.  A match
+    without a `*` starts a term; numbers are multiplied as integer
+    numerators and denominators, so a term builds at most one Fraction.  A
+    match with no factor, or a factor out of range, stops the scan, and
+    `_raise_first_error` reports the fault."""
+    exp = None
+    for star, signs, num, den, tup, var, var_power, z, power, theta in _SCAN.findall(text):
+        if not star:
+            if exp is not None:
+                wedge, sign = normalize_wedge(wedge)
+                yield (tuple(exp), wedge), sign, n if d == 1 else _as_coefficient(Fraction(n, d))
+            n = -1 if signs.count("-") & 1 else 1
+            d = 1
+            exp = [0] * rank
+            wedge = []
+        if var:
+            i = int(var)
+            if not 0 < i <= rank:
+                break
+            exp[i - 1] += int(var_power) if var_power else 1
+        elif theta:
+            i = int(theta)
+            if not 0 < i <= rank:
+                break
+            wedge.append(i)
+        elif num:
+            n *= int(num)
+            if den:
+                d *= int(den)
+                if not d:
+                    break
+        elif tup:
+            values = tup.split(",")
+            if len(values) != rank:
+                break
+            exp = [e + int(v) for e, v in zip(exp, values)]
+        elif z and rank == 1:
+            exp[0] += int(power) if power else 1
+        else:
+            break
+    else:
+        if exp is not None:
+            wedge, sign = normalize_wedge(wedge)
+            yield (tuple(exp), wedge), sign, n if d == 1 else _as_coefficient(Fraction(n, d))
+            return
+    _raise_first_error(text, rank)
 
 
 def parse_polyvector(text: str, rank: int) -> PolyVector:
@@ -182,14 +231,15 @@ def parse_polyvector(text: str, rank: int) -> PolyVector:
 def parse_laurent(text: str, rank: int) -> LaurentPoly:
     """Parse `text` as a polyvector that must merge to degree 0 (`t1-t1`
     is 0).  Otherwise a ParseError points at the first term with a `t` or
-    `θ` factor that survives the merge, found only on that error path."""
+    `θ` factor that survives the merge, found only on that error path from
+    the scan's keys and its term starts (the matches without a `*`)."""
     pv = parse_polyvector(text, rank)
     try:
         return pv.degree0_to_laurent()
     except ValueError as exc:
         left = {key for key in pv.terms if key[1]}
-        parsed = ((offset, _parse_term(term, offset, rank)) for term, offset in _split_terms(text))
-        at = next(offset for offset, (_, exp, wedge) in parsed if (exp, tuple(sorted(wedge))) in left)
+        starts = (m.start() for m in _SCAN.finditer(text) if not m["star"])
+        at = next(start for start, (key, _, _) in zip(starts, _signed_terms(text, rank)) if key in left)
         raise ParseError(str(exc), at) from None
 
 

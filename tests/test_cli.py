@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -13,15 +14,13 @@ import pytest
 from test_cli_golden import COMMANDS as GOLDEN_COMMANDS
 from test_cli_golden import run_in_process
 
-from torusbv import cli, suites
-from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket
+from torusbv import cli, parsing, suites
+from torusbv.bvalgebra import PolyVector, gerstenhaber_bracket, normalize_wedge
 from torusbv.cli import SUITES, main
 from torusbv.cocycle import CE1Cochain
-from torusbv.laurent import RankMismatchError
+from torusbv.laurent import RankMismatchError, _as_coefficient, _check_size, _merge
 from torusbv.parsing import (
     ParseError,
-    _parse_term,
-    _split_terms,
     format_polyvector,
     parse_cochain_spec,
     parse_coefficient,
@@ -159,13 +158,158 @@ def test_parse_coefficient():
         assert err.value.message.startswith(message)
 
 
+# The reader before the one-regex scan, copied verbatim from `parsing` but
+# for the `walk_`/`WALK_` names: `_split_terms`, then `_parse_term` on each
+# term, with the `_FACTOR` and `_factor_position` they used.  It is the
+# oracle of the scan (`term_walk_parse`), and `fold_parse` and
+# `constructor_parse` read their terms through it.
+WALK_RATIONAL = r"(?P<num>[+-]?\d+)(?:/(?P<den>\d+))?"
+WALK_FACTOR = re.compile(
+    WALK_RATIONAL  # 3, -1/2
+    + r"|z\^\((?P<tuple>-?\d+(?:,-?\d+)*)\)"  # z^(1,-2)
+    r"|z(?P<var>\d+)(?:\^(?P<var_power>-?\d+))?"  # z2, z2^-3
+    r"|z(?:\^(?P<power>-?\d+))?"  # z, z^-3 (rank 1 only)
+    r"|[tθ](?P<theta>\d+)",  # t1, θ1
+    re.ASCII,  # digits are 0-9 only; the literal `θ` still matches
+)
+WALK_SPLIT_MARK = re.compile(r"[()+-]")
+
+
+def walk_split_terms(text: str):
+    """Split on top-level +/- (not inside parentheses), keeping signs; a
+    run of signs such as `- -` stays with the term that follows it."""
+    terms = []
+    depth = 0
+    start = 0
+    for m in WALK_SPLIT_MARK.finditer(text):
+        ch = m.group()
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced ')'", m.start())
+        elif not depth:
+            # exponent minus signs always follow '^' or ',' or '('; a sign
+            # with nothing but spaces before it in its term starts no term
+            pos = m.start()
+            if text[start:pos].rstrip()[-1:] not in "^,*(+-":
+                terms.append((text[start:pos], start))
+                start = pos
+    if depth:
+        raise ParseError("unbalanced '('", len(text))
+    if text[start:].strip():
+        terms.append((text[start:], start))
+    elif not terms:
+        raise ParseError("empty input", 0)
+    return terms
+
+
+def walk_factor_position(raw: str, offset: int, factor: str) -> int:
+    """Position of the first '*'-separated factor of the term `raw`, which
+    starts at `offset`, that reads `factor` once stripped (and, for the
+    first factor, once its signs are dropped).  Only called on errors, so
+    the parse itself never tracks positions."""
+    pos = offset
+    for n, piece in enumerate(raw.split("*")):
+        i = 0
+        while i < len(piece) and (piece[i].isspace() or (n == 0 and piece[i] in "+-")):
+            i += 1
+        if piece[i:].strip() == factor:
+            return pos + i
+        pos += len(piece) + 1
+    return offset
+
+
+def walk_parse_term(raw: str, offset: int, rank: int):
+    """Parse one product of factors; returns (coeff, exp tuple, wedge tuple).
+    Numbers are multiplied as integer numerators and denominators, so the
+    term builds at most one Fraction."""
+    term = raw.strip()
+    num = den = 1
+    while term and term[0] in "+-":
+        if term[0] == "-":
+            num = -num
+        term = term[1:].lstrip()
+    if not term:
+        raise ParseError("empty term", offset)
+    exp = [0] * rank
+    wedge = []
+    for factor in term.split("*"):
+        factor = factor.strip()
+        m = WALK_FACTOR.fullmatch(factor)
+        kind = m and m.lastgroup
+        if kind in ("num", "den"):
+            num *= int(m["num"])
+            if kind == "den":
+                d = int(m["den"])
+                if not d:
+                    at = walk_factor_position(raw, offset, factor)
+                    raise ParseError(f"zero denominator in {factor!r}", at)
+                den *= d
+        elif kind == "tuple":
+            values = [int(v) for v in m["tuple"].split(",")]
+            if len(values) != rank:
+                raise ParseError(
+                    f"exponent tuple has {len(values)} entries, expected {rank}",
+                    walk_factor_position(raw, offset, factor),
+                )
+            exp = [a + b for a, b in zip(exp, values)]
+        elif kind in ("var", "var_power"):
+            i = int(m["var"])
+            if not 1 <= i <= rank:
+                at = walk_factor_position(raw, offset, factor)
+                raise ParseError(f"variable z{i} out of range for rank {rank}", at)
+            exp[i - 1] += int(m["var_power"] or 1)
+        elif kind == "theta":
+            i = int(m["theta"])
+            if not 1 <= i <= rank:
+                at = walk_factor_position(raw, offset, factor)
+                raise ParseError(f"generator {factor[0]}{i} out of range for rank {rank}", at)
+            wedge.append(i)
+        elif m:  # `z` or `z^e`, which name z1 only at rank 1
+            if rank != 1:
+                at = walk_factor_position(raw, offset, factor)
+                raise ParseError(f"bare z in {factor!r} needs rank 1 (write {'z1' + factor[1:]!r})", at)
+            exp[0] += int(m["power"] or 1)
+        else:
+            message = f"unrecognized factor {factor!r}" if factor else "empty factor"
+            raise ParseError(message, walk_factor_position(raw, offset, factor))
+    return _as_coefficient(num if den == 1 else Fraction(num, den)), tuple(exp), tuple(wedge)
+
+
+def walk_terms(text, rank):
+    """(coefficient, exponent tuple, wedge tuple) of each term of `text`,
+    in text order, as the term walk reads them."""
+    return [walk_parse_term(term, offset, rank) for term, offset in walk_split_terms(text)]
+
+
+def term_walk_parse(text, rank):
+    """`parse_polyvector` as it was before the scan: the term walk, each
+    wedge sorted with its Koszul sign, and one merge."""
+    _check_size("rank", rank)
+    signed = ((exp, *normalize_wedge(wedge), coeff) for coeff, exp, wedge in walk_terms(text, rank))
+    return PolyVector._raw(rank, _merge(((exp, wedge), sign, coeff) for exp, wedge, sign, coeff in signed))
+
+
+def term_walk_laurent(text, rank):
+    """`parse_laurent` as it was before the scan."""
+    pv = term_walk_parse(text, rank)
+    try:
+        return pv.degree0_to_laurent()
+    except ValueError as exc:
+        left = {key for key in pv.terms if key[1]}
+        parsed = ((offset, walk_parse_term(term, offset, rank)) for term, offset in walk_split_terms(text))
+        at = next(offset for offset, (_, exp, wedge) in parsed if (exp, tuple(sorted(wedge))) in left)
+        raise ParseError(str(exc), at) from None
+
+
 def fold_parse(text, rank):
     """The former parser: one validated monomial added per term."""
     if text.strip() == "0":
         return PolyVector.zero(rank)
     result = PolyVector.zero(rank)
-    for term, offset in _split_terms(text):
-        coeff, exp, wedge = _parse_term(term, offset, rank)
+    for coeff, exp, wedge in walk_terms(text, rank):
         result = result + PolyVector.monomial(rank, exp, wedge, coeff)
     return result
 
@@ -206,12 +350,11 @@ def random_text(rng, rank):
 
 def constructor_parse(text, rank):
     """The terms as the validating constructor builds them from the raw
-    (exponent, wedge) keys of `_parse_term`, summed before it sorts."""
+    (exponent, wedge) keys of the term walk, summed before it sorts."""
     if text.strip() == "0":
         return {}
     raw = {}
-    for term, offset in _split_terms(text):
-        coeff, exp, wedge = _parse_term(term, offset, rank)
+    for coeff, exp, wedge in walk_terms(text, rank):
         raw[exp, wedge] = raw.get((exp, wedge), 0) + coeff
     return PolyVector(rank, raw).terms
 
@@ -304,7 +447,7 @@ def test_split_terms_equals_the_character_loop():
     seen = {}
     for _ in range(500):
         text = random_split_text(rng)
-        got = split_outcome(_split_terms, text)
+        got = split_outcome(parsing._split_terms, text)
         assert got == split_outcome(char_split, text), repr(text)
         kind = got[0] if isinstance(got, tuple) else "terms" if len(got) == 1 else "split"
         seen[kind] = seen.get(kind, 0) + 1
@@ -339,6 +482,94 @@ def test_readers_return_or_raise_a_parse_error_inside_the_text():
             else:
                 read[name] += 1
     assert min(read.values()) > 0, read
+
+
+# The examples of the three term rules of the README "Text grammar" and
+# the `parsing` docstring: (text, rank, canonical form or (message, position))
+GRAMMAR_RULE_EXAMPLES = [
+    (" - 2 * t1", 1, "-2*t1"),
+    ("t1\xa0+\u3000t2", 2, "t1+t2"),
+    ("z1 ^2", 1, ("unrecognized factor 'z1 ^2'", 0)),
+    ("z^(1, 2)", 2, ("unrecognized factor 'z^(1, 2)'", 0)),
+    ("2*-3", 1, "-6"),
+    ("2* -3", 1, "-6"),
+    ("2*- 3", 1, ("unrecognized factor '- 3'", 2)),
+    ("2*--3", 1, ("unrecognized factor '--3'", 2)),
+    ("t1*-t2", 2, ("unrecognized factor '-t2'", 3)),
+    ("t1*2*3/4", 1, "3/2*t1"),
+]
+
+
+@pytest.mark.parametrize("text,rank,expected", GRAMMAR_RULE_EXAMPLES)
+def test_grammar_rule_examples(text, rank, expected):
+    if isinstance(expected, str):
+        assert format_polyvector(parse_polyvector(text, rank)) == expected
+        return
+    with pytest.raises(ParseError) as err:
+        parse_polyvector(text, rank)
+    assert (err.value.message, err.value.position) == expected
+
+
+# Texts at the edges of the grammar, each read at ranks 1 and 2: signed
+# numbers after `*`, sign runs, coefficients anywhere in a term, spaces
+# inside a factor, Unicode whitespace and digits, zero denominators and
+# indices, stray parentheses, and empty or blank text.
+SCAN_EDGES = ["2*-3", "2* -3", "2*- 3", "t1*-t2", "- - 3", "+6/3*t1", "t1*2*3/4", "z^(1, 2)",
+              "z^2", "θ1", "t1\xa0+\u3000t2", "z١", "1/0", "z5", "t0", "(", ")", "", "   ",
+              "2*+3", "2*--3", "*t1", "  *t1", "t1 z1", "t1**t2", "z1^ 2", "t1 +", "- *t1",
+              "z^(1,-2)*t1", "3 - -z1^-2*t1", "\u2009t1\u2028", "z1-2", "z1^-2-3/4", "0",
+              "t1*1/0", "-3/00*z1", "z1 + 0/0", "2*-z1", "2*+z^(1,0)", "2* -z^3", "t2*-θ1"]
+# the message kinds a reader of a polyvector or Laurent text can raise
+PARSE_ERROR_KINDS = ["unrecognized factor", "empty factor", "empty term", "empty input",
+                     "unbalanced '('", "unbalanced ')'", "zero denominator", "exponent tuple",
+                     "variable z", "generator", "bare z", "element has nonzero cohomological degree"]
+UNICODE_SPACES = [" ", "\t", "\xa0", "\u3000", "\u2009", "\x1c"]
+
+
+def read_outcome(reader, text, rank):
+    """The terms a reader gives with their coefficient types, or its
+    ParseError message and position."""
+    try:
+        return "terms", typed(reader(text, rank).terms)
+    except ParseError as err:
+        return "error", err.message, err.position
+
+
+def scan_corpus():
+    """(text, rank) pairs: `random_text` at ranks 1-4 (half of them with
+    Unicode whitespace in place of spaces), `random_split_text`, strings of
+    `FUZZ_PIECES` and `SCAN_EDGES`."""
+    rng = random.Random(38)
+    corpus = []
+    for rank in (1, 2, 3, 4):
+        for n in range(250):
+            text = random_text(rng, rank)
+            if n % 2:
+                text = "".join(rng.choice(UNICODE_SPACES) if ch == " " else ch for ch in text)
+            corpus.append((text, rank))
+    corpus += [(random_split_text(rng), rng.randint(1, 3)) for _ in range(700)]
+    corpus += [("".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 8))), rng.randint(1, 2))
+               for _ in range(1300)]
+    corpus += [(text, rank) for text in SCAN_EDGES for rank in (1, 2)]
+    return corpus
+
+
+def test_scan_reader_matches_the_term_walk():
+    # the scan gives the term walk's terms and coefficient types, or its
+    # ParseError message and position, on every text of the corpus
+    seen = dict.fromkeys(PARSE_ERROR_KINDS, 0)
+    read = 0
+    corpus = scan_corpus()
+    assert len(corpus) >= 3000
+    for text, rank in corpus:
+        for reader, oracle in ((parse_polyvector, term_walk_parse), (parse_laurent, term_walk_laurent)):
+            got = read_outcome(reader, text, rank)
+            assert got == read_outcome(oracle, text, rank), (reader.__name__, text, rank)
+            if got[0] == "terms":
+                read += 1
+            else:
+                seen[next(kind for kind in PARSE_ERROR_KINDS if got[1].startswith(kind))] += 1
+    assert read > 1500 and min(seen.values()) >= 10, (read, seen)
 
 
 @pytest.mark.parametrize("text", ["", " ", "\t\n "])
