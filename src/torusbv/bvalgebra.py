@@ -2,9 +2,10 @@
 
 Elements live in Laurent (x) Lambda*(theta_1, ..., theta_r), where theta_i
 stands for the vector field z_i d/dz_i.  The BV operator is implemented
-twice: a definitional contraction form (`bv_delta`) and an independent
-divergence computation through logarithmic differential forms
-(`bv_delta_divergence`); the two must agree everywhere.
+twice, each in one pass over the terms: a definitional contraction form
+(`bv_delta`) and an independent divergence computation through
+logarithmic differential forms (`bv_delta_divergence`); the two must
+agree everywhere.
 """
 
 from __future__ import annotations
@@ -142,16 +143,6 @@ def bv_delta(a: PolyVector) -> PolyVector:
     return PolyVector._raw(a.rank, terms)
 
 
-# ---------------------------------------------------------------------------
-# Divergence model of the BV operator, via logarithmic differential forms.
-#
-# A logarithmic form is stored as {(exp, sorted dlog-index tuple): coefficient},
-# a combination of z^n dlog z_{t1} ^ ... ^ dlog z_{tm}.  With the volume form
-# Omega = dlog z_1 ^ ... ^ dlog z_r we contract, apply d, contract back, and
-# multiply the degree-k input by (-1)^(k+1).
-# ---------------------------------------------------------------------------
-
-
 def _perm_sign_partition(first, rank):
     """Sign of the permutation (first..., complement...) of (1..rank),
     where `first` is strictly increasing."""
@@ -164,51 +155,37 @@ def _perm_sign_partition(first, rank):
     return sign
 
 
-def _contract_against_volume(wedge_idx, rank):
-    """iota_{theta_S} Omega = sign * dlog_{S^c}; returns (complement, sign)."""
-    compl = tuple(i for i in range(1, rank + 1) if i not in wedge_idx)
-    return compl, _perm_sign_partition(wedge_idx, rank)
-
-
-def _dlog_differential(form_terms, rank):
-    """Exterior differential of a logarithmic form: d(z^n dlog_T) =
-    sum_i n_i z^n dlog_i ^ dlog_T."""
-    out = {}
-    for (exp, tlist), coeff in form_terms.items():
-        for i in range(1, rank + 1):
-            n_i = exp[i - 1]
-            if n_i == 0 or i in tlist:
-                continue
-            merged, sign = normalize_wedge((i,) + tlist)
-            key = (exp, merged)
-            c = coeff * (n_i if sign > 0 else -n_i)
-            old = out.get(key)
-            out[key] = c if old is None else old + c
-    return out
-
-
 def bv_delta_divergence(a: PolyVector) -> PolyVector:
-    """BV operator as the signed divergence for Omega = prod dlog z_i.
+    """BV operator as the signed divergence for Omega = dlog z_1 ^ ... ^
+    dlog z_r, through logarithmic forms z^n dlog z_T, in one pass over the
+    terms.  Independent of `bv_delta`: no sign comes from its (-1)^j.
 
-    Independent of `bv_delta`; computes iota_Omega, then d, then inverts the
-    contraction, then applies the degree sign (-1)^(k+1) of the input's
-    cohomological degree k.  Contraction, d and its inverse each map one
-    degree to one degree, so all degrees go through together and each term
-    carries the sign of its own degree.
+    Contraction against Omega sends z^n theta_S to eps(S) z^n dlog_{S^c},
+    with eps(S) the sign of the permutation (S, S^c) of (1..r).  Then
+    d(z^n dlog_T) = sum_i n_i z^n dlog_i ^ dlog_T, which for T = S^c and
+    i in S is sigma z^n dlog_M with (M, sigma) = normalize_wedge((i,) + T).
+    Contraction is inverted by W = M^c, with iota_{theta_W} Omega = eps(W)
+    dlog_M, and a term of input degree k = |W| + 1 takes the degree sign
+    (-1)^(k+1) = (-1)^|W|.  So each i in S with n_i != 0 adds
+    eps(S) sigma eps(W) (-1)^|W| n_i c z^n theta_W.
     """
     rank = a.rank
-    form = {}
-    for (exp, w), coeff in a.terms.items():
-        compl, sign = _contract_against_volume(w, rank)
-        # S -> S^c is injective, so no two terms share a form key
-        form[(exp, compl)] = coeff if sign > 0 else -coeff
+    indices = range(1, rank + 1)
     terms = {}
-    for (exp, tlist), coeff in _dlog_differential(form, rank).items():
-        w = tuple(i for i in range(1, rank + 1) if i not in tlist)
-        # iota_{theta_w} Omega = sign * dlog_tlist, so invert by dividing by
-        # sign = +-1; the input had degree k = |w| + 1, so (-1)^(k+1) = (-1)^|w|
-        sign = _perm_sign_partition(w, rank) * (-1 if len(w) % 2 else 1)
-        terms[(exp, w)] = coeff if sign > 0 else -coeff
+    for (exp, s), coeff in a.terms.items():
+        eps_s = _perm_sign_partition(s, rank)
+        compl = tuple(i for i in indices if i not in s)
+        for i in s:
+            n_i = exp[i - 1]
+            if n_i == 0:
+                continue
+            merged, sigma = normalize_wedge((i,) + compl)
+            w = tuple(j for j in indices if j not in merged)
+            sign = eps_s * sigma * _perm_sign_partition(w, rank) * (-1 if len(w) % 2 else 1)
+            key = (exp, w)
+            c = coeff * (n_i if sign > 0 else -n_i)
+            old = terms.get(key)
+            terms[key] = c if old is None else old + c
     return PolyVector._raw(rank, terms)
 
 

@@ -139,25 +139,18 @@ def cmd_roots(args):
 
 
 def _ascii_root_diagram(report):
-    """Roots drawn on the H1 lattice (rank <= 2)."""
-    coords = [tuple(r[1:]) for r in report["roots"]]
+    """Roots drawn on the H1 lattice (rank <= 2), one cell per point of
+    {-1, 0, 1}^rank: `*` a root, `o` the origin, `.` any other point.  Rank
+    1 is one row; rank 2 is the rows y = 1, 0, -1, cells joined by spaces."""
+    points = {tuple(r[1:]) for r in report["roots"]}
+
+    def cell(p):
+        return "*" if p in points else "." if any(p) else "o"
+
     if report["rank"] == 1:
-        cells = {c[0]: "*" for c in coords}
-        row = "".join(cells.get(x, "o" if x == 0 else ".") for x in range(-1, 2))
-        return ["diagram (H1 line):", "  " + row]
-    lines = ["diagram (H1 plane):"]
-    points = set(coords)
-    for y in range(1, -2, -1):
-        row = []
-        for x in range(-1, 2):
-            if (x, y) in points:
-                row.append("*")
-            elif (x, y) == (0, 0):
-                row.append("o")
-            else:
-                row.append(".")
-        lines.append("  " + " ".join(row))
-    return lines
+        return ["diagram (H1 line):", "  " + "".join(cell((x,)) for x in range(-1, 2))]
+    rows = ("  " + " ".join(cell((x, y)) for x in range(-1, 2)) for y in range(1, -2, -1))
+    return ["diagram (H1 plane):", *rows]
 
 
 def cmd_cocycle_check(args):

@@ -114,10 +114,9 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
 
     Each comparison a - b == k c, with a and b the two composites, c the
     image rho(xi_{n+m}) P and k = m - n, is decided without building a
-    sum: a, b and c must share type and rank, and at every
-    key any of them holds, with a missing coefficient read as 0, the
-    numerators and denominators of x = a[key], y = b[key], z = c[key]
-    satisfy (x_n y_d - y_n x_d) z_d == k z_n x_d y_d.
+    sum: a, b and c must share type and rank, and at every key any of
+    them holds, with a missing coefficient read as 0, the ints a[key] -
+    b[key] and k c[key] are equal.
 
     A bool or non-int lo or hi raises TypeError.  An empty monomial range
     or a window below 1 would check nothing and raises ValueError.
@@ -138,21 +137,16 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
 
 
 def _is_scaled_difference(a, b, c, k: int) -> bool:
-    """a - b == k*c for sparse stores a, b, c and an int k, decided on the
-    numerators and denominators of the coefficients.  Stores of different
-    types or ranks are never equal; no store holds a zero, so two maps are
-    equal iff they agree at every key either holds."""
+    """a - b == k*c for sparse stores a, b, c and an int k, decided key by
+    key without building a sum; exact for int and Fraction coefficients.
+    Stores of different types or ranks are never equal; no store holds a
+    zero, so two maps are equal iff they agree at every key either holds."""
     if not (type(a) is type(b) is type(c) and a.rank == b.rank == c.rank):
         return False
     at, bt, ct = a.terms, b.terms, c.terms
-    for key in at.keys() | bt.keys() | ct.keys():
-        x = at.get(key, 0)
-        y = bt.get(key, 0)
-        z = ct.get(key, 0)
-        x_d, y_d = x.denominator, y.denominator
-        if (x.numerator * y_d - y.numerator * x_d) * z.denominator != k * z.numerator * x_d * y_d:
-            return False
-    return True
+    return all(
+        at.get(key, 0) - bt.get(key, 0) == k * ct.get(key, 0) for key in at.keys() | bt.keys() | ct.keys()
+    )
 
 
 class FiniteSl2Module:

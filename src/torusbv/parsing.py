@@ -110,33 +110,24 @@ def _split_terms(text: str):
     return terms
 
 
-def _factor_position(raw: str, offset: int, factor: str) -> int:
-    """Position of the first '*'-separated factor of the term `raw`, which
-    starts at `offset`, that reads `factor` once stripped (and, for the
-    first factor, once its signs are dropped).  Only called on errors, so
-    the parse itself never tracks positions."""
-    pos = offset
-    for n, piece in enumerate(raw.split("*")):
-        i = 0
-        while i < len(piece) and (piece[i].isspace() or (n == 0 and piece[i] in "+-")):
-            i += 1
-        if piece[i:].strip() == factor:
-            return pos + i
-        pos += len(piece) + 1
-    return offset
+# the signs and whitespace before a term's first factor
+_LEAD = re.compile(r"[\s+-]*")
 
 
 def _check_term(raw: str, offset: int, rank: int) -> None:
     """Raise the ParseError of the first bad factor of the term `raw`, which
-    starts at `offset`, in text order; a term of valid factors passes.  Only
+    starts at `offset`, in text order, at the factor's first character past
+    its lead (the signs and whitespace before the first factor, the
+    whitespace before a later one); a term of valid factors passes.  Only
     called on errors, so it reads no value."""
-    term = raw.strip()
-    while term and term[0] in "+-":
-        term = term[1:].lstrip()
-    if not term:
+    skip = _LEAD.match(raw).end()
+    if skip == len(raw):
         raise ParseError("empty term", offset)
-    for factor in term.split("*"):
-        factor = factor.strip()
+    pos = offset
+    for n, piece in enumerate(raw.split("*")):
+        if n:
+            skip = len(piece) - len(piece.lstrip())
+        factor = piece[skip:].rstrip()
         m = _FACTOR.fullmatch(factor)
         kind = m and m.lastgroup
         if kind == "den" and not int(m["den"]):
@@ -152,8 +143,9 @@ def _check_term(raw: str, offset: int, rank: int) -> None:
         elif not m:
             message = f"unrecognized factor {factor!r}" if factor else "empty factor"
         else:
+            pos += len(piece) + 1
             continue
-        raise ParseError(message, _factor_position(raw, offset, factor))
+        raise ParseError(message, pos + skip)
 
 
 def _raise_first_error(text: str, rank: int):
