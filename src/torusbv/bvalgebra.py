@@ -11,7 +11,7 @@ agree everywhere.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
+from operator import add, lt
 
 from .laurent import LaurentPoly, SparseStore, _exponent
 
@@ -19,17 +19,19 @@ from .laurent import LaurentPoly, SparseStore, _exponent
 def normalize_wedge(indices):
     """Sort wedge indices, returning (sorted tuple, Koszul sign).
 
-    Returns sign 0 when an index repeats (theta_i ^ theta_i = 0).  The
-    sort is the builtin one, and indices already in order return at once;
-    otherwise the sign is the parity of the inversions, each index passing
-    the larger ones still in front of it.
+    Returns sign 0 when an index repeats (theta_i ^ theta_i = 0).
+    Strictly increasing indices (0 or 1 index always are) return at once,
+    before anything is sorted.  Otherwise the sort is the builtin one, and
+    the sign is the parity of the inversions, each index passing the larger
+    ones still in front of it.
     """
     idx = tuple(indices)
+    n = len(idx)
+    if n < 2 or (idx[0] < idx[1] if n == 2 else all(map(lt, idx, idx[1:]))):
+        return idx, 1
     out = tuple(sorted(idx))
     if len(set(out)) < len(out):
         return out, 0
-    if out == idx:
-        return out, 1
     rest = list(idx)
     odd = 0
     for i in out:

@@ -41,7 +41,25 @@ class DensityRepSpec:
 
 
 def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
-    """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}.
+    """Linear extension of rho(xi_i) z^j = (j + alpha*i + beta) z^{i+j}:
+    the rank-1 LaurentPoly of the term map `_rho_terms` on p's terms, with
+    its zeros dropped.
+
+    A non-integer or bool index i raises TypeError, and so does an input p
+    that is not a LaurentPoly; an input of another rank raises ValueError."""
+    if type(i) is not int:
+        _check_int("Witt index", i)
+    if type(p) is not LaurentPoly:
+        _require_function("density", p)
+    if p.rank != 1:
+        raise ValueError("density representations are defined at rank 1")
+    return LaurentPoly._raw(1, _rho_terms(spec, i, p.terms))
+
+
+def _rho_terms(spec: DensityRepSpec, i: int, terms: dict) -> dict:
+    """rho(xi_i) on a rank-1 term dict {(j,): c}, as a fresh dict; the one
+    copy of the density formula.  Nothing is checked, and a term whose
+    multiplier vanishes is kept as a zero.
 
     With alpha = a_n/a_d and beta = b_n/b_d, the shift s = alpha*i + beta
     is s_n/s_d with the ints s_n = a_n*b_d*i + b_n*a_d and s_d = a_d*b_d
@@ -52,35 +70,27 @@ def rho_apply(spec: DensityRepSpec, i: int, p: LaurentPoly) -> LaurentPoly:
         n = (s_n + j*s_d) * c_n,   d = s_d * c_d:
 
     the int n // d when d divides n, else Fraction(n, d) in lowest terms.
-    So an integral term is an int, whatever the spec.  A non-integer or bool
-    index i raises TypeError, and so does an input p that is not a
-    LaurentPoly."""
-    if type(i) is not int:
-        _check_int("Witt index", i)
-    if type(p) is not LaurentPoly:
-        _require_function("density", p)
-    if p.rank != 1:
-        raise ValueError("density representations are defined at rank 1")
+    So an integral term is an int, whatever the spec."""
     slope, offset, s_d = spec._shift
     s_n = slope * i + offset
-    # j -> i + j is injective, so each key is hit once; _raw drops the zeros
-    terms = {}
-    for (j,), c in p.terms.items():
+    # j -> i + j is injective, so each key is hit once
+    out = {}
+    for (j,), c in terms.items():
         n = (s_n + j * s_d) * c.numerator
         d = s_d * c.denominator
-        terms[(i + j,)] = n // d if n % d == 0 else Fraction(n, d)
-    return LaurentPoly._raw(1, terms)
+        out[(i + j,)] = n // d if n % d == 0 else Fraction(n, d)
+    return out
 
 
-def _window(lo: int, hi: int, c: int) -> LaurentPoly:
-    """c times the sum of the monomials z^j, lo <= j <= hi: hi - lo + 1
-    terms, each the int c.  The checks pass c = lambda, a power of the
-    spec's denominator D = a_d*b_d (`spec._shift[2]`).  rho_apply is
-    linear over Q, so each side of a comparison on lambda P is lambda
-    times the side on P and the verdict is the same; and rho_apply sends
-    c z^j to c (j D + s_n) / D z^{i+j}, an int when D divides c, so no
-    Fraction is built."""
-    return LaurentPoly._raw(1, dict.fromkeys([(j,) for j in range(lo, hi + 1)], c))
+def _window(lo: int, hi: int, c: int) -> dict:
+    """The terms of c times the sum of the monomials z^j, lo <= j <= hi:
+    hi - lo + 1 terms, each the int c.  The checks pass c = lambda, a power
+    of the spec's denominator D = a_d*b_d (`spec._shift[2]`).  rho is
+    linear over Q, so each side of a comparison on lambda P is lambda times
+    the side on P and the verdict is the same; and rho sends c z^j to
+    c (j D + s_n) / D z^{i+j}, an int when D divides c, so no Fraction is
+    built."""
+    return dict.fromkeys([(j,) for j in range(lo, hi + 1)], c)
 
 
 def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: int = 3) -> bool:
@@ -88,7 +98,7 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     on monomials z^j, lo <= j <= hi, for |n|, |m| <= bracket_window.
 
     All the monomials are checked at once, on their sum P, which holds
-    hi - lo + 1 terms.  rho_apply is the term-by-term linear extension and
+    hi - lo + 1 terms.  rho is the term-by-term linear extension and
     j -> j + k is injective, so rho(xi_k) P holds rho(xi_k) z^j at key
     j + k and at no other key, and rho(xi_n) rho(xi_m) P holds the
     composite of z^j at key j + n + m alone.  Comparing the window images
@@ -100,23 +110,22 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
     is |k| <= 2W - 1 with W = bracket_window; they serve as the left sides
     and the inner factors.  Each composite rho(xi_n) rho(xi_m) P with
     n != m is built once, at the comparison that reads it, and the check
-    returns at the first failing pair.  A check costs (4W - 1) + 2W(2W + 1)
-    calls of rho_apply, whatever the range.
+    returns at the first failing pair.  A check applies the term map
+    `_rho_terms` (4W - 1) + 2W(2W + 1) = 4W^2 + 6W - 1 times, whatever
+    the range.  Window, images and composites stay term dicts, which may
+    hold zeros: no store is built.
 
     The window is lambda P with lambda = D^2, for the spec's denominator
-    D = a_d*b_d (`spec._shift[2]`, see `_window`).  rho_apply is linear
-    over Q, so the two composites a, b and the image c below all scale by
-    lambda when P does, and a - b = k c holds on lambda P exactly when it
-    holds on P.  With s_n(i) = a_n*b_d*i + b_n*a_d, the image of lambda z^j
-    is D (j D + s_n(k)) and its composite is (j D + s_n(m)) ((j + m) D +
+    D = a_d*b_d (`spec._shift[2]`, see `_window`).  rho is linear over Q,
+    so the two composites a, b and the image c below all scale by lambda
+    when P does, and a - b = k c holds on lambda P exactly when it holds
+    on P.  With s_n(i) = a_n*b_d*i + b_n*a_d, the image of lambda z^j is
+    D (j D + s_n(k)) and its composite is (j D + s_n(m)) ((j + m) D +
     s_n(n)): ints whatever alpha and beta are, so the check builds no
     Fraction.
 
     Each comparison a - b == k c, with a and b the two composites, c the
-    image rho(xi_{n+m}) P and k = m - n, is decided without building a
-    sum: a, b and c must share type and rank, and at every key any of
-    them holds, with a missing coefficient read as 0, the ints a[key] -
-    b[key] and k c[key] are equal.
+    image rho(xi_{n+m}) P and k = m - n, is `_is_scaled_difference`.
 
     A bool or non-int lo or hi raises TypeError.  An empty monomial range
     or a window below 1 would check nothing and raises ValueError.
@@ -127,26 +136,25 @@ def verify_lie_action(spec: DensityRepSpec, lo: int, hi: int, bracket_window: in
         _check_int("hi", hi)
     _check_size("hi - lo + 1", hi - lo + 1)
     _check_size("bracket_window", bracket_window)
+    rho = _rho_terms
     window = _window(lo, hi, spec._shift[2] ** 2)
-    image = {k: rho_apply(spec, k, window) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
+    image = {k: rho(spec, k, window) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
     # [xi_n, xi_m] = (m - n) xi_{n+m}
-    return all(
-        _is_scaled_difference(rho_apply(spec, n, image[m]), rho_apply(spec, m, image[n]), image[n + m], m - n)
-        for n, m in combinations(range(-bracket_window, bracket_window + 1), 2)
-    )
+    for n, m in combinations(range(-bracket_window, bracket_window + 1), 2):
+        if not _is_scaled_difference(rho(spec, n, image[m]), rho(spec, m, image[n]), image[n + m], m - n):
+            return False
+    return True
 
 
-def _is_scaled_difference(a, b, c, k: int) -> bool:
-    """a - b == k*c for sparse stores a, b, c and an int k, decided key by
-    key without building a sum; exact for int and Fraction coefficients.
-    Stores of different types or ranks are never equal; no store holds a
-    zero, so two maps are equal iff they agree at every key either holds."""
-    if not (type(a) is type(b) is type(c) and a.rank == b.rank == c.rank):
-        return False
-    at, bt, ct = a.terms, b.terms, c.terms
-    return all(
-        at.get(key, 0) - bt.get(key, 0) == k * ct.get(key, 0) for key in at.keys() | bt.keys() | ct.keys()
-    )
+def _is_scaled_difference(a: dict, b: dict, c: dict, k: int) -> bool:
+    """a - b == k*c for term dicts a, b, c and an int k, decided key by key
+    without building a sum; exact for int and Fraction coefficients.  A
+    missing key reads as 0, so a dict may hold zeros: two maps are equal
+    iff they agree at every key any of the dicts holds."""
+    for key in a.keys() | b.keys() | c.keys():
+        if a.get(key, 0) - b.get(key, 0) != k * c.get(key, 0):
+            return False
+    return True
 
 
 class FiniteSl2Module:
@@ -320,7 +328,7 @@ def shift_isomorphism_check(alpha, beta, m: int) -> bool:
     def shift(p: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._raw(1, {(j + m,): c for (j,), c in p.terms.items()})
 
-    window = _window(-8, 8, base._shift[2])
+    window = LaurentPoly._raw(1, _window(-8, 8, base._shift[2]))
     shifted_window = shift(window)
     return all(rho_apply(base, i, shifted_window) == shift(rho_apply(shifted, i, window)) for i in range(-3, 4))
 

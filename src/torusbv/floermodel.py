@@ -69,22 +69,27 @@ def identify_with_density_model(n: int) -> dict:
     a report with the rescaling used.  The forced chain is unique up to
     rescaling when every step product a_k b_k is nonzero: the rescaling
     x_k -> u_k x_k keeps each product, and with all of them nonzero it
-    moves a_k to any nonzero value.
+    moves a_k to any nonzero value.  Each u_k is kept as two int products,
+    the f check is cross-multiplied, and each rescaling entry is printed
+    from its canonical form, the int where it is integral.
     """
     (floer,) = solve_forced_action(n)
     density = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
-    # T = diag(u) with T e_floer = e_density T: u_{k+1} a_floer[k] = a_density[k] u_k
-    u = [Fraction(1)]
+    # T = diag(u) with T e_floer = e_density T: u_{k+1} a_floer[k] = a_density[k] u_k,
+    # kept as the int products u_k = p[k] / q[k]
+    p, q = [1], [1]
     for k in range(n):
-        u.append(u[k] * Fraction(density.a[k], floer.a[k]))
-    # T h = h T iff the weights agree; T f_floer = f_density T on the chain
+        p.append(p[k] * density.a[k])
+        q.append(q[k] * floer.a[k])
+    # T h = h T iff the weights agree; T f_floer = f_density T on the chain,
+    # u_k b_floer[k] = b_density[k] u_{k+1}, cross-multiplied
     matches = floer.weights == density.weights and all(
-        u[k] * floer.b[k] == density.b[k] * u[k + 1] for k in range(n)
+        p[k] * floer.b[k] * q[k + 1] == density.b[k] * p[k + 1] * q[k] for k in range(n)
     )
     return {
         "n": n,
         "matches": matches,
-        "rescaling": [str(v) for v in u],
+        "rescaling": [str(x // y if x % y == 0 else Fraction(x, y)) for x, y in zip(p, q)],
         "unique_up_to_rescaling": all(x * y for x, y in zip(floer.a, floer.b)),
         "h_spectrum": floer.h_spectrum(),
         "casimir": str(floer.casimir()),

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -76,6 +77,47 @@ def test_normalize_wedge_matches_insertion_sort_on_every_short_word():
     # repeats, odd and even permutations all occur many times
     assert min(signs.values()) > 100
     assert normalize_wedge([3, 1, 2]) == ((1, 2, 3), 1)
+
+
+def sort_first_wedge(indices):
+    """The former `normalize_wedge`, which sorted and built the set before
+    it looked at the order, kept verbatim as an oracle."""
+    idx = tuple(indices)
+    out = tuple(sorted(idx))
+    if len(set(out)) < len(out):
+        return out, 0
+    if out == idx:
+        return out, 1
+    rest = list(idx)
+    odd = 0
+    for i in out:
+        k = rest.index(i)
+        odd ^= k & 1
+        del rest[k]
+    return out, -1 if odd else 1
+
+
+def test_normalize_wedge_early_return_matches_the_sort_first_form(monkeypatch):
+    # every tuple over {1..5} of length 0-5, repeats included, as a tuple
+    # and as a list
+    words = [w for n in range(6) for w in product(range(1, 6), repeat=n)]
+    for w in words:
+        got = normalize_wedge(w)
+        assert got == sort_first_wedge(w) == normalize_wedge(list(w)), w
+        assert type(got[0]) is tuple and type(got[1]) is int
+    # the strictly increasing ones, the 2^5 subsets, return before any sort
+    # or set is built
+    increasing = [w for w in words if all(a < b for a, b in zip(w, w[1:]))]
+    assert len(increasing) == sum(math.comb(5, n) for n in range(6)) == 32
+
+    def refuse(*args):
+        raise AssertionError("sorted an increasing wedge")
+
+    monkeypatch.setattr(bvalgebra, "sorted", refuse, raising=False)
+    monkeypatch.setattr(bvalgebra, "set", refuse, raising=False)
+    assert [normalize_wedge(w) for w in increasing] == [(w, 1) for w in increasing]
+    with pytest.raises(AssertionError, match="sorted an increasing wedge"):
+        normalize_wedge((2, 1))
 
 
 def test_theta_squared_is_zero():

@@ -6,11 +6,13 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torusbv import densityrep
 from torusbv.bvalgebra import PolyVector
+from torusbv.densityrep import _rho_terms as rho_terms
 from torusbv.densityrep import (
     DensityRepSpec,
     FiniteSl2Module,
@@ -24,9 +26,22 @@ from torusbv.densityrep import (
 from torusbv.floermodel import solve_forced_action
 from torusbv.laurent import LaurentPoly, SparseStore
 
+from conftest import DensityPlants
+
 
 def zpow(n, coeff=1):
     return LaurentPoly(1, {(n,): coeff})
+
+
+def nonzero(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def exact_terms(spec, i, terms):
+    """The term map with its zeros dropped: `LaurentPoly._raw` keeps such
+    a dict as it is, so a stateful map below knows its own results by id
+    also when `rho_apply` wraps them."""
+    return nonzero(rho_terms(spec, i, terms))
 
 
 class Lookalike(LaurentPoly):
@@ -190,21 +205,21 @@ def test_shift_isomorphism():
     assert shift_isomorphism_check(0, 0, 0)
 
 
-def without_beta(spec, i, p):
+def without_beta(spec, i, terms):
     # rho(xi_i) z^j = (j + alpha*i) z^{i+j}: rho_{alpha,0}, which does not see beta
-    return LaurentPoly(1, {(i + j,): (j + spec.alpha * i) * c for (j,), c in p.terms.items()})
+    return {(i + j,): (j + spec.alpha * i) * c for (j,), c in terms.items()}
 
 
-def test_shift_check_catches_an_action_without_beta(monkeypatch):
+def test_shift_check_catches_an_action_without_beta(plant_density):
     # shifting beta by m != 0 is no longer matched by shifting the exponent
-    monkeypatch.setattr(densityrep, "rho_apply", without_beta)
+    plant_density(lambda spec, i, p: LaurentPoly(1, without_beta(spec, i, p.terms)), "rho_apply")
     for m in (-5, -1, 1, 2, 5):
         assert shift_isomorphism_check(-1, -1, m) is False
         assert shift_isomorphism_check(Fraction(1, 2), Fraction(-3, 2), m) is False
     assert shift_isomorphism_check(-1, -1, 0) is True
 
 
-def test_shift_check_applies_rho_once_per_index_to_the_whole_window(monkeypatch):
+def test_shift_check_applies_rho_once_per_index_to_the_whole_window(plant_density):
     # 2 * 7 calls, each on all 17 monomials z^-8..z^8 or their shifts;
     # one call per monomial and index made 238
     calls = []
@@ -213,7 +228,7 @@ def test_shift_check_applies_rho_once_per_index_to_the_whole_window(monkeypatch)
         calls.append((spec.beta, i, sorted(j for (j,) in p.terms)))
         return rho_apply(spec, i, p)
 
-    monkeypatch.setattr(densityrep, "rho_apply", recorded)
+    plant_density(recorded, "rho_apply")
     assert shift_isomorphism_check(-1, -1, 5)
     assert sorted(calls) == sorted(
         [(-1, i, list(range(-3, 14))) for i in range(-3, 4)] + [(4, i, list(range(-8, 9))) for i in range(-3, 4)]
@@ -278,6 +293,47 @@ def test_rho_apply_on_multi_term_inputs_term_by_term():
     assert dropped > 50 and negative > 300
 
 
+def test_rho_apply_is_the_term_map_without_its_zeros():
+    # rho_apply wraps the term map: a rank-1 LaurentPoly holding exactly
+    # its nonzero entries, one key i + j per input term, the input kept
+    rng = random.Random(13)
+    vanished = fractions = 0
+    for _ in range(300):
+        spec = DensityRepSpec(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 7)), Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+        )
+        i = rng.randint(-4, 4)
+        terms = {
+            (rng.randint(-6, 6),): Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7))
+            for _ in range(rng.randint(1, 6))
+        }
+        shift = spec.alpha * i + spec.beta
+        if shift.denominator == 1:
+            terms[(-int(shift),)] = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 7))
+        p = LaurentPoly(1, terms)
+        before = dict(p.terms)
+        raw = rho_terms(spec, i, dict(p.terms))
+        got = rho_apply(spec, i, p)
+        assert type(got) is LaurentPoly and got.rank == 1
+        assert got.terms == nonzero(raw) and raw.keys() == {(i + j,) for (j,) in p.terms}
+        assert p.terms == before
+        vanished += len(raw) - len(got.terms)
+        fractions += sum(type(c) is Fraction for c in raw.values())
+    assert vanished > 50 and fractions > 300
+
+
+def test_a_plant_that_is_never_called_is_reported(monkeypatch):
+    # the Lie-action check reads the term map, not rho_apply: a map planted
+    # on rho_apply leaves its verdict True and is never called
+    spec = DensityRepSpec(0, 1)
+    plants = DensityPlants(monkeypatch)
+    dead_seam = plants(lambda spec, i, p: zpow(0), "rho_apply")
+    live = plants(rho_terms)
+    assert verify_lie_action(spec, -2, 2, 1) is True
+    assert (dead_seam.calls, live.calls) == (0, 9)
+    assert plants.dead() == ["rho_apply = test_a_plant_that_is_never_called_is_reported.<locals>.<lambda>"]
+
+
 @pytest.mark.parametrize("index", [Fraction(1, 2), 0.5, True, 1.0, Fraction(1)],
                          ids=["fraction", "float", "bool", "integral_float", "integral_fraction"])
 def test_non_integer_index_rejected(index):
@@ -299,16 +355,16 @@ def test_int_subclass_index_accepted():
     assert got == zpow(3, Fraction(3, 2)) and [type(j) for (j,) in got.terms] == [int]
 
 
-def off_by_one(spec, i, p):
+def off_by_one(spec, i, terms):
     # rho(xi_1) z^j = (j + alpha + beta + 1) z^{j+1}: not an action
     shift = spec.alpha * i + spec.beta + (1 if i == 1 else 0)
-    return LaurentPoly(1, {(i + j,): (j + shift) * c for (j,), c in p.terms.items()})
+    return {(i + j,): (j + shift) * c for (j,), c in terms.items()}
 
 
-def test_lie_action_check_catches_an_off_by_one_factor(monkeypatch):
+def test_lie_action_check_catches_an_off_by_one_factor(plant_density):
     specs = [DensityRepSpec(a, b) for a, b in [(0, 0), (Fraction(1, 2), 0), (-1, -1), (2, 3)]]
     assert all(verify_lie_action(spec, -8, 8) for spec in specs)
-    monkeypatch.setattr(densityrep, "rho_apply", off_by_one)
+    plant_density(off_by_one)
     assert not any(verify_lie_action(spec, -8, 8) for spec in specs)
 
 
@@ -384,9 +440,10 @@ def test_dim6_chain_with_one_zero_lowering_step_is_reducible():
 
 
 # The two-call form of the Lie-action check, kept as an oracle: both orders
-# of each composite are built from scratch, through the patchable
-# `densityrep.rho_apply` like the library check, and subtraction is written
-# as a + (-b) so that it does not go through SparseStore.__sub__.
+# of each composite are built from scratch, as stores, through
+# `densityrep.rho_apply`, which reads the term map that a test plants, and
+# subtraction is written as a + (-b) so that it does not go through
+# SparseStore.__sub__.
 def two_call_lie_action(spec, lo, hi, bracket_window):
     rho = densityrep.rho_apply
     window = range(-bracket_window, bracket_window + 1)
@@ -421,23 +478,32 @@ def rep_action_suite_specs():
     return specs
 
 
-def wrong_off_unit_coefficients(spec, i, p):
+def wrong_off_unit_coefficients(spec, i, terms):
     # c -> c^2: right on coefficients 0 and 1 only, so right on every
     # monomial z^j and wrong on most composites
-    return LaurentPoly._raw(1, {(i + j,): (j + spec.alpha * i + spec.beta) * c * c for (j,), c in p.terms.items()})
+    return {(i + j,): (j + spec.alpha * i + spec.beta) * c * c for (j,), c in terms.items()}
+
+
+def doubled(terms):
+    return {key: 2 * c for key, c in terms.items()}
+
+
+def right_on_every_monomial(rho, spec, i, j):
+    """rho(xi_i) z^j under the map rho equals the term map's, zeros aside."""
+    return nonzero(rho(spec, i, {(j,): 1})) == nonzero(rho_terms(spec, i, {(j,): 1}))
 
 
 def wrong_for_one_order():
-    """rho_apply, except that the outer factor of rho(xi_n) rho(xi_m) z^j is
-    doubled when n > m and right when n <= m.  Each result remembers the
-    index that made it (the object is kept alive, so its id is not reused)."""
+    """The term map, except that the outer factor of rho(xi_n) rho(xi_m) z^j
+    is doubled when n > m and right when n <= m.  Each result remembers the
+    index that made it (the dict is kept alive, so its id is not reused)."""
     made_by = {}
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, p)
-        inner = made_by.get(id(p))
+    def rho(spec, i, terms):
+        out = exact_terms(spec, i, terms)
+        inner = made_by.get(id(terms))
         if inner is not None and i > inner[1]:
-            out = out.scale(2)
+            out = doubled(out)
         made_by[id(out)] = (out, i)
         return out
 
@@ -456,34 +522,51 @@ def test_lie_action_matches_two_call_oracle(specs, lo, hi, window):
 @pytest.mark.parametrize(
     "mutant", [lambda: wrong_off_unit_coefficients, wrong_for_one_order], ids=["off_unit", "one_order"]
 )
-def test_lie_action_check_catches_composite_only_faults(monkeypatch, mutant):
+def test_lie_action_check_catches_composite_only_faults(plant_density, mutant):
     specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
     for spec in specs:
         for check in (verify_lie_action, two_call_lie_action):
             rho = mutant()
-            monkeypatch.setattr(densityrep, "rho_apply", rho)
             # right on every monomial, so every single image is right
             for i in range(-3, 4):
                 for j in range(-3, 4):
-                    assert rho(spec, i, zpow(j)) == rho_apply(spec, i, zpow(j))
+                    assert right_on_every_monomial(rho, spec, i, j)
+            plant_density(rho)
             assert check(spec, -3, 3, 2) is False
 
 
 @pytest.mark.parametrize("lo, hi, window, calls", [(0, 0, 2, 27), (-2, 2, 1, 9), (-8, 8, 3, 53)])
-def test_lie_action_makes_one_rho_call_per_composite(monkeypatch, lo, hi, window, calls):
-    # (4W - 1) + 2W(2W + 1) calls, with W = window, on a range of 1, 5 or 17
-    # monomials: the images of the window sum at |k| <= 2W - 1 and the
-    # composites with n != m, whatever the range
-    count = 0
-
-    def counted(spec, i, p):
-        nonlocal count
-        count += 1
-        return rho_apply(spec, i, p)
-
-    monkeypatch.setattr(densityrep, "rho_apply", counted)
+def test_lie_action_makes_one_rho_call_per_composite(plant_density, lo, hi, window, calls):
+    # (4W - 1) + 2W(2W + 1) applications of the term map, with W = window,
+    # on a range of 1, 5 or 17 monomials: the images of the window sum at
+    # |k| <= 2W - 1 and the composites with n != m, whatever the range
+    counted = plant_density(rho_terms)
     assert verify_lie_action(DensityRepSpec(Fraction(-3, 2), Fraction(1, 2)), lo, hi, window)
-    assert count == calls == 4 * window**2 + 6 * window - 1
+    assert counted.calls == calls == 4 * window**2 + 6 * window - 1
+
+
+@pytest.mark.parametrize("specs, lo, hi, window", [
+    (rep_theory_grid_specs(), -2, 2, 1),
+    (rep_action_suite_specs(), -8, 8, 3),
+], ids=["rep_theory_grid", "rep_action_specs"])
+def test_lie_action_applies_the_term_map_and_builds_no_store(monkeypatch, plant_density, specs, lo, hi, window):
+    # window, images and composites are term dicts: neither store
+    # constructor runs, and each check applies the term map 4W^2 + 6W - 1
+    # times
+    def refuse(*args):
+        raise AssertionError("store built in the Lie-action check")
+
+    counted = plant_density(rho_terms)
+    monkeypatch.setattr(SparseStore, "_raw", classmethod(refuse))
+    monkeypatch.setattr(SparseStore, "__init__", refuse)
+    assert all(verify_lie_action(spec, lo, hi, window) is True for spec in specs)
+    assert counted.calls == len(specs) * (4 * window**2 + 6 * window - 1)
+
+
+def test_src_holds_one_copy_of_the_density_formula():
+    # the numerator (s_n + j s_d) c_n of rho(xi_i) on c z^j is written once
+    src = Path(densityrep.__file__).parent
+    assert sum(path.read_text().count("(s_n + j * s_d)") for path in src.glob("*.py")) == 1
 
 
 def test_lie_action_check_uses_no_store_arithmetic(monkeypatch):
@@ -501,55 +584,54 @@ STRAY = (10**6,)  # a key no right image or composite in these windows holds
 
 
 def with_stray_term(side):
-    """rho_apply, plus the term z^(10^6) on one side of each comparison:
-    on every image rho(xi_k) z^j ("image"), or on a composite
+    """The term map, plus the term z^(10^6) on one side of each comparison:
+    on every image rho(xi_k) z^j ("image"), on the images at |k| = 3 alone
+    ("edge"; at window 2 these are only ever the scaled side, never an
+    inner factor, so no composite holds the stray key), or on a composite
     rho(xi_n) rho(xi_m) z^j only when the outer index n is above ("above")
     or below ("below") the inner one m, so only one of the two composites
     of a pair holds the stray key.  Results remember the index that made
     them, as in `wrong_for_one_order`."""
     made_by = {}
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, p)
-        inner = made_by.get(id(p))
+    def rho(spec, i, terms):
+        out = exact_terms(spec, i, terms)
+        inner = made_by.get(id(terms))
         if inner is None:
-            stray = side == "image"
+            stray = side == "image" or (side == "edge" and abs(i) == 3)
         else:
             stray = side == ("above" if i > inner[1] else "below" if i < inner[1] else None)
         if stray:
-            out = LaurentPoly._raw(1, {**out.terms, STRAY: Fraction(1)})
+            out = {**out, STRAY: Fraction(1)}
         made_by[id(out)] = (out, i)
         return out
 
     return rho
 
 
-@pytest.mark.parametrize("side", ["image", "above", "below"])
-def test_lie_action_check_catches_a_term_under_a_key_one_side_holds(monkeypatch, side):
+@pytest.mark.parametrize("side", ["image", "edge", "above", "below"])
+def test_lie_action_check_catches_a_term_under_a_key_one_side_holds(plant_density, side):
     specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
     for spec in specs:
         assert verify_lie_action(spec, -3, 3, 2) is True
     for spec in specs:
         for check in (verify_lie_action, two_call_lie_action):
-            monkeypatch.setattr(densityrep, "rho_apply", with_stray_term(side))
+            plant_density(with_stray_term(side))
             assert check(spec, -3, 3, 2) is False
 
 
-def in_another_rank_or_type(kind, side):
-    """rho_apply, except that on one side of the comparisons, the images
+def in_another_rank(side):
+    """The term map, except that on one side of the comparisons, the images
     rho(xi_k) z^j ("image") or the composites ("composite"), every result
-    is a `Lookalike` with the same terms ("type"), or every zero result is
-    the zero of rank 2 ("rank").  An input is read by its terms alone, so
-    the wrong images still make the right composites."""
+    is written under rank-2 keys (j, 0).  An input is read by the first
+    entry of each key, so the wrong images still make the right
+    composites."""
     made_by = {}
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, LaurentPoly._raw(1, dict(p.terms)))
-        if (id(p) in made_by) == (side == "composite"):
-            if kind == "type":
-                out = Lookalike._raw(1, dict(out.terms))
-            elif not out:
-                out = LaurentPoly.zero(2)
+    def rho(spec, i, terms):
+        out = exact_terms(spec, i, {key[:1]: c for key, c in terms.items()})
+        if (id(terms) in made_by) == (side == "composite"):
+            out = {key + (0,): c for key, c in out.items()}
         made_by[id(out)] = out
         return out
 
@@ -562,39 +644,35 @@ SPECS_WITH_A_VANISHING_IMAGE = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["rank", "type"])
-@pytest.mark.parametrize("side", ["image", "composite"])
-def test_lie_action_check_rejects_results_of_another_rank_or_type(monkeypatch, kind, side):
-    # the wrong results hold the right terms; a composite of another rank
-    # or type made the store subtraction raise RankMismatchError or
-    # TypeError, and a wrong image compared unequal.  The rank mutant
-    # faults zero results only, and the images of a window of two or more
-    # monomials are never zero, so the rank cases check the one monomial
-    # z^j at which an image vanishes
-    for spec, zero_at in SPECS_WITH_A_VANISHING_IMAGE:
-        lo, hi = (zero_at, zero_at) if kind == "rank" else (-3, 3)
-        assert any(rho_apply(spec, k, zpow(zero_at)).is_zero() for k in range(-3, 4))
-        rho = in_another_rank_or_type(kind, side)
+@pytest.mark.parametrize("side", ["image", "composite"], ids=["image-rank", "composite-rank"])
+def test_lie_action_check_rejects_results_of_another_rank_or_type(plant_density, side):
+    # the wrong results hold the right coefficients under keys of another
+    # length.  A term dict has no store type, so the type cases went with
+    # the stores; `test_rho_apply_is_the_term_map_without_its_zeros` pins
+    # the store that rho_apply builds
+    for spec, _ in SPECS_WITH_A_VANISHING_IMAGE:
+        rho = in_another_rank(side)
         for i in range(-3, 4):
             for j in range(-3, 4):
-                assert rho(spec, i, zpow(j)).terms == rho_apply(spec, i, zpow(j)).terms
-        monkeypatch.setattr(densityrep, "rho_apply", in_another_rank_or_type(kind, side))
-        assert verify_lie_action(spec, lo, hi, 2) is False
-        monkeypatch.undo()
-        assert verify_lie_action(spec, lo, hi, 2) is True
+                assert {key[:1]: c for key, c in rho(spec, i, {(j,): 1}).items()} == nonzero(
+                    rho_terms(spec, i, {(j,): 1}))
+        plant_density(in_another_rank(side))
+        assert verify_lie_action(spec, -3, 3, 2) is False
+        plant_density(rho_terms)
+        assert verify_lie_action(spec, -3, 3, 2) is True
 
 
 def doubled_on_monomials_at(reach_edge):
-    """rho_apply, except that rho(xi_k) z^j is doubled for |k| = reach_edge
-    when its input was not made by this map: on the images, not on the
-    composites, whatever the input's coefficients.  Each result is
-    remembered by id, as in `wrong_for_one_order`."""
+    """The term map, except that rho(xi_k) z^j is doubled for
+    |k| = reach_edge when its input was not made by this map: on the
+    images, not on the composites, whatever the input's coefficients.
+    Each result is remembered by id, as in `wrong_for_one_order`."""
     made_by = {}
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, p)
-        if abs(i) == reach_edge and id(p) not in made_by:
-            out = out.scale(2)
+    def rho(spec, i, terms):
+        out = exact_terms(spec, i, terms)
+        if abs(i) == reach_edge and id(terms) not in made_by:
+            out = doubled(out)
         made_by[id(out)] = out
         return out
 
@@ -602,16 +680,16 @@ def doubled_on_monomials_at(reach_edge):
 
 
 def doubled_on_composites_of(pair):
-    """rho_apply, except that the composites rho(xi_n) rho(xi_m) z^j and
+    """The term map, except that the composites rho(xi_n) rho(xi_m) z^j and
     rho(xi_m) rho(xi_n) z^j of the one pair {n, m} are doubled.  Each result
     remembers the index that made it, as in `wrong_for_one_order`."""
     made_by = {}
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, p)
-        inner = made_by.get(id(p))
+    def rho(spec, i, terms):
+        out = exact_terms(spec, i, terms)
+        inner = made_by.get(id(terms))
         if inner is not None and {inner[1], i} == set(pair):
-            out = out.scale(2)
+            out = doubled(out)
         made_by[id(out)] = (out, i)
         return out
 
@@ -619,7 +697,7 @@ def doubled_on_composites_of(pair):
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
-def test_lie_action_reach_covers_every_compared_sum(monkeypatch, window):
+def test_lie_action_reach_covers_every_compared_sum(plant_density, window):
     # The images stop at |k| = 2W - 1, the largest |n + m| over n < m in the
     # window; a fault in an image there, or in a composite of the extreme
     # pair (-W, W), must still be caught.
@@ -628,17 +706,18 @@ def test_lie_action_reach_covers_every_compared_sum(monkeypatch, window):
     edge = doubled_on_monomials_at(2 * window - 1)
     for i in range(-2 * window, 2 * window + 1):
         for j in range(-3, 4):
-            right = rho_apply(spec, i, zpow(j))
-            assert edge(spec, i, zpow(j)) == (right.scale(2) if abs(i) == 2 * window - 1 else right)
+            right = nonzero(rho_terms(spec, i, {(j,): 1}))
+            assert edge(spec, i, {(j,): 1}) == (doubled(right) if abs(i) == 2 * window - 1 else right)
     for mutant in (edge, doubled_on_composites_of((-window, window))):
-        monkeypatch.setattr(densityrep, "rho_apply", mutant)
+        plant_density(mutant)
         assert verify_lie_action(spec, -3, 3, window) is False
 
 
 # The monomial-by-monomial walk that the window check replaced, kept as an
 # oracle: one z^j at a time, its images at |k| <= 2W - 1 and the composites
-# of each pair n < m, compared by the same `_is_scaled_difference`, all
-# through the patchable `densityrep.rho_apply`.
+# of each pair n < m, compared on their terms by the same
+# `_is_scaled_difference`, all as stores through `densityrep.rho_apply`,
+# which reads the term map that a test plants.
 def per_monomial_lie_action(spec, lo, hi, bracket_window):
     rho = densityrep.rho_apply
     pairs = list(itertools.combinations(range(-bracket_window, bracket_window + 1), 2))
@@ -647,29 +726,27 @@ def per_monomial_lie_action(spec, lo, hi, bracket_window):
         image = {k: rho(spec, k, zj) for k in range(1 - 2 * bracket_window, 2 * bracket_window)}
         for n, m in pairs:
             a, b = rho(spec, n, image[m]), rho(spec, m, image[n])
-            if not densityrep._is_scaled_difference(a, b, image[n + m], m - n):
+            if not densityrep._is_scaled_difference(a.terms, b.terms, image[n + m].terms, m - n):
                 return False
     return True
 
 
 def wrong_on_monomial(target):
-    """rho_apply, except that every rho(xi_i) sends z^target to
+    """The term map, except that every rho(xi_i) sends z^target to
     (target + alpha*i + beta + 1) z^(target+i): a linear map that is wrong
     on the one monomial z^target and right on every other."""
 
-    def rho(spec, i, p):
-        out = rho_apply(spec, i, p)
-        c = p.terms.get((target,))
-        if c is None:
-            return out
-        terms = dict(out.terms)
-        terms[(target + i,)] = terms.get((target + i,), 0) + c
-        return LaurentPoly(1, terms)
+    def rho(spec, i, terms):
+        out = rho_terms(spec, i, terms)
+        c = terms.get((target,))
+        if c is not None:
+            out[(target + i,)] += c
+        return out
 
     return rho
 
 
-def test_lie_action_check_catches_a_fault_on_one_interior_monomial(monkeypatch):
+def test_lie_action_check_catches_a_fault_on_one_interior_monomial(plant_density):
     # the window sums the images of z^-3, ..., z^3; a fault on z^0 alone
     # sits at one key of each image and must not be lost among the others
     rho = wrong_on_monomial(0)
@@ -677,22 +754,22 @@ def test_lie_action_check_catches_a_fault_on_one_interior_monomial(monkeypatch):
     for spec in specs:
         for i in range(-3, 4):
             for j in range(-3, 4):
-                assert (rho(spec, i, zpow(j)) == rho_apply(spec, i, zpow(j))) is (j != 0)
+                assert right_on_every_monomial(rho, spec, i, j) is (j != 0)
         assert verify_lie_action(spec, -3, 3, 2) is True
-    monkeypatch.setattr(densityrep, "rho_apply", rho)
+    plant_density(rho)
     for spec in specs:
         assert verify_lie_action(spec, -3, 3, 2) is False
 
 
 # every mutant of this file, as a factory of fresh (stateful) maps
 LIE_MUTANTS = {
-    "exact": lambda: rho_apply,
+    "exact": lambda: rho_terms,
     "off_by_one": lambda: off_by_one,
     "without_beta": lambda: without_beta,
     "off_unit": lambda: wrong_off_unit_coefficients,
     "one_order": wrong_for_one_order,
-    **{f"stray_{side}": functools.partial(with_stray_term, side) for side in ("image", "above", "below")},
-    **{f"type_{side}": functools.partial(in_another_rank_or_type, "type", side) for side in ("image", "composite")},
+    **{f"stray_{side}": functools.partial(with_stray_term, side) for side in ("image", "edge", "above", "below")},
+    **{f"rank_{side}": functools.partial(in_another_rank, side) for side in ("image", "composite")},
     "edge_image": lambda: doubled_on_monomials_at(3),
     "edge_pair": lambda: doubled_on_composites_of((-2, 2)),
     "interior": lambda: wrong_on_monomial(0),
@@ -709,14 +786,14 @@ def test_lie_action_matches_the_per_monomial_walk(specs, lo, hi, window):
 
 
 @pytest.mark.parametrize("mutant", LIE_MUTANTS)
-def test_lie_action_matches_the_per_monomial_walk_under_mutants(monkeypatch, mutant):
+def test_lie_action_matches_the_per_monomial_walk_under_mutants(plant_density, mutant):
     specs = rep_action_suite_specs()[:6] + [DensityRepSpec(-1, -1), DensityRepSpec(2, 3)]
     verdicts = set()
     for spec in specs:
         for lo, hi, window in [(-3, 3, 2), (-2, 2, 1), (0, 0, 2)]:
             got = []
             for check in (verify_lie_action, per_monomial_lie_action):
-                monkeypatch.setattr(densityrep, "rho_apply", LIE_MUTANTS[mutant]())
+                plant_density(LIE_MUTANTS[mutant]())
                 got.append(check(spec, lo, hi, window))
             assert got[0] is got[1], (spec, lo, hi, window)
             verdicts.add(got[0])
@@ -744,27 +821,34 @@ def test_density_checks_build_no_fraction(monkeypatch):
 
 
 @pytest.mark.parametrize("side", ["image", "composite"])
-def test_lie_action_matches_the_per_monomial_walk_on_zero_results_of_another_rank(monkeypatch, side):
-    # the rank mutant faults zero results only, which one-monomial windows
-    # have; it is caught at the monomial where an image vanishes
+def test_lie_action_matches_the_per_monomial_walk_on_zero_results_of_another_rank(plant_density, side):
+    # one-monomial windows, where results vanish.  A term dict has no rank,
+    # so a zero is a zero under any keys: the rank mutant goes unseen
+    # exactly where every image rho(xi_k) z^j, |k| <= 3, vanishes (rho_{0,0}
+    # at z^0), and is caught at every other monomial, those where one image
+    # vanishes included
     for spec, zero_at in SPECS_WITH_A_VANISHING_IMAGE:
-        verdicts = {}
+        assert any(not nonzero(rho_terms(spec, k, {(zero_at,): 1})) for k in range(-3, 4))
+        verdicts, silent = {}, {}
         for lo in range(-3, 4):
+            silent[lo] = not any(nonzero(rho_terms(spec, k, {(lo,): 1})) for k in range(-3, 4))
             got = []
             for check in (verify_lie_action, per_monomial_lie_action):
-                monkeypatch.setattr(densityrep, "rho_apply", in_another_rank_or_type("rank", side))
+                plant_density(in_another_rank(side))
                 got.append(check(spec, lo, lo, 2))
             assert got[0] is got[1], (spec, lo)
             verdicts[lo] = got[0]
-        assert verdicts[zero_at] is False
+        assert verdicts == silent and list(silent.values()).count(True) == (spec.alpha == spec.beta == 0)
 
 
-def test_vacuous_lie_action_check_raises(monkeypatch):
+def test_vacuous_lie_action_check_raises(plant_density):
     spec = DensityRepSpec(0, 0)
     with pytest.raises(ValueError, match=r"^hi - lo \+ 1 must be >= 1, got -2$"):
         verify_lie_action(spec, 5, 2)
-    # at window 0 only [xi_0, xi_0] = 0 would be checked, which any map passes
-    monkeypatch.setattr(densityrep, "rho_apply", lambda spec, i, p: zpow(7, 11))
+    # at window 0 only [xi_0, xi_0] = 0 would be checked, which any map
+    # passes; this one fails at window 1
+    plant_density(lambda spec, i, terms: {(7,): 11})
+    assert verify_lie_action(spec, -2, 2, 1) is False
     for window in (0, -1):
         with pytest.raises(ValueError, match=rf"^bracket_window must be >= 1, got {window}$"):
             verify_lie_action(spec, -2, 2, window)

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from torusbv import densityrep, floermodel, suites
-from torusbv.densityrep import DensityRepSpec, FiniteSl2Module, rho_apply
+from torusbv import floermodel, suites
+from torusbv.densityrep import DensityRepSpec, FiniteSl2Module, extract_finite_sl2_submodule, rho_apply
 from torusbv.floermodel import floer_report, identify_with_density_model, solve_forced_action
 from torusbv.laurent import LaurentPoly
 
@@ -43,11 +43,11 @@ def test_end_action_bracket_consistency():
 
 
 def _end_action_with(coefficient):
-    """An end action xi_j z^k = coefficient(k) z^{k+j} in place of
-    densityrep.rho_apply."""
+    """An end action xi_j z^k = coefficient(k) z^{k+j}, as a term map in
+    place of densityrep._rho_terms."""
 
-    def action(spec, j, p):
-        return LaurentPoly(1, {(k + j,): c * coefficient(k) for (k,), c in p.terms.items()})
+    def action(spec, j, terms):
+        return {(k + j,): c * coefficient(k) for (k,), c in terms.items()}
 
     return action
 
@@ -57,12 +57,12 @@ def _end_action_with(coefficient):
     [(lambda k: k * k, False), (lambda k: k if k >= 0 else k * k, False), (lambda k: k + 1, True)],
     ids=["k_squared", "k_squared_on_minus_end", "beta_shift"],
 )
-def test_end_action_bracket_consistency_can_fail(monkeypatch, coefficient, ok):
+def test_end_action_bracket_consistency_can_fail(plant_density, coefficient, ok):
     """The coefficient k^2 in place of k is no Lie action, and the suite line
     must fail on it, also where only the minus end (k < 0) is wrong; the
     beta-shift k + 1 is rho_{0,1}, a genuine action, and must still pass."""
     assert suites.floer_suite(2)["passed"]
-    monkeypatch.setattr(densityrep, "rho_apply", _end_action_with(coefficient))
+    plant_density(_end_action_with(coefficient))
     report = suites.floer_suite(2)
     (line,) = [c for c in report["checks"] if c["name"] == "end_action_bracket_consistency"]
     assert line["ok"] is ok
@@ -134,6 +134,57 @@ def test_off_by_one_telescoped_product_raises(monkeypatch, shifted):
 def test_solver_rejects_bad_n():
     with pytest.raises(ValueError):
         solve_forced_action(0)
+
+
+def fraction_density_match(n):
+    """The former `identify_with_density_model`, on Fractions, kept as an
+    oracle; it reads the chain that a test plants on the solver."""
+    (floer,) = floermodel.solve_forced_action(n)
+    density = extract_finite_sl2_submodule(DensityRepSpec(Fraction(-n, 2), Fraction(-n, 2)))
+    # T = diag(u) with T e_floer = e_density T: u_{k+1} a_floer[k] = a_density[k] u_k
+    u = [Fraction(1)]
+    for k in range(n):
+        u.append(u[k] * Fraction(density.a[k], floer.a[k]))
+    # T h = h T iff the weights agree; T f_floer = f_density T on the chain
+    matches = floer.weights == density.weights and all(
+        u[k] * floer.b[k] == density.b[k] * u[k + 1] for k in range(n)
+    )
+    return {
+        "n": n,
+        "matches": matches,
+        "rescaling": [str(v) for v in u],
+        "unique_up_to_rescaling": all(x * y for x, y in zip(floer.a, floer.b)),
+        "h_spectrum": floer.h_spectrum(),
+        "casimir": str(floer.casimir()),
+    }
+
+
+def test_density_match_equals_the_fraction_form():
+    # the same report, key for key and string for string, for n = 1..40;
+    # the forced chain's rescaling is u_k = (-1)^k
+    for n in range(1, 41):
+        report = identify_with_density_model(n)
+        assert report == fraction_density_match(n), n
+        assert report["rescaling"] == [str((-1) ** k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("a_factors, b_factors", [
+    ([1] * 5, [3] * 5), ([1] * 5, [1, 1, 3, 1, 1]), ([3, 1, 2, 1, 5], [1] * 5), ([2, 3, 1, 4, 6], [5, 1, 1, 2, 1]),
+], ids=["every_b", "one_b", "a_scaled", "both_scaled"])
+def test_density_match_equals_the_fraction_form_on_a_planted_chain(monkeypatch, a_factors, b_factors):
+    # unchecked chains with a or b scaled at n = 5: fractional rescaling
+    # entries of both signs, and matches False where f is off
+    (good,) = solve_forced_action(5)
+    planted = FiniteSl2Module.unchecked(
+        good.basis_exponents, good.weights, [c * v for c, v in zip(a_factors, good.a)],
+        [c * v for c, v in zip(b_factors, good.b)],
+    )
+    monkeypatch.setattr(floermodel, "solve_forced_action", lambda n: [planted])
+    report = identify_with_density_model(5)
+    assert report == fraction_density_match(5)
+    assert report["matches"] is (a_factors == b_factors == [1] * 5)
+    if a_factors != [1] * 5:
+        assert {v.startswith("-") for v in report["rescaling"] if "/" in v} == {True, False}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
